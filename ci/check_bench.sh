@@ -8,11 +8,12 @@
 # non-empty and contain no non-finite values (NaN/inf); the full-grid
 # report must additionally cover every experiment it declares, the
 # event-loop report must attest order equivalence between the wheel and
-# the reference heap, and the cluster reports must attest that every
-# shard-core lane count reproduced the 1-core sweep bit-for-bit. The
-# failover report must additionally attest its three acceptance
-# invariants (R=1 replays plain routing, scatter p99 monotone in K,
-# kill spike subsides) and record the deterministic mid-window kill.
+# the reference heap, and the cluster reports must carry their v2
+# schema, attest serial/parallel equality and record the timed sweep
+# replay's events/sec. The failover report must additionally attest its
+# three acceptance invariants (R=1 replays plain routing, scatter p99
+# monotone in K, kill spike subsides) and record the deterministic
+# mid-window kill.
 # Trace artifacts (named explicitly when a bench ran with --trace) must
 # carry the obs timeline schema (BENCH_trace*.json) — with a drop-free
 # steady phase and monotone, non-negative bucket counters — or Chrome
@@ -139,7 +140,7 @@ for f in "${files[@]}"; do
       fi
       ;;
     *cluster_failover*)
-      if ! grep -q '"schema": "isolation-bench/cluster-failover/v1"' "$f"; then
+      if ! grep -q '"schema": "isolation-bench/cluster-failover/v2"' "$f"; then
         echo "check_bench: $f is not a cluster-failover report" >&2
         status=1
       fi
@@ -147,8 +148,8 @@ for f in "${files[@]}"; do
         echo "check_bench: $f does not attest serial/parallel equality" >&2
         status=1
       fi
-      if grep -q '"identical": false' "$f"; then
-        echo "check_bench: $f reports a shard-core lane diverging from the 1-core sweep" >&2
+      if ! grep -q '"events_per_sec"' "$f"; then
+        echo "check_bench: $f records no timed sweep throughput" >&2
         status=1
       fi
       # The bench bin recomputes each acceptance invariant and attests
@@ -173,12 +174,16 @@ for f in "${files[@]}"; do
       fi
       ;;
     *cluster*)
+      if ! grep -q '"schema": "isolation-bench/cluster/v2"' "$f"; then
+        echo "check_bench: $f is not a cluster report" >&2
+        status=1
+      fi
       if ! grep -q '"identical": true' "$f"; then
         echo "check_bench: $f does not attest serial/parallel equality" >&2
         status=1
       fi
-      if grep -q '"identical": false' "$f"; then
-        echo "check_bench: $f reports a shard-core lane diverging from the 1-core sweep" >&2
+      if ! grep -q '"events_per_sec"' "$f"; then
+        echo "check_bench: $f records no timed sweep throughput" >&2
         status=1
       fi
       ;;

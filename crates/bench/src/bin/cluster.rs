@@ -2,15 +2,12 @@
 //!
 //! Runs the two cluster experiments (`cluster_memcached`,
 //! `cluster_mysql`) twice — serially (1 worker) and with N workers —
-//! then replays the Memcached sweep with the shards multiplexed onto
-//! 1/2/4/8 event-core lanes to measure the shard-core scaling curve,
-//! attesting that every lane count reproduces the 1-core points
-//! bit-for-bit. Writes `BENCH_cluster.json` with the per-platform
-//! shard-count × skew × routing sweeps (cluster and hot-shard
-//! percentiles, load imbalance, achieved throughput, drop fractions)
-//! and the scaling curve. Exits non-zero if the serial and parallel
-//! runs disagree, if an experiment is missing, if any lane count
-//! diverges from the 1-core reference, if the emitted JSON contains a
+//! then times one replay of the Memcached sweep. Writes
+//! `BENCH_cluster.json` with the per-platform shard-count × skew ×
+//! routing sweeps (cluster and hot-shard percentiles, load imbalance,
+//! achieved throughput, drop fractions) and the replay's wall clock and
+//! events/sec. Exits non-zero if the serial and parallel runs disagree,
+//! if an experiment is missing, if the emitted JSON contains a
 //! non-finite value (NaN/inf), or if the sweep violates the cluster's
 //! domain invariants: imbalance is a max/mean ratio (>= 1), the drop
 //! metric is a fraction, and p50 cannot exceed p99.
@@ -19,12 +16,12 @@
 //! experiments (`cluster_failover_memcached`, `cluster_failover_mysql`)
 //! — the R/W-quorum × scatter fan-out × kill/recover sweep — and writes
 //! `BENCH_cluster_failover.json`. On top of the shared gates it exits
-//! non-zero unless the 1/2/4/8-lane replays are bit-identical, the R=1
-//! quorum sweep replays the plain single-shard routing bit-for-bit, the
-//! platform-averaged scatter p99 is monotone non-decreasing in the
-//! fan-out on both backends, every fault point records its failure
-//! instant and hand-offs, and every kill-then-recover point's
-//! post-recovery drop rate returns to within the pre-failure band.
+//! non-zero unless the R=1 quorum sweep replays the plain single-shard
+//! routing bit-for-bit, the platform-averaged scatter p99 is monotone
+//! non-decreasing in the fan-out on both backends, every fault point
+//! records its failure instant and hand-offs, and every
+//! kill-then-recover point's post-recovery drop rate returns to within
+//! the pre-failure band.
 //!
 //! Run with: `cargo run --release -p bench --bin cluster`
 //!
@@ -36,8 +33,9 @@
 //! * `--trials N` — override every experiment's trial count
 //! * `--out PATH` — output path (default `BENCH_cluster.json`, or
 //!   `BENCH_cluster_failover.json` under `--failover`)
-//! * `--baseline PATH` — compare the best scaling point against a perf
-//!   baseline (see `ci/perf_baseline.json`) and exit non-zero on regression
+//! * `--baseline PATH` — compare the timed replay's events/sec against a
+//!   perf baseline (see `ci/perf_baseline.json`) and exit non-zero on
+//!   regression
 //! * `--trace` — additionally run one traced 16-shard rebalance point and
 //!   write `TRACE_cluster.json` (Chrome trace events) plus
 //!   `BENCH_trace_cluster.json` (the windowed-metrics timeline)
@@ -46,26 +44,22 @@ use std::time::Instant;
 
 use harness::cli::{flag_value, run_serial_and_parallel, BenchRun};
 use harness::executor::RunReport;
-use harness::report::{FailoverAttestation, ShardCoreScaling};
+use harness::report::{FailoverAttestation, SweepThroughput};
 use harness::{grid, report, ExperimentId};
 use platforms::PlatformId;
 use simcore::SimRng;
-use workloads::cluster::{ClusterBenchmark, ClusterPoint, ClusterSetting, BASELINE_THETA};
+use workloads::cluster::{ClusterBenchmark, ClusterSetting, BASELINE_THETA};
 use workloads::LoadBackend;
-
-/// Lane counts of the shard-core scaling curve the acceptance criteria
-/// pin: the sweep must produce identical points at every one of them.
-const SCALING_CORES: [usize; 4] = [1, 2, 4, 8];
 
 /// Post-recovery drop rate may exceed the pre-failure rate by at most
 /// this much before the kill-then-recover gate fails — the "returns to
 /// the pre-failure band" acceptance criterion.
 const RECOVERY_BAND: f64 = 0.02;
 
-/// The Memcached benchmark a timed scaling replay runs: the plain
+/// The Memcached benchmark the timed replay runs: the plain
 /// shard-count × skew × routing sweep, or the replication/failover
 /// sweep under `--failover`.
-fn scaling_bench(failover: bool, quick: bool) -> ClusterBenchmark {
+fn sweep_bench(failover: bool, quick: bool) -> ClusterBenchmark {
     match (failover, quick) {
         (false, false) => ClusterBenchmark::new(LoadBackend::Memcached),
         (false, true) => ClusterBenchmark::quick(LoadBackend::Memcached),
@@ -74,57 +68,21 @@ fn scaling_bench(failover: bool, quick: bool) -> ClusterBenchmark {
     }
 }
 
-/// One timed replay of the Memcached sweep with the shards multiplexed
-/// onto `cores` event-core lanes. Every replay uses the same
-/// seed-derived streams, so the returned points must match the 1-core
-/// reference exactly — the curve measures pure lane overhead.
-fn scaling_run(
-    failover: bool,
-    cores: usize,
-    quick: bool,
-    seed: u64,
-) -> (Vec<ClusterPoint>, ShardCoreScaling) {
-    let mut bench = scaling_bench(failover, quick);
-    bench.shard_cores = cores;
+/// One timed replay of the Memcached sweep on the native platform: the
+/// event throughput the `--baseline` floor gates.
+fn timed_sweep(failover: bool, quick: bool, seed: u64) -> SweepThroughput {
     let platform = PlatformId::Native.build();
     let mut rng = SimRng::seed_from(seed);
     let start = Instant::now();
-    let points = bench
+    let points = sweep_bench(failover, quick)
         .run_trial(&platform, &mut rng)
         .expect("the native cluster sweep configuration is valid");
     let elapsed_secs = start.elapsed().as_secs_f64();
     let events: u64 = points.iter().map(|p| p.events).sum();
-    let scaling = ShardCoreScaling {
-        cores,
+    SweepThroughput {
         wall_ms: elapsed_secs * 1e3,
         events_per_sec: events as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
-        // The caller fills this in against the 1-core reference.
-        identical: true,
-    };
-    (points, scaling)
-}
-
-/// Runs the full scaling curve and attests every lane count against the
-/// 1-core reference, pushing a failure per divergent lane.
-fn scaling_curve(
-    failover: bool,
-    quick: bool,
-    seed: u64,
-    failures: &mut Vec<String>,
-) -> Vec<ShardCoreScaling> {
-    let (reference, first) = scaling_run(failover, SCALING_CORES[0], quick, seed);
-    let mut scaling = vec![first];
-    for cores in &SCALING_CORES[1..] {
-        let (points, mut point) = scaling_run(failover, *cores, quick, seed);
-        point.identical = points == reference;
-        if !point.identical {
-            failures.push(format!(
-                "{cores}-lane sweep diverged from the 1-lane reference points"
-            ));
-        }
-        scaling.push(point);
     }
-    scaling
 }
 
 /// The checks both modes share: every experiment present in both passes
@@ -190,14 +148,14 @@ fn shared_checks(
     }
 }
 
-/// The `--baseline` gate shared by both modes: the best lane's measured
+/// The `--baseline` gate shared by both modes: the timed replay's
 /// events/sec must clear the floor stored under `key` in the baseline
 /// file.
 fn baseline_check(
     args: &[String],
     mode: &str,
     key: &str,
-    scaling: &[ShardCoreScaling],
+    throughput: &SweepThroughput,
     failures: &mut Vec<String>,
 ) {
     let Some(path) = flag_value(args, "--baseline") else {
@@ -207,14 +165,11 @@ fn baseline_check(
         .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
     let min_eps =
         json_number(&baseline, key).unwrap_or_else(|| panic!("baseline {path} lacks {key}"));
-    let best = scaling
-        .iter()
-        .map(|p| p.events_per_sec)
-        .fold(0.0_f64, f64::max);
-    println!("baseline ({mode}): min {min_eps:.0} events/sec (best lane {best:.0})");
-    if best < min_eps {
+    let measured = throughput.events_per_sec;
+    println!("baseline ({mode}): min {min_eps:.0} events/sec (measured {measured:.0})");
+    if measured < min_eps {
         failures.push(format!(
-            "cluster throughput {best:.0} events/sec regressed below the baseline floor {min_eps:.0}"
+            "cluster throughput {measured:.0} events/sec regressed below the baseline floor {min_eps:.0}"
         ));
     }
 }
@@ -244,7 +199,7 @@ fn r1_matches_plain(quick: bool, seed: u64, failures: &mut Vec<String>) -> bool 
             ClusterBenchmark {
                 scatter_fraction: 0.0,
                 sweep,
-                ..scaling_bench(false, quick)
+                ..sweep_bench(false, quick)
             }
             .run_trial(&platform, &mut SimRng::seed_from(seed))
             .expect("the degradation-gate configuration is valid")
@@ -371,8 +326,8 @@ fn spike_subsides(serial: &RunReport, failures: &mut Vec<String>) -> bool {
     ok
 }
 
-/// The `--failover` mode: the replication/failover sweep, its scaling
-/// curve, and the quorum-specific acceptance gates.
+/// The `--failover` mode: the replication/failover sweep, its timed
+/// replay, and the quorum-specific acceptance gates.
 fn run_failover(args: &[String]) {
     let run = run_serial_and_parallel(
         "cluster --failover",
@@ -383,7 +338,7 @@ fn run_failover(args: &[String]) {
     let quick = run.mode == "quick";
     let mut failures = Vec::new();
 
-    let scaling = scaling_curve(true, quick, run.config.seed, &mut failures);
+    let throughput = timed_sweep(true, quick, run.config.seed);
     let attest = FailoverAttestation {
         r1_matches_plain: r1_matches_plain(quick, run.config.seed, &mut failures),
         scatter_p99_monotone: scatter_monotone(&run.serial, &mut failures),
@@ -395,7 +350,7 @@ fn run_failover(args: &[String]) {
         run.config.seed,
         &run.serial,
         &run.parallel,
-        &scaling,
+        &throughput,
         &attest,
     );
     std::fs::write(&run.out_path, &json)
@@ -404,7 +359,7 @@ fn run_failover(args: &[String]) {
     for figure in &run.serial.figures {
         println!("{}", report::to_markdown(figure));
     }
-    print_scaling(&scaling);
+    print_throughput(&throughput);
     println!(
         "attestations: r1_matches_plain {}, scatter_p99_monotone {}, spike_subsides {}",
         attest.r1_matches_plain, attest.scatter_p99_monotone, attest.spike_subsides
@@ -433,7 +388,7 @@ fn run_failover(args: &[String]) {
         args,
         run.mode,
         &format!("{}_cluster_failover_min_events_per_sec", run.mode),
-        &scaling,
+        &throughput,
         &mut failures,
     );
     if !failures.is_empty() {
@@ -442,15 +397,11 @@ fn run_failover(args: &[String]) {
     }
 }
 
-fn print_scaling(scaling: &[ShardCoreScaling]) {
-    println!("| shard cores | wall (ms) | events/sec | identical |");
-    println!("|---|---|---|---|");
-    for point in scaling {
-        println!(
-            "| {} | {:.1} | {:.0} | {} |",
-            point.cores, point.wall_ms, point.events_per_sec, point.identical
-        );
-    }
+fn print_throughput(throughput: &SweepThroughput) {
+    println!(
+        "timed sweep replay: {:.1} ms, {:.0} events/sec",
+        throughput.wall_ms, throughput.events_per_sec
+    );
 }
 
 fn main() {
@@ -466,16 +417,14 @@ fn main() {
     let quick = run.mode == "quick";
     let mut failures = Vec::new();
 
-    // Shard-core scaling curve: the Memcached sweep at 1/2/4/8 lanes,
-    // each attested bit-identical to the 1-core reference.
-    let scaling = scaling_curve(false, quick, run.config.seed, &mut failures);
+    let throughput = timed_sweep(false, quick, run.config.seed);
 
     let json = report::cluster_json(
         run.mode,
         run.config.seed,
         &run.serial,
         &run.parallel,
-        &scaling,
+        &throughput,
     );
     std::fs::write(&run.out_path, &json)
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", run.out_path));
@@ -483,7 +432,7 @@ fn main() {
     for figure in &run.serial.figures {
         println!("{}", report::to_markdown(figure));
     }
-    print_scaling(&scaling);
+    print_throughput(&throughput);
     println!(
         "\nwall clock: serial {:.0} ms, {} workers {:.0} ms; report: {}",
         run.serial.wall.as_secs_f64() * 1e3,
@@ -538,7 +487,7 @@ fn main() {
         &args,
         run.mode,
         &format!("{}_cluster_min_events_per_sec", run.mode),
-        &scaling,
+        &throughput,
         &mut failures,
     );
     if !failures.is_empty() {

@@ -52,7 +52,7 @@ pub enum ExperimentId {
     /// Beyond the paper: MySQL behind a staged middleware pipeline.
     PipelineMysql,
     /// Beyond the paper: a Memcached sharded cluster — a routing tier
-    /// hashing Zipf-skewed keys over N per-shard event cores, swept over
+    /// hashing Zipf-skewed keys over N backend shards, swept over
     /// shard count, skew and rebalancing policy.
     ClusterMemcached,
     /// Beyond the paper: a MySQL sharded cluster.

@@ -488,7 +488,7 @@ pub fn check_findings_on(figures: &[FigureData]) -> Vec<FindingCheck> {
     }
 
     // Beyond the paper: the sharded cluster. A routing tier spreads
-    // Zipf-skewed keys over N per-shard event cores, so placement skew,
+    // Zipf-skewed keys over N backend shards, so placement skew,
     // fleet size, and resharding policy become measurable.
     if let Some(cluster) = fig(ExperimentId::ClusterMemcached) {
         let platforms = crate::grid::platforms_of(cluster, crate::grid::CLUSTER_HOT_P99);

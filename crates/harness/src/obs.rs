@@ -7,8 +7,8 @@
 //! `chrome://tracing` / Perfetto) and the windowed-metrics timeline
 //! (`BENCH_trace.json`, schema `isolation-bench/obs/v1`). Everything is
 //! derived from the root seed — the recorder's sampling seed included —
-//! so the artifacts are byte-identical across runs, executor worker
-//! counts and cluster core-lane counts.
+//! so the artifacts are byte-identical across runs and executor worker
+//! counts.
 
 use platforms::PlatformId;
 use simcore::error::SimError;
@@ -62,9 +62,8 @@ pub fn recorder_for(target: &str, seed: u64) -> Result<Recorder, SimError> {
 /// reshard boundary, admission and service); the tenancy target traces
 /// the victim/bursty-aggressor co-location under DRR at an 0.8
 /// aggressor fraction (one lane per tenant); the loadgen target traces
-/// the open-loop sweep's 0.8-fraction point. Cluster timelines carry no
-/// event-core counter block: those counters are wheel-topology-local and
-/// would break byte-identity across core-lane counts.
+/// the open-loop sweep's 0.8-fraction point. Every timeline carries the
+/// traced point's event-core counter block.
 ///
 /// # Errors
 ///
@@ -192,6 +191,7 @@ mod tests {
             assert!(a
                 .timeline
                 .contains("\"schema\": \"isolation-bench/obs/v1\""));
+            assert!(a.timeline.contains("\"core\": {"), "{target}");
             assert!(a.chrome.contains("\"traceEvents\""));
         }
     }

@@ -570,33 +570,36 @@ fn cluster_experiment_json(out: &mut String, fig: &FigureData) {
     let _ = write!(out, "    }}");
 }
 
-/// One point of the cluster bench's shard-core scaling curve: the same
-/// sweep replayed with the shards multiplexed onto a different number of
-/// event-core lanes, with its wall clock, event throughput, and whether
-/// its points matched the 1-core reference exactly.
+/// The cluster bench's timed replay of one sweep: its wall clock and
+/// event throughput.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardCoreScaling {
-    /// Event-core lanes the shards were multiplexed onto.
-    pub cores: usize,
-    /// Wall clock of the sweep at this lane count, in milliseconds.
+pub struct SweepThroughput {
+    /// Wall clock of the sweep, in milliseconds.
     pub wall_ms: f64,
     /// Simulation events processed per wall-clock second.
     pub events_per_sec: f64,
-    /// Whether every sweep point matched the 1-core run bit-for-bit.
-    pub identical: bool,
+}
+
+/// Writes the `"sweep_throughput"` line of a cluster report.
+fn sweep_throughput_json(out: &mut String, throughput: &SweepThroughput) {
+    let _ = writeln!(
+        out,
+        "  \"sweep_throughput\": {{\"wall_ms\": {:.3}, \"events_per_sec\": {:.1}}},",
+        throughput.wall_ms, throughput.events_per_sec,
+    );
 }
 
 /// Renders the machine-readable sharded-cluster bench report
 /// (`BENCH_cluster.json`): the shard-count × skew × routing sweeps of
 /// both backends, from a serial (1-worker) and an N-worker run of the
 /// same plan, whether the two produced identical figure data, and the
-/// shard-core scaling curve attesting lane-count invariance.
+/// throughput of one timed sweep replay.
 pub fn cluster_json(
     mode: &str,
     seed: u64,
     serial: &RunReport,
     parallel: &RunReport,
-    scaling: &[ShardCoreScaling],
+    throughput: &SweepThroughput,
 ) -> String {
     let cluster_figs = |report: &RunReport| {
         [
@@ -611,18 +614,9 @@ pub fn cluster_json(
     let parallel_figs = cluster_figs(parallel);
     let identical = serial_figs == parallel_figs;
 
-    let mut out = json_report_header("isolation-bench/cluster/v1", mode, seed, serial, parallel);
+    let mut out = json_report_header("isolation-bench/cluster/v2", mode, seed, serial, parallel);
     let _ = writeln!(out, "  \"identical\": {identical},");
-    let _ = writeln!(out, "  \"shard_core_scaling\": [");
-    for (i, point) in scaling.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"cores\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.1}, \"identical\": {}}}",
-            point.cores, point.wall_ms, point.events_per_sec, point.identical,
-        );
-        let _ = writeln!(out, "{}", if i + 1 < scaling.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ],");
+    sweep_throughput_json(&mut out, throughput);
     let _ = writeln!(out, "  \"experiments\": [");
     for (i, fig) in serial_figs.iter().enumerate() {
         cluster_experiment_json(&mut out, fig);
@@ -711,14 +705,14 @@ pub struct FailoverAttestation {
 /// (`BENCH_cluster_failover.json`): the R/W-quorum × fan-out ×
 /// fault-scenario sweeps of both backends, from a serial (1-worker) and
 /// an N-worker run of the same plan, whether the two produced identical
-/// figure data, the shard-core scaling curve attesting lane-count
-/// invariance, and the failover attestations.
+/// figure data, the failover attestations, and the throughput of one
+/// timed sweep replay.
 pub fn cluster_failover_json(
     mode: &str,
     seed: u64,
     serial: &RunReport,
     parallel: &RunReport,
-    scaling: &[ShardCoreScaling],
+    throughput: &SweepThroughput,
     attest: &FailoverAttestation,
 ) -> String {
     let failover_figs = |report: &RunReport| {
@@ -735,7 +729,7 @@ pub fn cluster_failover_json(
     let identical = serial_figs == parallel_figs;
 
     let mut out = json_report_header(
-        "isolation-bench/cluster-failover/v1",
+        "isolation-bench/cluster-failover/v2",
         mode,
         seed,
         serial,
@@ -749,16 +743,7 @@ pub fn cluster_failover_json(
         attest.scatter_p99_monotone
     );
     let _ = writeln!(out, "  \"spike_subsides\": {},", attest.spike_subsides);
-    let _ = writeln!(out, "  \"shard_core_scaling\": [");
-    for (i, point) in scaling.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"cores\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.1}, \"identical\": {}}}",
-            point.cores, point.wall_ms, point.events_per_sec, point.identical,
-        );
-        let _ = writeln!(out, "{}", if i + 1 < scaling.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ],");
+    sweep_throughput_json(&mut out, throughput);
     let _ = writeln!(out, "  \"experiments\": [");
     for (i, fig) in serial_figs.iter().enumerate() {
         failover_experiment_json(&mut out, fig);
@@ -973,24 +958,15 @@ mod tests {
         let serial = Executor::new(RunPlan::new(cfg).with_shard("cluster_m").with_workers(1)).run();
         let parallel =
             Executor::new(RunPlan::new(cfg).with_shard("cluster_m").with_workers(2)).run();
-        let scaling = [
-            ShardCoreScaling {
-                cores: 1,
-                wall_ms: 10.0,
-                events_per_sec: 1e6,
-                identical: true,
-            },
-            ShardCoreScaling {
-                cores: 4,
-                wall_ms: 9.5,
-                events_per_sec: 1.1e6,
-                identical: true,
-            },
-        ];
-        let json = cluster_json("quick", 7, &serial, &parallel, &scaling);
-        assert!(json.contains("\"schema\": \"isolation-bench/cluster/v1\""));
-        assert!(json.contains("\"shard_core_scaling\": ["));
-        assert!(json.contains("{\"cores\": 4, \"wall_ms\": 9.500, \"events_per_sec\": 1100000.0, \"identical\": true}"));
+        let throughput = SweepThroughput {
+            wall_ms: 9.5,
+            events_per_sec: 1.1e6,
+        };
+        let json = cluster_json("quick", 7, &serial, &parallel, &throughput);
+        assert!(json.contains("\"schema\": \"isolation-bench/cluster/v2\""));
+        assert!(json.contains(
+            "\"sweep_throughput\": {\"wall_ms\": 9.500, \"events_per_sec\": 1100000.0},"
+        ));
         assert!(json.contains("\"slug\": \"cluster_memcached\""));
         assert!(json.contains("\"slug\": \"cluster_mysql\""));
         assert!(json.contains("\"identical\": true"));
@@ -1022,19 +998,17 @@ mod tests {
                 .with_workers(2),
         )
         .run();
-        let scaling = [ShardCoreScaling {
-            cores: 8,
+        let throughput = SweepThroughput {
             wall_ms: 12.25,
             events_per_sec: 2e6,
-            identical: true,
-        }];
+        };
         let attest = FailoverAttestation {
             r1_matches_plain: true,
             scatter_p99_monotone: true,
             spike_subsides: true,
         };
-        let json = cluster_failover_json("quick", 7, &serial, &parallel, &scaling, &attest);
-        assert!(json.contains("\"schema\": \"isolation-bench/cluster-failover/v1\""));
+        let json = cluster_failover_json("quick", 7, &serial, &parallel, &throughput, &attest);
+        assert!(json.contains("\"schema\": \"isolation-bench/cluster-failover/v2\""));
         assert!(json.contains("\"slug\": \"cluster_failover_memcached\""));
         assert!(json.contains("\"slug\": \"cluster_failover_mysql\""));
         assert!(json.contains("\"identical\": true"));
@@ -1042,7 +1016,7 @@ mod tests {
         assert!(json.contains("\"scatter_p99_monotone\": true"));
         assert!(json.contains("\"spike_subsides\": true"));
         assert!(json.contains(
-            "{\"cores\": 8, \"wall_ms\": 12.250, \"events_per_sec\": 2000000.0, \"identical\": true}"
+            "\"sweep_throughput\": {\"wall_ms\": 12.250, \"events_per_sec\": 2000000.0},"
         ));
         assert!(json.contains("\"label\": \"native\""));
         assert!(json.contains("\"setting\": \"r1\""));

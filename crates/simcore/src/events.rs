@@ -51,13 +51,12 @@ struct Entry<T> {
 }
 
 /// Lifetime operation counters of one event core — the timing wheel's
-/// own telemetry, surfaced by [`EventQueue::counters`],
-/// [`Simulation::counters`] and [`ShardedCores::counters`].
+/// own telemetry, surfaced by [`EventQueue::counters`] and
+/// [`Simulation::counters`].
 ///
-/// `pushes` and `pops` are invariant under resharding (they count the
-/// logical event traffic), while `slot_drains`, `cascades` and
-/// `spill_promotions` describe the wheel *topology* the traffic ran on
-/// and legitimately differ between a single core and a sharded group.
+/// `pushes` and `pops` count the logical event traffic, while
+/// `slot_drains`, `cascades` and `spill_promotions` describe the wheel
+/// work that traffic cost.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CoreCounters {
     /// Entries scheduled into the core.
@@ -74,7 +73,7 @@ pub struct CoreCounters {
 
 impl CoreCounters {
     /// Component-wise sum of two counter snapshots (used to fold a
-    /// sharded group's per-core counters in lane order).
+    /// simulation's event queue with its completion timers' queues).
     pub fn merged(self, other: CoreCounters) -> CoreCounters {
         CoreCounters {
             pushes: self.pushes + other.pushes,
@@ -177,16 +176,6 @@ impl<T> EventCore<T> {
     fn push(&mut self, at: Nanos, value: T) {
         let seq = self.seq;
         self.seq += 1;
-        self.push_seq(at, seq, value);
-    }
-
-    /// Schedules `value` under a caller-assigned sequence number.
-    ///
-    /// [`ShardedCores`] assigns sequence numbers from one group-wide
-    /// counter so that FIFO-among-equal-timestamps holds **across** cores,
-    /// not merely within one. The caller must keep seqs strictly
-    /// increasing over the core's lifetime.
-    fn push_seq(&mut self, at: Nanos, seq: u64, value: T) {
         let at = Nanos::from_nanos(at.as_nanos().max(self.cursor));
         self.insert(Entry { at, seq, value });
         self.len += 1;
@@ -306,199 +295,23 @@ impl<T> EventCore<T> {
 
     /// The earliest pending timestamp, without draining anything.
     fn peek_time(&self) -> Option<Nanos> {
-        self.peek_key().map(|(at, _)| at)
-    }
-
-    /// The `(timestamp, seq)` key of the earliest pending entry, without
-    /// draining anything — the merge key [`ShardedCores`] orders its
-    /// per-core heads by.
-    fn peek_key(&self) -> Option<(Nanos, u64)> {
         if let Some(entry) = self.batch.last() {
-            return Some((entry.at, entry.seq));
+            return Some(entry.at);
         }
         // Overflow entries may have come within the horizon since the last
         // advance (promotion is lazy), so the true minimum is the smaller
         // of the spill peek and the first occupied slot's earliest entry.
         // The spill heap is ordered by (at, seq), so its peek is its min.
-        let mut best = self.overflow.peek().map(|s| (s.0.at, s.0.seq));
+        let mut best = self.overflow.peek().map(|s| s.0.at);
         if let Some((level, idx)) = self.first_pending_slot() {
             let slot_min = self.slots[level * SLOTS + idx]
                 .iter()
-                .map(|e| (e.at, e.seq))
+                .map(|e| e.at)
                 .min()
                 .expect("occupied slots are non-empty");
             best = Some(best.map_or(slot_min, |b| b.min(slot_min)));
         }
         best
-    }
-}
-
-/// A group of per-shard event cores advancing in bounded lock-step behind
-/// one deterministic cross-core merge.
-///
-/// Every core is a full hierarchical timing wheel of its own, but the
-/// group shares **one** sequence counter and **one** pop frontier:
-/// [`ShardedCores::pop`] always yields the globally earliest pending
-/// entry by `(timestamp, seq)`, and pushes behind the merged frontier
-/// clamp to it. Two consequences, both load-bearing for the cluster
-/// simulations built on top:
-///
-/// * **Core-count invariance** — the pop sequence is a pure function of
-///   the push sequence: distributing the same pushes over 1, 2, 4 or 8
-///   cores yields the exact pop order of a single [`EventQueue`],
-///   pop for pop. Shard state can therefore be partitioned over any
-///   number of core lanes without perturbing a simulation's results.
-/// * **Bounded lock-step** — [`ShardedCores::pop_within`] drains the
-///   merge only up to a window boundary, so a driver advances all cores
-///   window by window: no core enters the next window before every core
-///   has finished the current one. This is the conservative-parallelism
-///   discipline that makes per-lane threading possible later; today the
-///   merge itself runs sequentially and buys determinism, not speedup.
-///
-/// # Example
-///
-/// ```
-/// use simcore::{Nanos, ShardedCores};
-///
-/// let mut group = ShardedCores::new(2);
-/// group.push(1, Nanos::from_micros(5), "b");
-/// group.push(0, Nanos::from_micros(1), "a");
-/// group.push(0, Nanos::from_micros(5), "c");
-/// assert_eq!(group.pop(), Some((0, Nanos::from_micros(1), "a")));
-/// // Equal timestamps pop in push order across cores: "b" before "c".
-/// assert_eq!(group.pop(), Some((1, Nanos::from_micros(5), "b")));
-/// assert_eq!(group.pop(), Some((0, Nanos::from_micros(5), "c")));
-/// assert!(group.pop().is_none());
-/// ```
-pub struct ShardedCores<T> {
-    cores: Vec<EventCore<T>>,
-    seq: u64,
-    frontier: Nanos,
-    len: usize,
-}
-
-impl<T> ShardedCores<T> {
-    /// Creates a group of `cores` empty event cores (at least one).
-    pub fn new(cores: usize) -> Self {
-        ShardedCores {
-            cores: (0..cores.max(1)).map(|_| EventCore::new()).collect(),
-            seq: 0,
-            frontier: Nanos::ZERO,
-            len: 0,
-        }
-    }
-
-    /// Number of core lanes in the group.
-    pub fn cores(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// Total pending entries across all cores.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no entries are pending on any core.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Pending entries on one core lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn core_len(&self, core: usize) -> usize {
-        self.cores[core].len()
-    }
-
-    /// The merged pop frontier: the timestamp of the latest pop. Pushes
-    /// behind it clamp to it, on whichever core they land.
-    pub fn frontier(&self) -> Nanos {
-        self.frontier
-    }
-
-    /// Schedules `value` at `at` on core lane `core`, drawing the entry's
-    /// sequence number from the group-wide counter. A timestamp behind
-    /// the **merged** frontier is clamped to it, exactly as a single
-    /// [`EventQueue`] clamps to its own frontier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn push(&mut self, core: usize, at: Nanos, value: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        let at = at.max(self.frontier);
-        self.cores[core].push_seq(at, seq, value);
-        self.len += 1;
-    }
-
-    /// The earliest pending timestamp across all cores, without draining.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.cores.iter().filter_map(EventCore::peek_time).min()
-    }
-
-    /// Removes and returns the globally earliest entry as
-    /// `(core, timestamp, value)`, merging the per-core heads by
-    /// `(timestamp, seq)`.
-    pub fn pop(&mut self) -> Option<(usize, Nanos, T)> {
-        let mut best: Option<(Nanos, u64, usize)> = None;
-        for (i, core) in self.cores.iter().enumerate() {
-            if let Some((at, seq)) = core.peek_key() {
-                match best {
-                    Some((ba, bs, _)) if (ba, bs) <= (at, seq) => {}
-                    _ => best = Some((at, seq, i)),
-                }
-            }
-        }
-        let (_, _, idx) = best?;
-        let entry = self.cores[idx].pop().expect("peeked core must pop");
-        self.len -= 1;
-        self.frontier = entry.at;
-        Some((idx, entry.at, entry.value))
-    }
-
-    /// Removes the globally earliest entry only if its timestamp lies at
-    /// or before `horizon` — the bounded lock-step primitive. Draining
-    /// with a fixed window boundary advances every core to the boundary
-    /// before any core sees the next window.
-    pub fn pop_within(&mut self, horizon: Nanos) -> Option<(usize, Nanos, T)> {
-        if self.peek_time()? > horizon {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// Lifetime operation counters of one core lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn core_counters(&self, core: usize) -> CoreCounters {
-        self.cores[core].counters()
-    }
-
-    /// The group's counters, folded over the lanes in index order.
-    ///
-    /// `pushes`/`pops` are lane-count-invariant; the wheel-topology
-    /// counters (`slot_drains`, `cascades`, `spill_promotions`) are not —
-    /// see [`CoreCounters`].
-    pub fn counters(&self) -> CoreCounters {
-        self.cores
-            .iter()
-            .map(EventCore::counters)
-            .fold(CoreCounters::default(), CoreCounters::merged)
-    }
-}
-
-impl<T> std::fmt::Debug for ShardedCores<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedCores")
-            .field("cores", &self.cores.len())
-            .field("pending", &self.len)
-            .field("frontier", &self.frontier)
-            .finish()
     }
 }
 
@@ -1011,83 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cores_match_a_single_queue_for_any_core_count() {
-        // The core-count invariance contract: the same push/pop drive,
-        // with pushes scattered over k cores, must yield the single
-        // queue's pop sequence pop for pop — (timestamp, value) equal —
-        // for every k. The drive mixes slot, cascade and overflow
-        // distances with repeated timestamps, like the wheel/heap oracle.
-        for cores in [1usize, 2, 3, 4, 8] {
-            let mut group = ShardedCores::new(cores);
-            let mut single = EventQueue::new();
-            let mut lcg: u64 = 0x9e37_79b9_7f4a_7c15;
-            let mut step = || {
-                lcg = lcg
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                lcg >> 33
-            };
-            for i in 0..5_000u64 {
-                let r = step();
-                if r % 4 == 0 {
-                    let merged = group.pop().map(|(_, at, v)| (at, v));
-                    assert_eq!(merged, single.pop(), "pop #{i} with {cores} cores");
-                } else {
-                    let shift = [0u32, 6, 14, 26, 50][(r % 5) as usize];
-                    let at = Nanos::from_nanos((step() % 64) << shift);
-                    group.push((r % cores as u64) as usize, at, i);
-                    single.push(at, i);
-                    assert_eq!(group.peek_time(), single.peek_time(), "peek #{i}");
-                }
-                assert_eq!(group.len(), single.len());
-            }
-            loop {
-                let merged = group.pop().map(|(_, at, v)| (at, v));
-                let reference = single.pop();
-                assert_eq!(merged, reference, "{cores} cores");
-                if reference.is_none() {
-                    break;
-                }
-            }
-            assert_eq!(group.frontier(), single.frontier());
-        }
-    }
-
-    #[test]
-    fn cross_core_pushes_behind_the_merged_frontier_clamp_to_it() {
-        // After core 0 drained an event at 5 ms, a push to core 1 at 1 ms
-        // must fire at 5 ms — the clamp floor is the merged frontier, not
-        // the receiving core's own (still unadvanced) cursor.
-        let mut group = ShardedCores::new(2);
-        group.push(0, Nanos::from_millis(5), "first");
-        assert_eq!(group.pop(), Some((0, Nanos::from_millis(5), "first")));
-        group.push(1, Nanos::from_millis(1), "late");
-        group.push(0, Nanos::from_millis(5), "peer");
-        assert_eq!(group.pop(), Some((1, Nanos::from_millis(5), "late")));
-        assert_eq!(group.pop(), Some((0, Nanos::from_millis(5), "peer")));
-        assert_eq!(group.frontier(), Nanos::from_millis(5));
-    }
-
-    #[test]
-    fn pop_within_bounds_the_lock_step_window() {
-        let mut group = ShardedCores::new(4);
-        group.push(2, Nanos::from_micros(1), "in-window");
-        group.push(3, Nanos::from_micros(10), "next-window");
-        let window = Nanos::from_micros(5);
-        assert_eq!(
-            group.pop_within(window),
-            Some((2, Nanos::from_micros(1), "in-window"))
-        );
-        assert_eq!(group.pop_within(window), None, "10 us is past the window");
-        assert_eq!(group.len(), 1, "bounded draining removes nothing extra");
-        assert_eq!(
-            group.pop_within(Nanos::from_micros(10)),
-            Some((3, Nanos::from_micros(10), "next-window"))
-        );
-        assert!(group.is_empty());
-    }
-
-    #[test]
     fn core_counters_track_the_wheel_operations() {
         let mut q = EventQueue::new();
         assert_eq!(q.counters(), CoreCounters::default());
@@ -1102,39 +838,6 @@ mod tests {
         assert_eq!(c.slot_drains, 3, "one whole-slot drain per distinct tick");
         assert!(c.cascades >= 1, "the 700us entry lands in a coarse slot");
         assert_eq!(c.spill_promotions, 1, "the far entry promotes once");
-    }
-
-    #[test]
-    fn sharded_push_pop_counters_are_lane_count_invariant() {
-        // The logical-traffic counters must not depend on how the pushes
-        // were scattered over lanes; the topology counters may.
-        let drive = |cores: usize| {
-            let mut group = ShardedCores::new(cores);
-            for i in 0..500u64 {
-                group.push(
-                    (i % cores as u64) as usize,
-                    Nanos::from_nanos(i * 17 % 400),
-                    i,
-                );
-            }
-            while group.pop().is_some() {}
-            group.counters()
-        };
-        let one = drive(1);
-        for cores in [2, 4, 8] {
-            let many = drive(cores);
-            assert_eq!((many.pushes, many.pops), (one.pushes, one.pops));
-        }
-        assert_eq!((one.pushes, one.pops), (500, 500));
-    }
-
-    #[test]
-    fn a_zero_core_group_still_holds_one_core() {
-        let mut group = ShardedCores::new(0);
-        assert_eq!(group.cores(), 1);
-        group.push(0, Nanos::from_nanos(3), 7u32);
-        assert_eq!(group.core_len(0), 1);
-        assert_eq!(group.pop(), Some((0, Nanos::from_nanos(3), 7u32)));
     }
 
     #[test]

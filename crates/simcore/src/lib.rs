@@ -56,7 +56,7 @@ pub mod time;
 
 pub use dist::Distribution;
 pub use error::SimError;
-pub use events::{CoreCounters, EventQueue, ReferenceHeap, ShardedCores, Simulation};
+pub use events::{CoreCounters, EventQueue, ReferenceHeap, Simulation};
 pub use obs::{ObsConfig, Recorder, Span, SpanKind};
 pub use resource::{Bandwidth, QueueModel, TokenBucket};
 pub use rng::SimRng;

@@ -7,7 +7,7 @@
 //! a cache-miss storm) are invisible between t=0 and the final fold.
 //! This module is the in-flight view, built under the same contract as
 //! everything else in `simcore`: **bit-identical output for any executor
-//! worker count or shard-core lane count**. Three properties carry that:
+//! worker count**. Three properties carry that:
 //!
 //! * **Stateless sampling** — whether request `i` is traced is a pure
 //!   function of `(sample_seed, i)` via [`crate::rng::mix`], consuming
@@ -380,11 +380,6 @@ impl Recorder {
 
     /// Attaches the run's event-core counter profile to the timeline
     /// artifact.
-    ///
-    /// Callers whose artifact must be byte-identical across core-lane
-    /// counts (the sharded cluster) must **not** attach counters: the
-    /// wheel-topology counters legitimately differ per lane count (see
-    /// [`CoreCounters`]); surface them on the console instead.
     pub fn set_core_counters(&mut self, counters: CoreCounters) {
         self.core = Some(counters);
     }

@@ -4,8 +4,8 @@
 //! workspace sources.
 //!
 //! Every figure this repository produces must be **byte-identical for any
-//! worker count, lane count or lock-step window** — an invariant the
-//! replay tests can only check after the fact, one divergence at a time.
+//! worker count** — an invariant the replay tests can only check after
+//! the fact, one divergence at a time.
 //! `simlint` enforces it at the source level instead: a hand-rolled,
 //! comment- and string-aware Rust lexer ([`lexer`]) feeds a small rule
 //! engine ([`rules`]) that rejects the hazards which historically break

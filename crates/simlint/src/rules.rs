@@ -1,9 +1,9 @@
 //! The determinism rule set and the engine that applies it to one file.
 //!
 //! Every rule guards the workspace's core invariant: **figure bytes are
-//! identical for any worker count, lane count or lock-step window**. The
-//! rules reject the source-level hazards that historically break that
-//! invariant, before a replay test ever has to catch the divergence:
+//! identical for any worker count**. The rules reject the source-level
+//! hazards that historically break that invariant, before a replay test
+//! ever has to catch the divergence:
 //!
 //! | Rule | Hazard |
 //! |---|---|

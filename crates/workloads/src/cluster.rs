@@ -1,20 +1,16 @@
-//! Sharded cluster scale-out: a routing tier over N per-shard event
-//! cores (beyond the paper).
+//! Sharded cluster scale-out: a routing tier over N backend shards
+//! (beyond the paper).
 //!
 //! Every earlier subsystem models one node; the ROADMAP's north star is
 //! the fleet. This module puts a **routing tier** in front of N backend
 //! shards: arrivals draw Zipf-skewed keys (configurable skew `s` and
 //! hot-key fraction, the YCSB-style hotspot mix), the router maps each
 //! key to a shard, and every shard owns its **own** derated
-//! [`SlotPool`] + [`CompletionTimer`] pair whose events live on its own
-//! core lane of a [`simcore::ShardedCores`] group. Shards advance in
-//! bounded lock-step windows with a deterministic cross-core
-//! `(timestamp, seq)` merge, so the whole cluster simulation is a pure
-//! function of its seed — the same byte-identical guarantee the
-//! executor proves across worker counts, now *inside* one experiment:
-//! results are identical whether the shards share 1, 2, 4 or 8 event
-//! cores ([`ClusterBenchmark::shard_cores`]), which is what makes
-//! per-lane parallel execution a pure optimization later.
+//! [`SlotPool`] + [`CompletionTimer`] pair. One typed-event
+//! [`EventQueue`] carries every shard's events; its `(timestamp, seq)`
+//! pop order is a pure function of the push sequence, so the whole
+//! cluster simulation is a pure function of its seed — the same
+//! byte-identical guarantee the executor proves across worker counts.
 //!
 //! The sweep tells three stories, one per finding:
 //!
@@ -54,17 +50,17 @@
 //!
 //! Determinism contract: the arrival, service and key streams are split
 //! once per trial and cloned per sweep point (common random numbers, the
-//! `loadgen` discipline), the service stream is consumed in the merged
-//! event order (which is core-count invariant), and each arrival's key
-//! costs exactly two draws whatever the outcome, so sweep points stay
-//! coupled and figures are bit-identical for any executor worker count
-//! *and* any shard-core count. The quorum settings extend the contract
-//! without disturbing it: the request-class and fault streams are two
-//! *additional* named splits taken after the original three (split
-//! derivation is label-keyed, so the legacy streams are unchanged), a
-//! quorum arrival costs exactly one class draw on top of the two key
-//! draws whatever its class, and a setting with `R = W = K = 1` and no
-//! fault replays the plain single-shard routing bit for bit.
+//! `loadgen` discipline), the service stream is consumed in the event
+//! queue's pop order, and each arrival's key costs exactly two draws
+//! whatever the outcome, so sweep points stay coupled and figures are
+//! bit-identical for any executor worker count. The quorum settings
+//! extend the contract without disturbing it: the request-class and
+//! fault streams are two *additional* named splits taken after the
+//! original three (split derivation is label-keyed, so the legacy
+//! streams are unchanged), a quorum arrival costs exactly one class
+//! draw on top of the two key draws whatever its class, and a setting
+//! with `R = W = K = 1` and no fault replays the plain single-shard
+//! routing bit for bit.
 
 use kvstore::{Shard, ShardStats};
 use platforms::Platform;
@@ -72,7 +68,7 @@ use simcore::error::SimError;
 use simcore::obs::{Recorder, SpanKind};
 use simcore::resource::CompletionTimer;
 use simcore::stats::{Cdf, RunningStats};
-use simcore::{Nanos, ShardedCores, SimRng};
+use simcore::{CoreCounters, EventQueue, Nanos, SimRng};
 
 use crate::loadgen::ARRIVAL_CHUNK;
 use crate::slots::{backend_profile, Admission, ClassConfig, SlotPolicy, SlotPool};
@@ -310,13 +306,6 @@ pub struct ClusterBenchmark {
     pub hot_keys: usize,
     /// Fraction of requests drawn from the hot set (the hotspot mix).
     pub hot_fraction: f64,
-    /// Event-core lanes the shards multiplex onto (the lock-step group
-    /// width). Results are identical for any value — the invariance the
-    /// acceptance tests pin at 1/2/4/8.
-    pub shard_cores: usize,
-    /// Width of one bounded lock-step window, in microseconds. Pure
-    /// batching granularity: results are identical for any width.
-    pub lockstep_window_us: u64,
     /// Fraction of the arrival window after which the steady phase
     /// begins (imbalance is measured there) and the
     /// [`RoutePolicy::Rebalance`] policy reshards.
@@ -352,8 +341,6 @@ impl ClusterBenchmark {
             keys: 4_096,
             hot_keys: 16,
             hot_fraction: 0.3,
-            shard_cores: 4,
-            lockstep_window_us: 50,
             rebalance_after: 0.5,
             churn_epochs: 4,
             cache_bytes_per_shard: 64 << 10,
@@ -488,10 +475,7 @@ impl ClusterBenchmark {
     ///
     /// This is the unit the parallel executor shards on. The arrival,
     /// service and key streams are common random numbers across the
-    /// sweep points, and every point replays its events through the
-    /// merged lock-step core group, so the result is independent of
-    /// [`ClusterBenchmark::shard_cores`] and
-    /// [`ClusterBenchmark::lockstep_window_us`].
+    /// sweep points.
     ///
     /// # Errors
     ///
@@ -536,10 +520,11 @@ impl ClusterBenchmark {
     /// The stream discipline matches [`ClusterBenchmark::run_trial`]
     /// (the same three named splits taken in the same order), and the
     /// recorder consumes no draws, so the traced point is equal to the
-    /// corresponding untraced sweep point. Event-core counters are *not*
-    /// attached to the timeline: the wheel-topology counters legitimately
-    /// differ per [`ClusterBenchmark::shard_cores`], while the traced
-    /// artifacts must stay byte-identical for any lane count.
+    /// corresponding untraced sweep point. The timeline carries the
+    /// point's event-core counters: the event queue's merged with every
+    /// shard's completion timer's, in shard order (a shard the fault
+    /// plan kills restarts with a fresh timer, so its counts begin at
+    /// the kill).
     ///
     /// # Errors
     ///
@@ -584,7 +569,7 @@ impl ClusterBenchmark {
         sf + (1.0 - sf) * (wf * setting.write_quorum as f64 + (1.0 - wf) * read_quorum)
     }
 
-    /// Runs one sweep point through the lock-step core group.
+    /// Runs one sweep point on one typed-event queue.
     fn run_setting(
         &self,
         profile: &ServiceProfile,
@@ -599,26 +584,23 @@ impl ClusterBenchmark {
             / self.expected_work(setting))
         .max(1.0);
         let mut sim = ClusterSim::new(self, profile, setting, offered_per_sec, obs)?;
-        let lanes = self.shard_cores.max(1).min(shards);
-        let mut cores: ShardedCores<Ev> = ShardedCores::new(lanes);
+        let mut queue: EventQueue<Ev> = EventQueue::new();
         // Kick off the batched arrival source and the in-flight probes.
-        cores.push(0, Nanos::ZERO, Ev::Generate);
+        queue.push(Nanos::ZERO, Ev::Generate);
         let probes = 64u32;
         let window_secs = self.requests_per_point as f64 / offered_per_sec;
         let probe_period = Nanos::from_secs_f64(window_secs / f64::from(probes));
-        cores.push(0, probe_period, Ev::Probe { remaining: probes });
+        queue.push(probe_period, Ev::Probe { remaining: probes });
         // Seed-derived fault injection: the victim shard and the jitter
         // of the failure instant come from the per-trial fault stream
-        // (cloned per point), and the instants are pure virtual times —
-        // bit-identical for any lane count.
+        // (cloned per point), and the instants are pure virtual times.
         if setting.fault != FaultPlan::None {
             let victim = fault_rng.index(shards);
             let jitter = fault_rng.uniform01();
             let fail_at = Nanos::from_secs_f64(window_secs * (0.35 + 0.2 * jitter));
             sim.failed_shard = Some(victim);
             sim.fail_at = fail_at;
-            cores.push(
-                sim.lane_of(victim),
+            queue.push(
                 fail_at,
                 Ev::Fail {
                     shard: victim as u32,
@@ -627,8 +609,7 @@ impl ClusterBenchmark {
             if setting.fault == FaultPlan::FailRecover {
                 let recover_at = fail_at + Nanos::from_secs_f64(0.25 * window_secs);
                 sim.recover_at = recover_at;
-                cores.push(
-                    sim.lane_of(victim),
+                queue.push(
                     recover_at,
                     Ev::Recover {
                         shard: victim as u32,
@@ -636,24 +617,22 @@ impl ClusterBenchmark {
                 );
             }
         }
-        // The bounded lock-step drive: every core reaches the window
-        // boundary before any core enters the next window. The boundary
-        // jumps over empty windows, so the width is pure batching.
-        let window = Nanos::from_micros(self.lockstep_window_us.max(1));
-        let mut horizon = window;
-        loop {
-            while let Some((_lane, now, ev)) = cores.pop_within(horizon) {
-                sim.handle(now, ev, &mut cores, &mut st);
-            }
-            let Some(next) = cores.peek_time() else {
-                break;
-            };
-            let w = window.as_nanos();
-            horizon = Nanos::from_nanos(next.as_nanos().div_ceil(w).max(1) * w);
+        while let Some((now, ev)) = queue.pop() {
+            sim.handle(now, ev, &mut queue, &mut st);
+        }
+        if let Some(obs) = sim.obs.as_mut() {
+            // The wheel profile of one sweep point: the cluster's event
+            // queue plus every shard's batched completion timer.
+            let counters = sim
+                .shards
+                .iter()
+                .map(|node| node.completions.counters())
+                .fold(queue.counters(), CoreCounters::merged);
+            obs.set_core_counters(counters);
         }
         let obs = sim.obs.take();
         Ok((
-            sim.into_point(setting, offered_per_sec, cores.frontier()),
+            sim.into_point(setting, offered_per_sec, queue.frontier()),
             obs,
         ))
     }
@@ -707,7 +686,7 @@ pub struct ClusterPoint {
     pub store_evictions: u64,
     /// Whether the routing tier resharded mid-window.
     pub rebalanced: bool,
-    /// Events processed by the lock-step core group at this point.
+    /// Events the cluster's event queue popped at this point.
     pub events: u64,
     /// Replication factor R of the point (1 for plain points).
     pub replicas: usize,
@@ -742,25 +721,23 @@ pub struct ClusterPoint {
 #[derive(Debug, Clone, Copy)]
 struct Req {
     /// Cluster-wide arrival index — the stable trace-sampling identity,
-    /// assigned by the router in generation order (lane-count
-    /// invariant).
+    /// assigned by the router in generation order.
     id: u64,
     arrived: Nanos,
     key: u32,
 }
 
 /// Typed events of the cluster simulation — no boxed closures; the
-/// merged pop order alone drives the state machine, which is what makes
-/// the run core-count invariant.
+/// event queue's pop order alone drives the state machine.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// Sample and push the next chunk of routed arrivals (router, lane 0).
+    /// Sample and push the next chunk of routed arrivals (the router).
     Generate,
     /// One arrival at `shard` for `key`, the cluster's `id`-th overall.
     Arrive { shard: u32, id: u64, key: u32 },
     /// Completion-timer wake on `shard`.
     Drain { shard: u32 },
-    /// Fixed-cadence cluster in-flight probe (lane 0).
+    /// Fixed-cadence cluster in-flight probe.
     Probe { remaining: u32 },
     /// The fault plan kills `shard`: its in-service and queued work is
     /// abandoned (resolved as failed) and the routing tier re-resolves
@@ -783,7 +760,7 @@ enum ReqClass {
 
 /// Parent bookkeeping of one quorum request: the request completes when
 /// its last sub-request resolves (sojourn = max over the quorum, since
-/// the merged event order is non-decreasing in time), and it fails if
+/// the event queue pops in non-decreasing time order), and it fails if
 /// *any* sub-request failed.
 #[derive(Debug, Clone, Copy)]
 struct Parent {
@@ -819,7 +796,6 @@ struct ClusterSim<'a> {
     profile: ServiceProfile,
     setting: ClusterSetting,
     offered_per_sec: f64,
-    lanes: usize,
     shards: Vec<ShardNode>,
     /// Arrival index of the next generated request.
     next_arrival: u64,
@@ -924,7 +900,6 @@ impl<'a> ClusterSim<'a> {
             profile: *profile,
             setting: *setting,
             offered_per_sec,
-            lanes: bench.shard_cores.max(1).min(setting.shards),
             shards,
             next_arrival: 0,
             remaining_arrivals: requests,
@@ -955,10 +930,6 @@ impl<'a> ClusterSim<'a> {
             issued_by_phase: [0; 3],
             dropped_by_phase: [0; 3],
         })
-    }
-
-    fn lane_of(&self, shard: usize) -> usize {
-        shard % self.lanes
     }
 
     /// Base key id of the hot set at arrival index `idx`: churn rotates
@@ -1014,13 +985,13 @@ impl<'a> ClusterSim<'a> {
         }
     }
 
-    fn handle(&mut self, now: Nanos, ev: Ev, cores: &mut ShardedCores<Ev>, st: &mut ClusterState) {
+    fn handle(&mut self, now: Nanos, ev: Ev, queue: &mut EventQueue<Ev>, st: &mut ClusterState) {
         self.events += 1;
         match ev {
-            Ev::Generate => self.generate(now, cores, st),
-            Ev::Arrive { shard, id, key } => self.arrive(now, shard as usize, id, key, cores, st),
-            Ev::Drain { shard } => self.drain(now, shard as usize, cores, st),
-            Ev::Probe { remaining } => self.probe(now, remaining, cores),
+            Ev::Generate => self.generate(now, queue, st),
+            Ev::Arrive { shard, id, key } => self.arrive(now, shard as usize, id, key, queue, st),
+            Ev::Drain { shard } => self.drain(now, shard as usize, queue, st),
+            Ev::Probe { remaining } => self.probe(now, remaining, queue),
             Ev::Fail { shard } => self.fail_shard(now, shard as usize),
             Ev::Recover { shard } => self.recover_shard(shard as usize),
         }
@@ -1065,7 +1036,7 @@ impl<'a> ClusterSim<'a> {
     /// the request itself (and only failures arrive here — completions
     /// resolve in [`ClusterSim::drain`]); on the quorum path the parent
     /// completes when its **last** sub resolves (sojourn = max over the
-    /// quorum, since the merged event order is non-decreasing in time)
+    /// quorum, since the event queue pops in non-decreasing time order)
     /// and fails if *any* sub failed.
     fn resolve_sub(&mut self, now: Nanos, id: u64, ok: bool) {
         if self.setting.is_plain() {
@@ -1128,10 +1099,10 @@ impl<'a> ClusterSim<'a> {
     }
 
     /// Samples the next chunk of Poisson interarrival gaps, draws and
-    /// routes each arrival's key, and pushes one `Arrive` per gap onto
-    /// the target shard's core lane; reschedules itself after the
-    /// chunk's last arrival while arrivals remain.
-    fn generate(&mut self, now: Nanos, cores: &mut ShardedCores<Ev>, st: &mut ClusterState) {
+    /// routes each arrival's key, and pushes one `Arrive` per gap for
+    /// the target shard; reschedules itself after the chunk's last
+    /// arrival while arrivals remain.
+    fn generate(&mut self, now: Nanos, queue: &mut EventQueue<Ev>, st: &mut ClusterState) {
         let n = self.remaining_arrivals.min(ARRIVAL_CHUNK);
         if n == 0 {
             return;
@@ -1145,7 +1116,7 @@ impl<'a> ClusterSim<'a> {
             self.next_arrival += 1;
             let key = self.draw_key(idx, &mut st.key_rng);
             if quorum {
-                self.generate_quorum(now + offset, idx, key, cores, st);
+                self.generate_quorum(now + offset, idx, key, queue, st);
                 continue;
             }
             let shard = self.route(key, idx);
@@ -1165,8 +1136,7 @@ impl<'a> ClusterSim<'a> {
                     o.instant(SpanKind::HandOff, idx, lane, now + offset);
                 }
             }
-            cores.push(
-                self.lane_of(shard),
+            queue.push(
                 now + offset,
                 Ev::Arrive {
                     shard: shard as u32,
@@ -1176,7 +1146,7 @@ impl<'a> ClusterSim<'a> {
             );
         }
         if self.remaining_arrivals > 0 {
-            cores.push(0, now + offset, Ev::Generate);
+            queue.push(now + offset, Ev::Generate);
         }
     }
 
@@ -1190,7 +1160,7 @@ impl<'a> ClusterSim<'a> {
         at: Nanos,
         idx: u64,
         key: u32,
-        cores: &mut ShardedCores<Ev>,
+        queue: &mut EventQueue<Ev>,
         st: &mut ClusterState,
     ) {
         let u = st.class_rng.uniform01();
@@ -1255,8 +1225,7 @@ impl<'a> ClusterSim<'a> {
                     o.instant(SpanKind::HandOff, idx, lane, at);
                 }
             }
-            cores.push(
-                self.lane_of(shard),
+            queue.push(
                 at,
                 Ev::Arrive {
                     shard: target,
@@ -1277,7 +1246,7 @@ impl<'a> ClusterSim<'a> {
         shard: usize,
         id: u64,
         key: u32,
-        cores: &mut ShardedCores<Ev>,
+        queue: &mut EventQueue<Ev>,
         st: &mut ClusterState,
     ) {
         self.shards[shard].arrivals += 1;
@@ -1297,7 +1266,7 @@ impl<'a> ClusterSim<'a> {
             return;
         }
         match self.shards[shard].pool.offer(0, now, req) {
-            Admission::Dispatched => self.dispatch(now, shard, req, cores, st),
+            Admission::Dispatched => self.dispatch(now, shard, req, queue, st),
             Admission::Queued => {}
             Admission::Dropped => {
                 if let Some(o) = self.obs.as_mut() {
@@ -1317,15 +1286,15 @@ impl<'a> ClusterSim<'a> {
     }
 
     /// Dispatch on a shard: sample the backend service time (from the
-    /// shared stream, in merged event order), run the sampled store
-    /// operation against the shard's cache, and register the completion
-    /// with the shard's batched timer.
+    /// shared stream, in event order), run the sampled store operation
+    /// against the shard's cache, and register the completion with the
+    /// shard's batched timer.
     fn dispatch(
         &mut self,
         now: Nanos,
         shard: usize,
         req: Req,
-        cores: &mut ShardedCores<Ev>,
+        queue: &mut EventQueue<Ev>,
         st: &mut ClusterState,
     ) {
         let mut service = self
@@ -1371,8 +1340,7 @@ impl<'a> ClusterSim<'a> {
             o.span(SpanKind::SlotService, req.id, lane, now, now + service);
         }
         if let Some(wake) = node.completions.schedule(now + service, req) {
-            cores.push(
-                self.lane_of(shard),
+            queue.push(
                 wake,
                 Ev::Drain {
                     shard: shard as u32,
@@ -1388,13 +1356,12 @@ impl<'a> ClusterSim<'a> {
         &mut self,
         now: Nanos,
         shard: usize,
-        cores: &mut ShardedCores<Ev>,
+        queue: &mut EventQueue<Ev>,
         st: &mut ClusterState,
     ) {
         let mut due = std::mem::take(&mut self.drain_buf);
         if let Some(wake) = self.shards[shard].completions.wake(now, &mut due) {
-            cores.push(
-                self.lane_of(shard),
+            queue.push(
                 wake,
                 Ev::Drain {
                     shard: shard as u32,
@@ -1421,20 +1388,19 @@ impl<'a> ClusterSim<'a> {
         due.clear();
         self.drain_buf = due;
         for (_, _, next) in dispatched.drain(..) {
-            self.dispatch(now, shard, next, cores, st);
+            self.dispatch(now, shard, next, queue, st);
         }
         self.dispatch_buf = dispatched;
     }
 
-    fn probe(&mut self, now: Nanos, remaining: u32, cores: &mut ShardedCores<Ev>) {
+    fn probe(&mut self, now: Nanos, remaining: u32, queue: &mut EventQueue<Ev>) {
         let in_flight: usize = self.shards.iter().map(|s| s.pool.in_flight()).sum();
         self.in_flight_probe.record(in_flight as f64);
         self.peak_in_flight = self.peak_in_flight.max(in_flight);
         if remaining > 1 {
             let window_secs = self.bench.requests_per_point as f64 / self.offered_per_sec;
             let period = Nanos::from_secs_f64(window_secs / 64.0);
-            cores.push(
-                0,
+            queue.push(
                 now + period,
                 Ev::Probe {
                     remaining: remaining - 1,
@@ -1596,89 +1562,43 @@ mod tests {
     }
 
     #[test]
-    fn results_are_identical_for_any_shard_core_count_and_window() {
-        // The tentpole invariance: the merged (timestamp, seq) order is
-        // a pure function of the push sequence, so neither the number of
-        // core lanes nor the lock-step window width may perturb any
-        // measurement.
-        let platform = PlatformId::Qemu.build();
-        let reference = ClusterBenchmark {
-            shard_cores: 1,
-            ..tiny(LoadBackend::Memcached)
-        };
-        let base = reference
-            .run_trial(&platform, &mut SimRng::seed_from(73))
-            .unwrap();
-        for shard_cores in [2usize, 4, 8] {
-            let bench = ClusterBenchmark {
-                shard_cores,
-                ..tiny(LoadBackend::Memcached)
-            };
-            let got = bench
-                .run_trial(&platform, &mut SimRng::seed_from(73))
-                .unwrap();
-            assert_eq!(base, got, "{shard_cores} shard cores diverged");
-        }
-        for window_us in [1u64, 10, 1_000, 100_000] {
-            let bench = ClusterBenchmark {
-                lockstep_window_us: window_us,
-                shard_cores: 1,
-                ..tiny(LoadBackend::Memcached)
-            };
-            let got = bench
-                .run_trial(&platform, &mut SimRng::seed_from(73))
-                .unwrap();
-            assert_eq!(base, got, "window {window_us} us diverged");
-        }
-    }
-
-    #[test]
-    fn tracing_is_observation_only_and_byte_identical_across_lane_counts() {
+    fn tracing_is_observation_only_and_attaches_core_counters() {
         use simcore::obs::ObsConfig;
-        // The recorder consumes no draws and the merged pop order is
-        // lane-count invariant, so the traced point equals the untraced
-        // one and both artifacts are byte-identical for any core count.
+        // The recorder consumes no draws, so the traced point equals the
+        // untraced one.
         let platform = PlatformId::Qemu.build();
         let setting = ClusterSetting::rebalance(16);
-        let plain = ClusterBenchmark {
+        let bench = ClusterBenchmark {
             sweep: vec![setting],
             ..tiny(LoadBackend::Memcached)
-        }
-        .run_trial(&platform, &mut SimRng::seed_from(73))
-        .unwrap();
-        let mut artifacts: Vec<(String, String)> = Vec::new();
-        for shard_cores in [1usize, 2, 4, 8] {
-            let bench = ClusterBenchmark {
-                shard_cores,
-                sweep: vec![setting],
-                ..tiny(LoadBackend::Memcached)
-            };
-            let recorder = Recorder::try_new(ObsConfig::new(7, 0.25)).unwrap();
-            let (point, obs) = bench
-                .run_setting_traced(&platform, &setting, &mut SimRng::seed_from(73), recorder)
-                .unwrap();
-            assert_eq!(plain[0], point, "{shard_cores} lanes: tracing perturbed");
-            assert!(obs.spans_accepted() > 0);
-            artifacts.push((
-                obs.chrome_trace_json("cluster"),
-                obs.timeline_json("cluster", 73),
-            ));
-        }
-        for (i, a) in artifacts.iter().enumerate().skip(1) {
-            assert_eq!(artifacts[0].0, a.0, "chrome trace diverged at lane set {i}");
-            assert_eq!(artifacts[0].1, a.1, "timeline diverged at lane set {i}");
-        }
-        let (trace, timeline) = &artifacts[0];
+        };
+        let plain = bench
+            .run_trial(&platform, &mut SimRng::seed_from(73))
+            .unwrap();
+        let recorder = Recorder::try_new(ObsConfig::new(7, 0.25)).unwrap();
+        let (point, obs) = bench
+            .run_setting_traced(&platform, &setting, &mut SimRng::seed_from(73), recorder)
+            .unwrap();
+        assert_eq!(plain[0], point, "tracing perturbed the point");
+        assert!(obs.spans_accepted() > 0);
+        let trace = obs.chrome_trace_json("cluster");
+        let timeline = obs.timeline_json("cluster", 73);
         assert!(trace.contains("\"route\""), "router instants missing");
         assert!(
             trace.contains("\"hand-off\""),
             "resharded hot keys must record hand-offs"
         );
         assert!(timeline.contains("\"shard0\"") && timeline.contains("\"shard15\""));
-        assert!(
-            !timeline.contains("\"core\""),
-            "cluster timelines must not attach lane-dependent core counters"
-        );
+        let (_, core) = timeline
+            .split_once("\"core\": {")
+            .expect("cluster timelines carry the event-core counter block");
+        let counter = |key: &str| -> u64 {
+            let (_, rest) = core.split_once(&format!("\"{key}\": ")).unwrap();
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().unwrap()
+        };
+        let (pushes, pops) = (counter("pushes"), counter("pops"));
+        assert!(pops > 0 && pops <= pushes, "{pops} pops of {pushes} pushes");
     }
 
     #[test]
@@ -1871,47 +1791,25 @@ mod tests {
     }
 
     #[test]
-    fn failover_sweep_conserves_requests_and_stays_lane_invariant() {
+    fn failover_sweep_conserves_requests() {
         let platform = PlatformId::Qemu.build();
-        let reference = ClusterBenchmark {
-            shard_cores: 1,
+        let bench = ClusterBenchmark {
             sweep: ClusterSetting::failover_sweep(),
             ..tiny(LoadBackend::Memcached)
         };
-        let base = reference
+        let points = bench
             .run_trial(&platform, &mut SimRng::seed_from(78))
             .unwrap();
-        for p in &base {
+        for p in &points {
             // Conservation across the failure boundary: every issued
             // request resolves exactly once, as a completion or a drop.
             assert_eq!(
                 p.completed + p.dropped,
-                reference.requests_per_point as u64,
+                bench.requests_per_point as u64,
                 "{}",
                 p.label
             );
             assert!(p.p50_us <= p.p95_us && p.p95_us <= p.p99_us, "{}", p.label);
-        }
-        for shard_cores in [2usize, 4, 8] {
-            let bench = ClusterBenchmark {
-                shard_cores,
-                ..reference.clone()
-            };
-            let got = bench
-                .run_trial(&platform, &mut SimRng::seed_from(78))
-                .unwrap();
-            assert_eq!(base, got, "{shard_cores} shard cores diverged");
-        }
-        for window_us in [1u64, 1_000, 100_000] {
-            let bench = ClusterBenchmark {
-                lockstep_window_us: window_us,
-                shard_cores: 1,
-                ..reference.clone()
-            };
-            let got = bench
-                .run_trial(&platform, &mut SimRng::seed_from(78))
-                .unwrap();
-            assert_eq!(base, got, "window {window_us} us diverged");
         }
     }
 

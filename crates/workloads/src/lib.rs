@@ -31,10 +31,10 @@
 //! core, sweeping chain depth and cache hit rate per platform.
 //! [`cluster`] scales from the node to the fleet: a routing tier hashes
 //! Zipf-skewed keys over N backend shards, each with its own admission
-//! queue, slot pool and store cache on its own event-core lane, advancing
-//! in deterministic bounded lock-step — sweeping shard count, skew and
-//! rebalancing policy. All four sweep workloads implement the
-//! [`bench::WorkloadBenchmark`] trait, the grid's one dispatch surface.
+//! queue, slot pool and store cache, all driven by one typed-event queue
+//! — sweeping shard count, skew and rebalancing policy. All four sweep
+//! workloads implement the [`bench::WorkloadBenchmark`] trait, the
+//! grid's one dispatch surface.
 
 // No unsafe anywhere in the simulation layers: the bit-identical replay
 // guarantee rests on defined behaviour only (simlint + workspace lints

@@ -1,10 +1,9 @@
 //! Sharded-cluster study: a routing tier hashes Zipf-skewed keys over N
 //! backend shards, each with its own derated slot pool and completion
-//! timer on its own event-core lane, and the study prints what
-//! utilization-constant scale-out buys and costs — the median improves
-//! as shards multiply while the hot keys concentrate on one shard and
-//! inflate its tail — plus what resharding during tenant churn recovers
-//! versus leaving the hot set pinned.
+//! timer, and the study prints what utilization-constant scale-out buys
+//! and costs — the median improves as shards multiply while the hot keys
+//! concentrate on one shard and inflate its tail — plus what resharding
+//! during tenant churn recovers versus leaving the hot set pinned.
 //!
 //! Run with: `cargo run --release --example cluster_study`
 //!

@@ -2,8 +2,7 @@
 //! and one of the sharded cluster, writes the Chrome-trace and timeline
 //! artifacts, and prints what the deterministic observability layer
 //! sees — span-kind census, busiest timeline lanes, and the sampling
-//! contract (same seed, same spans, whatever the worker or core-lane
-//! count).
+//! contract (same seed, same spans, whatever the worker count).
 //!
 //! Run with: `cargo run --release --example trace_study`
 //!

@@ -1,7 +1,10 @@
 //! Acceptance tests of the sharded-cluster subsystem: the merged
 //! figures' shape across the shard-count × skew × routing sweep,
-//! bit-identical results across executor worker counts, and the
-//! monotone response of the hot shard's load share to Zipf skew.
+//! bit-identical results across executor worker counts and against the
+//! recorded reference digests, and the monotone response of the hot
+//! shard's load share to Zipf skew.
+
+mod common;
 
 use std::sync::OnceLock;
 
@@ -60,6 +63,11 @@ fn cluster_figures_are_bit_identical_for_1_2_and_8_workers() {
             "workers={workers} must render identical bytes"
         );
     }
+}
+
+#[test]
+fn cluster_figures_match_the_recorded_digests() {
+    common::assert_recorded_digests(cluster_figures(), cfg().seed);
 }
 
 #[test]

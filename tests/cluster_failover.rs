@@ -1,8 +1,10 @@
 //! Acceptance tests of the replicated-cluster failover experiments at
 //! the executor level: the merged figures must be bit-identical (and
-//! render to identical CSV bytes) for any worker count, and the sweep
-//! must cover every platform × failover metric at every quorum,
-//! scatter and kill setting.
+//! render to identical CSV bytes) for any worker count and match the
+//! recorded reference digests, and the sweep must cover every
+//! platform × failover metric at every quorum, scatter and kill setting.
+
+mod common;
 
 use std::sync::OnceLock;
 
@@ -73,6 +75,11 @@ fn failover_figures_are_bit_identical_for_1_2_and_8_workers() {
             "workers={workers} must render identical bytes"
         );
     }
+}
+
+#[test]
+fn failover_figures_match_the_recorded_digests() {
+    common::assert_recorded_digests(failover_figures(), cfg().seed);
 }
 
 #[test]

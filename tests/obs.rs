@@ -1,13 +1,12 @@
 //! The observability layer's facade-level guarantees: trace artifacts
-//! are a pure function of the root seed — byte-identical across runs,
-//! executor worker counts, and cluster core-lane counts — and a
-//! zero-rate recorder records nothing at all.
+//! are a pure function of the root seed — byte-identical across runs
+//! and executor worker counts — and a zero-rate recorder records
+//! nothing at all.
 
-use isolation_bench::harness::obs::{recorder_for, traced_run};
+use isolation_bench::harness::obs::traced_run;
 use isolation_bench::prelude::*;
 use isolation_bench::simcore::obs::{ObsConfig, Recorder, Span};
 use isolation_bench::simcore::rng;
-use isolation_bench::workloads::cluster::{ClusterBenchmark, ClusterSetting};
 use isolation_bench::workloads::loadgen::LoadgenBenchmark;
 use isolation_bench::workloads::LoadBackend;
 
@@ -42,36 +41,6 @@ fn trace_artifacts_are_byte_identical_across_executor_worker_counts() {
         assert_eq!(traced.timeline, reference.timeline, "workers={workers}");
     }
     assert!(reference.spans_accepted > 0);
-}
-
-#[test]
-fn cluster_trace_is_byte_identical_across_core_lane_counts() {
-    let platform = PlatformId::Docker.build();
-    let setting = ClusterSetting::rebalance(16);
-    let mut artifacts = Vec::new();
-    for cores in [1_usize, 2, 4, 8] {
-        let mut bench = ClusterBenchmark::quick(LoadBackend::Memcached);
-        bench.shard_cores = cores;
-        let mut run_rng = rng::derive(SEED, "trace", "cluster", 0);
-        let recorder = recorder_for("cluster", SEED).unwrap();
-        let (point, obs) = bench
-            .run_setting_traced(&platform, &setting, &mut run_rng, recorder)
-            .unwrap();
-        artifacts.push((
-            point,
-            obs.chrome_trace_json("cluster"),
-            obs.timeline_json("cluster", SEED),
-        ));
-    }
-    let (reference_point, reference_chrome, reference_timeline) = &artifacts[0];
-    for (i, (point, chrome, timeline)) in artifacts.iter().enumerate().skip(1) {
-        let cores = [1, 2, 4, 8][i];
-        assert_eq!(point, reference_point, "cores={cores}");
-        assert_eq!(chrome, reference_chrome, "cores={cores}");
-        assert_eq!(timeline, reference_timeline, "cores={cores}");
-    }
-    assert!(reference_chrome.contains("\"route\""));
-    assert!(reference_timeline.contains("isolation-bench/obs/v1"));
 }
 
 #[test]

@@ -7,9 +7,7 @@ use isolation_bench::kvstore::{Store, StoreConfig};
 use isolation_bench::platforms::PlatformId;
 use isolation_bench::relstore::{Database, Row};
 use isolation_bench::simcore::stats::{Cdf, RunningStats};
-use isolation_bench::simcore::{
-    rng, Bandwidth, EventQueue, Nanos, ReferenceHeap, ShardedCores, SimRng,
-};
+use isolation_bench::simcore::{rng, Bandwidth, EventQueue, Nanos, ReferenceHeap, SimRng};
 use isolation_bench::workloads::pipeline::BASELINE_HIT_RATE;
 use isolation_bench::workloads::slots::{ClassConfig, SlotPolicy, SlotPool};
 use isolation_bench::workloads::{
@@ -366,40 +364,6 @@ proptest! {
             prop_assert_eq!(point.stage_tax_us, 0.0);
         }
         prop_assert!(point.p50_us.is_finite() && point.p99_us.is_finite());
-    }
-
-    #[test]
-    fn sharded_cores_pop_the_exact_order_of_a_single_merged_core(
-        cores in 1usize..9,
-        ops in prop::collection::vec((any::<bool>(), 0u64..200_000), 1..300),
-    ) {
-        // The cluster's lock-step group must be a pure partition of one
-        // merged event core: for any interleaving of pushes (to the lane
-        // the tag hashes to) and pops, an N-core group pops exactly the
-        // `(timestamp, seq)` order a single core defines, pop for pop.
-        // Both structures clamp past-due pushes to their frontier, so the
-        // equivalence holds inductively only if the frontiers never
-        // diverge — which this asserts along the way.
-        let mut group: ShardedCores<u64> = ShardedCores::new(cores);
-        let mut merged: EventQueue<u64> = EventQueue::new();
-        let mut tag = 0u64;
-        // The scheduled interleaving, then enough pops to drain both.
-        let drain = (false, 0u64);
-        let budget = ops.len() * 2;
-        for &(is_push, at) in ops.iter().chain(std::iter::repeat(&drain)).take(budget) {
-            if is_push {
-                let at = Nanos::from_nanos(at);
-                group.push(tag as usize % cores, at, tag);
-                merged.push(at, tag);
-                tag += 1;
-            } else {
-                prop_assert_eq!(group.len(), merged.len());
-                let got = group.pop().map(|(_lane, at, v)| (at, v));
-                prop_assert_eq!(got, merged.pop(), "pop order diverged");
-                prop_assert_eq!(group.frontier(), merged.frontier());
-            }
-        }
-        prop_assert!(group.is_empty() && merged.is_empty());
     }
 
     #[test]
