@@ -42,7 +42,7 @@
 
 use std::time::Instant;
 
-use harness::cli::{flag_value, run_serial_and_parallel, BenchRun};
+use harness::cli::{flag_value, json_number, run_serial_and_parallel, BenchRun};
 use harness::executor::RunReport;
 use harness::report::{FailoverAttestation, SweepThroughput};
 use harness::{grid, report, ExperimentId};
@@ -172,19 +172,6 @@ fn baseline_check(
             "cluster throughput {measured:.0} events/sec regressed below the baseline floor {min_eps:.0}"
         ));
     }
-}
-
-/// Extracts the number following `"key":` from a flat JSON object — the
-/// same hand-rolled JSON handling the rest of the workspace uses (the
-/// vendored stand-ins ship no JSON parser).
-fn json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// The R=1-degenerates-to-PR-7 gate: the quorum sweep reduced to a

@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use harness::cli::{flag_value, parse_count};
+use harness::cli::{flag_value, json_number, parse_count};
 use simcore::{EventQueue, Nanos, ReferenceHeap, SimRng};
 
 /// One measured drive of an event-queue implementation.
@@ -122,19 +122,6 @@ fn drive<Q: EventSink>(queue: &mut Q, events: u64, pending: u64, seed: u64) -> D
         elapsed_secs,
         digest,
     }
-}
-
-/// Extracts the number following `"key":` from a flat JSON object — the
-/// same hand-rolled JSON handling the rest of the workspace uses (the
-/// vendored stand-ins ship no JSON parser).
-fn json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {

@@ -4,7 +4,9 @@
 //! workers — and writes `BENCH_full_grid.json` with per-experiment
 //! wall-clock numbers, seeding the repo's performance trajectory. Exits
 //! non-zero if any experiment cell is missing from the report, so CI can
-//! gate on grid completeness.
+//! gate on grid completeness, and, with `--baseline`, if
+//! `fig16_memcached` takes more than its allowed share of the serial
+//! pass's cell time.
 //!
 //! Run with: `cargo run --release -p bench --bin full_grid`
 //!
@@ -13,8 +15,12 @@
 //! * `--workers N` — parallel worker count (default: available parallelism)
 //! * `--trials N` — override every experiment's trial count
 //! * `--out PATH` — output path (default `BENCH_full_grid.json`)
+//! * `--baseline PATH` — read `{mode}_max_fig16_share` from a perf
+//!   baseline (see `ci/perf_baseline.json`) and exit non-zero when
+//!   `fig16_memcached`'s serial cell time exceeds that share of the
+//!   serial pass's total cell time
 
-use harness::cli::run_serial_and_parallel;
+use harness::cli::{flag_value, json_number, run_serial_and_parallel};
 use harness::{report, ExperimentId};
 
 fn main() {
@@ -73,6 +79,7 @@ fn main() {
         run.out_path,
     );
 
+    let mut failures = Vec::new();
     // Completeness gate: every experiment of the evaluation must be in the
     // report with a full cell complement and non-empty figure data.
     let mut missing = Vec::new();
@@ -89,10 +96,36 @@ fn main() {
         }
     }
     if !missing.is_empty() {
-        eprintln!(
-            "full_grid: missing experiment cells: {}",
-            missing.join(", ")
+        failures.push(format!("missing experiment cells: {}", missing.join(", ")));
+    }
+    // Share gate: a ratio of two cell times on the same machine, so it
+    // holds on any hardware. A YCSB key draw that pays the O(n) Zipf
+    // normaliser per draw makes fig16 most of the grid.
+    if let Some(path) = flag_value(&args, "--baseline") {
+        let baseline = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+        let key = format!("{}_max_fig16_share", run.mode);
+        let max_share =
+            json_number(&baseline, &key).unwrap_or_else(|| panic!("baseline {path} lacks {key}"));
+        let fig16 = run
+            .serial
+            .timings
+            .iter()
+            .find(|t| t.experiment == ExperimentId::Fig16Memcached)
+            .map_or(0.0, |t| t.cell_time.as_secs_f64());
+        let share = fig16 / run.serial.total_cell_time().as_secs_f64().max(1e-9);
+        println!(
+            "baseline ({}): fig16_memcached {share:.3} of serial cell time (max {max_share:.3})",
+            run.mode
         );
+        if share > max_share {
+            failures.push(format!(
+                "fig16_memcached took {share:.3} of the serial cell time, above the baseline ceiling {max_share:.3}"
+            ));
+        }
+    }
+    if !failures.is_empty() {
+        eprintln!("full_grid: FAILED: {}", failures.join("; "));
         std::process::exit(1);
     }
 }

@@ -1,6 +1,7 @@
-//! Tiny flag-parsing helpers and the shared serial-vs-parallel bench
-//! scaffold used by the runnable surfaces (the `full_evaluation` example
-//! and the `full_grid`/`load_curves` bench runners).
+//! Tiny flag- and baseline-parsing helpers and the shared
+//! serial-vs-parallel bench scaffold used by the runnable surfaces (the
+//! `full_evaluation` example and the `full_grid`/`load_curves` bench
+//! runners).
 
 use crate::config::RunConfig;
 use crate::executor::{Executor, RunPlan, RunReport};
@@ -35,6 +36,19 @@ pub fn parse_count(args: &[String], name: &str) -> Option<usize> {
         v.parse()
             .unwrap_or_else(|_| panic!("{name} expects a number, got {v:?}"))
     })
+}
+
+/// Extracts the number following `"key":` from a flat JSON object, such
+/// as the perf baseline the bench runners' `--baseline` gates read (the
+/// vendored stand-ins ship no JSON parser).
+pub fn json_number(json: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\"");
+    let rest = &json[json.find(&needle)? + needle.len()..];
+    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
+    let end = rest
+        .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
 
 /// The outcome of one [`run_serial_and_parallel`] invocation.
@@ -130,6 +144,15 @@ mod tests {
         let a = args(&["--shard", "boot", "--workers", "8"]);
         assert_eq!(flag_value(&a, "--shard").as_deref(), Some("boot"));
         assert_eq!(parse_count(&a, "--workers"), Some(8));
+    }
+
+    #[test]
+    fn json_number_reads_a_flat_key() {
+        let json = "{\n  \"comment\": \"x\",\n  \"quick_max\": 0.10,\n  \"big\" : 4e6\n}";
+        assert_eq!(json_number(json, "quick_max"), Some(0.1));
+        assert_eq!(json_number(json, "big"), Some(4e6));
+        assert_eq!(json_number(json, "comment"), None);
+        assert_eq!(json_number(json, "absent"), None);
     }
 
     #[test]

@@ -218,30 +218,87 @@ impl SimRng {
 
     /// Zipfian rank sample over `n` items with skew `theta` (0 = uniform).
     ///
-    /// Uses the rejection-free approximation from Gray et al. that the YCSB
-    /// workload generator is also based on, so the key-popularity profile of
-    /// the Memcached experiment matches the original benchmark.
+    /// A one-shot [`Zipf::new`]`(n, theta).sample(self)`: it sums the O(n)
+    /// normaliser on every call, so a caller drawing repeatedly from one
+    /// `(n, theta)` should build a [`Zipf`] once and sample from it.
     pub fn zipf(&mut self, n: usize, theta: f64) -> usize {
-        if n <= 1 {
-            return 0;
-        }
-        if theta <= 0.0 {
-            return self.index(n);
-        }
+        Zipf::new(n, theta).sample(self)
+    }
+}
+
+/// A Zipfian rank sampler over `n` items with skew `theta` (0 = uniform),
+/// built once per `(n, theta)`.
+///
+/// Uses the rejection-free approximation from Gray et al., "Quickly
+/// Generating Billion-Record Synthetic Databases" (SIGMOD '94), that the
+/// YCSB workload generator is also based on, so the key-popularity profile
+/// of the Memcached experiment matches the original benchmark. [`Zipf::new`]
+/// pays the O(n) normaliser ζ(n, θ) once; each [`Zipf::sample`] costs one
+/// uniform draw and at most one `powf`. Every rank and every stream
+/// position is bit-identical to evaluating the whole formula per draw.
+///
+/// # Example
+///
+/// ```
+/// use simcore::{SimRng, Zipf};
+///
+/// let zipf = Zipf::new(2_000, 0.99);
+/// let mut a = SimRng::seed_from(7);
+/// let mut b = SimRng::seed_from(7);
+/// for _ in 0..100 {
+///     let rank = zipf.sample(&mut a);
+///     assert!(rank < 2_000);
+///     assert_eq!(rank, b.zipf(2_000, 0.99));
+/// }
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Zipf {
+    n: usize,
+    theta: f64,
+    /// ζ(n, θ), the normaliser.
+    zetan: f64,
+    alpha: f64,
+    eta: f64,
+    /// `u·ζ(n, θ)` below this bound (and at least 1) draws rank 1.
+    rank1_bound: f64,
+}
+
+impl Zipf {
+    /// Precomputes the draw-independent terms of the sampler.
+    pub fn new(n: usize, theta: f64) -> Self {
         let n_f = n as f64;
-        let zetan: f64 = (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum();
+        let zetan = zeta(n, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n_f).powf(1.0 - theta)) / (1.0 - zeta(2, theta) / zetan);
-        let u = self.uniform01();
-        let uz = u * zetan;
+        Zipf {
+            n,
+            theta,
+            zetan,
+            alpha,
+            eta,
+            rank1_bound: 1.0 + 0.5_f64.powf(theta),
+        }
+    }
+
+    /// Draws one rank in `[0, n)`. Returns 0 without drawing when
+    /// `n <= 1`; `theta <= 0` draws a uniform [`SimRng::index`].
+    pub fn sample(&self, rng: &mut SimRng) -> usize {
+        if self.n <= 1 {
+            return 0;
+        }
+        if self.theta <= 0.0 {
+            return rng.index(self.n);
+        }
+        let u = rng.uniform01();
+        let uz = u * self.zetan;
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5_f64.powf(theta) {
+        if uz < self.rank1_bound {
             return 1;
         }
-        let rank = (n_f * (eta * u - eta + 1.0).powf(alpha)) as usize;
-        rank.min(n - 1)
+        let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as usize;
+        rank.min(self.n - 1)
     }
 }
 
@@ -387,10 +444,11 @@ mod tests {
     #[test]
     fn zipf_is_skewed_toward_low_ranks() {
         let mut rng = SimRng::seed_from(3);
+        let zipf = Zipf::new(1000, 0.99);
         let n = 10_000;
         let mut low = 0usize;
         for _ in 0..n {
-            if rng.zipf(1000, 0.99) < 100 {
+            if zipf.sample(&mut rng) < 100 {
                 low += 1;
             }
         }
@@ -402,14 +460,65 @@ mod tests {
     #[test]
     fn zipf_zero_theta_is_roughly_uniform() {
         let mut rng = SimRng::seed_from(4);
+        let zipf = Zipf::new(1000, 0.0);
         let n = 10_000;
         let mut low = 0usize;
         for _ in 0..n {
-            if rng.zipf(1000, 0.0) < 100 {
+            if zipf.sample(&mut rng) < 100 {
                 low += 1;
             }
         }
         assert!(low < n / 5, "{low} of {n} samples in first decile");
+    }
+
+    /// The per-draw Zipf formula the precomputed sampler replaced: every
+    /// term, ζ(n, θ) included, evaluated on each call.
+    fn reference_zipf(rng: &mut SimRng, n: usize, theta: f64) -> usize {
+        if n <= 1 {
+            return 0;
+        }
+        if theta <= 0.0 {
+            return rng.index(n);
+        }
+        let n_f = n as f64;
+        let zetan: f64 = (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum();
+        let alpha = 1.0 / (1.0 - theta);
+        let eta = (1.0 - (2.0 / n_f).powf(1.0 - theta)) / (1.0 - zeta(2, theta) / zetan);
+        let u = rng.uniform01();
+        let uz = u * zetan;
+        if uz < 1.0 {
+            return 0;
+        }
+        if uz < 1.0 + 0.5_f64.powf(theta) {
+            return 1;
+        }
+        let rank = (n_f * (eta * u - eta + 1.0).powf(alpha)) as usize;
+        rank.min(n - 1)
+    }
+
+    #[test]
+    fn zipf_sampler_replays_the_per_draw_formula_bit_for_bit() {
+        for n in [0, 1, 2, 3, 16, 2_000] {
+            for theta in [-0.5, 0.0, 0.5, 0.9, 0.99, 1.0, f64::NAN] {
+                let zipf = Zipf::new(n, theta);
+                for seed in [1, 2021, 1729] {
+                    let mut fast = SimRng::seed_from(seed);
+                    let mut slow = SimRng::seed_from(seed);
+                    for draw in 0..1_000 {
+                        assert_eq!(
+                            zipf.sample(&mut fast),
+                            reference_zipf(&mut slow, n, theta),
+                            "n={n} theta={theta} seed={seed} draw={draw}"
+                        );
+                    }
+                    assert_eq!(
+                        fast.next_u64(),
+                        slow.next_u64(),
+                        "n={n} theta={theta} seed={seed}: stream positions diverged"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -68,8 +68,9 @@ use simcore::error::SimError;
 use simcore::obs::{Recorder, SpanKind};
 use simcore::resource::CompletionTimer;
 use simcore::stats::{Cdf, RunningStats};
-use simcore::{CoreCounters, EventQueue, Nanos, SimRng};
+use simcore::{CoreCounters, EventQueue, Nanos, SimRng, Zipf};
 
+use crate::format_key;
 use crate::loadgen::ARRIVAL_CHUNK;
 use crate::slots::{backend_profile, Admission, ClassConfig, SlotPolicy, SlotPool};
 pub use crate::slots::{LoadBackend, ServiceProfile};
@@ -796,6 +797,8 @@ struct ClusterSim<'a> {
     profile: ServiceProfile,
     setting: ClusterSetting,
     offered_per_sec: f64,
+    /// Hot-set rank sampler over `bench.hot_keys` at the point's skew.
+    zipf: Zipf,
     shards: Vec<ShardNode>,
     /// Arrival index of the next generated request.
     next_arrival: u64,
@@ -812,6 +815,8 @@ struct ClusterSim<'a> {
     peak_in_flight: usize,
     drain_buf: Vec<(Nanos, Req)>,
     dispatch_buf: Vec<(usize, Nanos, Req)>,
+    /// Reusable store-key buffer of the sampled shard operations.
+    key_buf: String,
     /// Observation-only trace recorder; `None` is the zero-cost path.
     obs: Option<Recorder>,
     /// Recorder lane per shard (`shard{i}`), empty when untraced.
@@ -900,6 +905,7 @@ impl<'a> ClusterSim<'a> {
             profile: *profile,
             setting: *setting,
             offered_per_sec,
+            zipf: Zipf::new(bench.hot_keys, setting.zipf_theta),
             shards,
             next_arrival: 0,
             remaining_arrivals: requests,
@@ -913,6 +919,7 @@ impl<'a> ClusterSim<'a> {
             peak_in_flight: 0,
             drain_buf: Vec::new(),
             dispatch_buf: Vec::new(),
+            key_buf: String::new(),
             obs,
             obs_lanes,
             alive: vec![true; setting.shards],
@@ -978,7 +985,7 @@ impl<'a> ClusterSim<'a> {
     /// keeping the key stream aligned across sweep points.
     fn draw_key(&self, idx: u64, rng: &mut SimRng) -> u32 {
         if rng.chance(self.bench.hot_fraction) {
-            let rank = rng.zipf(self.bench.hot_keys, self.setting.zipf_theta) as u64;
+            let rank = self.zipf.sample(rng) as u64;
             ((self.hot_base(idx) + rank) % self.bench.keys as u64) as u32
         } else {
             rng.index(self.bench.keys) as u32
@@ -1313,9 +1320,9 @@ impl<'a> ClusterSim<'a> {
         if node.dispatched % self.bench.op_sample_every.max(1) == 0 {
             // Alternate set/get against the shard's bounded LRU cache;
             // the tick is the shard's own dispatch counter.
-            let key = format!("k{:08}", req.key);
+            let key = format_key(&mut self.key_buf, "k", u64::from(req.key));
             if node.dispatched % (2 * self.bench.op_sample_every.max(1)) == 0 {
-                let hit = node.cache.get(key.as_bytes(), node.dispatched).is_some();
+                let hit = node.cache.get(key, node.dispatched).is_some();
                 if let Some(o) = self.obs.as_mut() {
                     let lane = self.obs_lanes[shard];
                     o.count_cache(lane, now, hit);
@@ -1327,11 +1334,8 @@ impl<'a> ClusterSim<'a> {
                     o.instant(kind, req.id, lane, now);
                 }
             } else {
-                node.cache.set(
-                    key.as_bytes(),
-                    vec![0u8; self.bench.value_bytes],
-                    node.dispatched,
-                );
+                node.cache
+                    .set(key, vec![0u8; self.bench.value_bytes], node.dispatched);
             }
         }
         if let Some(o) = self.obs.as_mut() {

@@ -78,3 +78,12 @@ pub use sysbench_oltp::OltpBenchmark;
 pub use tenancy::{ArrivalProcess, ColocationPoint, TenancyBenchmark, TenantPoint, TenantSpec};
 pub use tinymembench::TinymembenchBenchmark;
 pub use ycsb::YcsbBenchmark;
+
+/// Formats the store key `{prefix}{id:08}` into `buf`, reusing its
+/// allocation from one operation to the next, and returns the key bytes.
+pub(crate) fn format_key<'b>(buf: &'b mut String, prefix: &str, id: u64) -> &'b [u8] {
+    use std::fmt::Write;
+    buf.clear();
+    write!(buf, "{prefix}{id:08}").expect("formatting into a String cannot fail");
+    buf.as_bytes()
+}

@@ -11,7 +11,9 @@ use memsim::tlb::PageSize;
 use oskern::syscall::SyscallClass;
 use platforms::Platform;
 use simcore::stats::RunningStats;
-use simcore::{Nanos, SimRng};
+use simcore::{Nanos, SimRng, Zipf};
+
+use crate::format_key;
 
 /// The YCSB benchmark configuration.
 #[derive(Debug, Clone, Copy)]
@@ -111,9 +113,10 @@ impl YcsbBenchmark {
 
     fn run_once(&self, platform: &Platform, rng: &mut SimRng) -> (f64, f64) {
         let store = Store::new(StoreConfig::default());
+        let mut key_buf = String::new();
         // Load phase.
         for i in 0..self.records {
-            store.set(key(i).as_bytes(), vec![b'x'; self.value_size]);
+            store.set(key(&mut key_buf, i), vec![b'x'; self.value_size]);
         }
 
         let rtt = platform.network().mean_rtt();
@@ -133,14 +136,15 @@ impl YcsbBenchmark {
 
         // Execute the operation mix against the real store to obtain the
         // hit ratio and to keep the data structure honest.
+        let zipf = Zipf::new(self.records, self.zipf_theta);
         let mut reads = 0u64;
         for _ in 0..self.operations {
-            let record = rng.zipf(self.records, self.zipf_theta);
+            let record = zipf.sample(rng);
             if rng.chance(0.5) {
-                let _ = store.get(key(record).as_bytes());
+                let _ = store.get(key(&mut key_buf, record));
                 reads += 1;
             } else {
-                store.set(key(record).as_bytes(), vec![b'y'; self.value_size]);
+                store.set(key(&mut key_buf, record), vec![b'y'; self.value_size]);
             }
         }
         let stats = store.stats();
@@ -154,8 +158,9 @@ impl YcsbBenchmark {
     }
 }
 
-fn key(i: usize) -> String {
-    format!("user{i:08}")
+/// The store key of YCSB record `i`.
+fn key(buf: &mut String, i: usize) -> &[u8] {
+    format_key(buf, "user", i as u64)
 }
 
 #[cfg(test)]

@@ -1,10 +1,41 @@
 //! Integration tests spanning the whole workspace: regenerate figures
-//! through the facade crate and verify the paper's headline shapes.
+//! through the facade crate, verify the paper's headline shapes and pin
+//! every paper figure to its recorded reference digest.
+
+mod common;
 
 use isolation_bench::prelude::*;
 
 fn cfg() -> RunConfig {
     RunConfig::quick(2021)
+}
+
+/// The paper's fifteen experiments, Fig. 5 to Fig. 18 plus sysbench prime.
+const PAPER_EXPERIMENTS: [ExperimentId; 15] = [
+    ExperimentId::Fig05Ffmpeg,
+    ExperimentId::SysbenchPrime,
+    ExperimentId::Fig06MemLatency,
+    ExperimentId::Fig07MemBandwidth,
+    ExperimentId::Fig08Stream,
+    ExperimentId::Fig09FioThroughput,
+    ExperimentId::Fig10FioLatency,
+    ExperimentId::Fig11Iperf,
+    ExperimentId::Fig12Netperf,
+    ExperimentId::Fig13BootContainers,
+    ExperimentId::Fig14BootHypervisors,
+    ExperimentId::Fig15BootOsv,
+    ExperimentId::Fig16Memcached,
+    ExperimentId::Fig17Mysql,
+    ExperimentId::Fig18Hap,
+];
+
+#[test]
+fn paper_figures_match_the_recorded_digests() {
+    let figs: Vec<FigureData> = PAPER_EXPERIMENTS
+        .iter()
+        .map(|e| figures::run(*e, &cfg()))
+        .collect();
+    common::assert_recorded_digests(&figs, cfg().seed);
 }
 
 #[test]
