@@ -576,7 +576,7 @@ fn cluster_experiment_json(out: &mut String, fig: &FigureData) {
 pub struct SweepThroughput {
     /// Wall clock of the sweep, in milliseconds.
     pub wall_ms: f64,
-    /// Simulation events processed per wall-clock second.
+    /// Simulated events processed per wall-clock second.
     pub events_per_sec: f64,
 }
 

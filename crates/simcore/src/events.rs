@@ -1,15 +1,21 @@
-//! A minimal discrete-event scheduler on a hierarchical timing wheel.
+//! The discrete-event queue every simulation drains, on a hierarchical
+//! timing wheel.
 //!
 //! The boot-sequence and queueing models advance a virtual clock through a
-//! priority queue of timestamped events. Until PR 5 that queue was a binary
+//! priority queue of timestamped events. That queue was once a binary
 //! heap, whose `O(log n)` push/pop dominated wall-clock once millions of
-//! requests were in flight; the queue is now a **hierarchical timing
-//! wheel** ([`EventCore`] internally): [`LEVELS`] coarse-to-fine wheels of
+//! requests were in flight; [`EventQueue`] is now a **hierarchical timing
+//! wheel**: [`LEVELS`] coarse-to-fine wheels of
 //! [`SLOTS`] slots each over raw nanosecond ticks, with an overflow level
 //! beyond the wheel horizon falling back to a sorted spill heap. Push is
 //! `O(1)`, and popping drains a **whole wheel slot per clock advance** —
 //! every event sharing the next tick comes out in one batch — instead of
 //! one heap pop per event.
+//!
+//! A simulation drives it with a typed event enum: push the initial
+//! events, then pop `(timestamp, event)` pairs and `match` on each, pushing
+//! follow-up events as the handlers run. The timestamp of the latest pop
+//! is the simulation's clock ([`EventQueue::frontier`]).
 //!
 //! Ordering is exactly the reference heap's: timestamp first, insertion
 //! sequence second (FIFO among equal timestamps). The pre-wheel
@@ -18,19 +24,14 @@
 //! measures the wheel against.
 //!
 //! **Past-timestamp semantics** (shared by the wheel and the reference
-//! heap): scheduling an event before the queue's pop frontier — for
-//! [`Simulation`], before the current virtual time — clamps the timestamp
-//! to that frontier. The event fires "now"; the clock never rewinds.
+//! heap): pushing an event before the queue's pop frontier clamps the
+//! timestamp to that frontier. The event fires "now"; the clock never
+//! rewinds.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::Nanos;
-
-/// The boxed callback type run when an event fires. Actions are `Send` so
-/// a `Simulation<S>` over `Send` state can move into worker threads (the
-/// parallel experiment executor runs whole simulations per worker).
-type Action<S> = Box<dyn FnOnce(&mut Simulation<S>, &mut S) + Send>;
 
 /// Bits of the tick resolved per wheel level (64 slots per level).
 const SLOT_BITS: u32 = 6;
@@ -51,8 +52,7 @@ struct Entry<T> {
 }
 
 /// Lifetime operation counters of one event core — the timing wheel's
-/// own telemetry, surfaced by [`EventQueue::counters`] and
-/// [`Simulation::counters`].
+/// own telemetry, surfaced by [`EventQueue::counters`].
 ///
 /// `pushes` and `pops` count the logical event traffic, while
 /// `slot_drains`, `cascades` and `spill_promotions` describe the wheel
@@ -110,7 +110,25 @@ impl<T> Ord for Spill<T> {
     }
 }
 
-/// The timing-wheel event core shared by [`EventQueue`] and [`Simulation`].
+/// A timestamp-ordered event queue of values on the timing wheel.
+///
+/// Pops are monotone: pushing a timestamp behind the pop frontier (the
+/// timestamp of the latest pop) clamps it to the frontier, so the entry
+/// comes out "now" and popped timestamps never go backwards. Equal
+/// timestamps pop in insertion (FIFO) order.
+///
+/// # Example
+///
+/// ```
+/// use simcore::{EventQueue, Nanos};
+///
+/// let mut q = EventQueue::new();
+/// q.push(Nanos::from_millis(5), "late");
+/// q.push(Nanos::from_millis(1), "early");
+/// assert_eq!(q.pop(), Some((Nanos::from_millis(1), "early")));
+/// assert_eq!(q.pop(), Some((Nanos::from_millis(5), "late")));
+/// assert!(q.pop().is_none());
+/// ```
 ///
 /// Invariants:
 /// * `cursor` is the pop frontier (the tick of the latest drained slot);
@@ -120,7 +138,7 @@ impl<T> Ord for Spill<T> {
 ///   the wheels once the cursor comes within range.
 /// * `batch` holds the drained earliest tick's entries in `seq` order;
 ///   pops come from it first, so a whole slot costs one wheel advance.
-struct EventCore<T> {
+pub struct EventQueue<T> {
     /// `LEVELS * SLOTS` slot buffers (drained buffers keep their capacity).
     slots: Box<[Vec<Entry<T>>]>,
     /// One occupancy bitmap per level; bit `i` set iff slot `i` is non-empty.
@@ -143,9 +161,10 @@ struct EventCore<T> {
     counters: CoreCounters,
 }
 
-impl<T> EventCore<T> {
-    fn new() -> Self {
-        EventCore {
+impl<T> EventQueue<T> {
+    /// Creates an empty queue.
+    pub fn new() -> Self {
+        EventQueue {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
             cursor: 0,
@@ -159,21 +178,31 @@ impl<T> EventCore<T> {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn counters(&self) -> CoreCounters {
+    /// Whether the queue has no pending events.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Snapshot of the queue's lifetime operation counters.
+    pub fn counters(&self) -> CoreCounters {
         self.counters
     }
 
-    fn frontier(&self) -> Nanos {
+    /// The pop frontier: pushes behind it clamp to it.
+    pub fn frontier(&self) -> Nanos {
         Nanos::from_nanos(self.cursor)
     }
 
-    /// Schedules `value`, clamping timestamps behind the pop frontier to
-    /// the frontier (fire now, never rewind).
-    fn push(&mut self, at: Nanos, value: T) {
+    /// Schedules `value` at virtual time `at`.
+    ///
+    /// A timestamp behind the pop frontier is clamped to the frontier: the
+    /// value fires "now" rather than rewinding the queue's clock.
+    pub fn push(&mut self, at: Nanos, value: T) {
         let seq = self.seq;
         self.seq += 1;
         let at = Nanos::from_nanos(at.as_nanos().max(self.cursor));
@@ -284,17 +313,18 @@ impl<T> EventCore<T> {
         }
     }
 
-    fn pop(&mut self) -> Option<Entry<T>> {
+    /// Removes and returns the earliest event.
+    pub fn pop(&mut self) -> Option<(Nanos, T)> {
         if self.batch.is_empty() && !self.advance() {
             return None;
         }
         self.len -= 1;
         self.counters.pops += 1;
-        self.batch.pop()
+        self.batch.pop().map(|e| (e.at, e.value))
     }
 
-    /// The earliest pending timestamp, without draining anything.
-    fn peek_time(&self) -> Option<Nanos> {
+    /// Returns the timestamp of the earliest event without removing it.
+    pub fn peek_time(&self) -> Option<Nanos> {
         if let Some(entry) = self.batch.last() {
             return Some(entry.at);
         }
@@ -315,77 +345,6 @@ impl<T> EventCore<T> {
     }
 }
 
-/// A plain timestamp-ordered event queue of values, backed by the timing
-/// wheel.
-///
-/// Pops are monotone: pushing a timestamp behind the pop frontier (the
-/// timestamp of the latest pop) clamps it to the frontier, so the entry
-/// comes out "now" and popped timestamps never go backwards. Equal
-/// timestamps pop in insertion (FIFO) order.
-///
-/// # Example
-///
-/// ```
-/// use simcore::{EventQueue, Nanos};
-///
-/// let mut q = EventQueue::new();
-/// q.push(Nanos::from_millis(5), "late");
-/// q.push(Nanos::from_millis(1), "early");
-/// assert_eq!(q.pop(), Some((Nanos::from_millis(1), "early")));
-/// assert_eq!(q.pop(), Some((Nanos::from_millis(5), "late")));
-/// assert!(q.pop().is_none());
-/// ```
-pub struct EventQueue<T> {
-    core: EventCore<T>,
-}
-
-impl<T> EventQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            core: EventCore::new(),
-        }
-    }
-
-    /// Schedules `value` at virtual time `at`.
-    ///
-    /// A timestamp behind the pop frontier is clamped to the frontier: the
-    /// value fires "now" rather than rewinding the queue's clock.
-    pub fn push(&mut self, at: Nanos, value: T) {
-        self.core.push(at, value);
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(Nanos, T)> {
-        self.core.pop().map(|e| (e.at, e.value))
-    }
-
-    /// Returns the timestamp of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.core.peek_time()
-    }
-
-    /// The pop frontier: pushes behind it clamp to it.
-    pub fn frontier(&self) -> Nanos {
-        self.core.frontier()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.core.len()
-    }
-
-    /// Whether the queue has no pending events.
-    pub fn is_empty(&self) -> bool {
-        self.core.len() == 0
-    }
-
-    /// Snapshot of the queue's lifetime operation counters.
-    pub fn counters(&self) -> CoreCounters {
-        self.core.counters()
-    }
-}
-
 impl<T> Default for EventQueue<T> {
     fn default() -> Self {
         Self::new()
@@ -395,8 +354,8 @@ impl<T> Default for EventQueue<T> {
 impl<T> std::fmt::Debug for EventQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("pending", &self.core.len())
-            .field("frontier", &self.core.frontier())
+            .field("pending", &self.len)
+            .field("frontier", &self.frontier())
             .finish()
     }
 }
@@ -497,196 +456,6 @@ impl<T> Default for ReferenceHeap<T> {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// A discrete-event simulation over a user-provided state type.
-///
-/// Events run in timestamp order, FIFO among equal timestamps; the event
-/// queue is the hierarchical timing wheel, so scheduling is `O(1)` and the
-/// run loop drains one whole wheel slot (every event sharing the next
-/// tick) per clock advance.
-///
-/// # Example
-///
-/// ```
-/// use simcore::{Nanos, Simulation};
-///
-/// let mut sim = Simulation::new();
-/// sim.schedule_in(Nanos::from_millis(10), |sim, count: &mut u32| {
-///     *count += 1;
-///     sim.schedule_in(Nanos::from_millis(10), |_, count| *count += 1);
-/// });
-/// let mut count = 0;
-/// sim.run(&mut count);
-/// assert_eq!(count, 2);
-/// assert_eq!(sim.now(), Nanos::from_millis(20));
-/// ```
-pub struct Simulation<S> {
-    now: Nanos,
-    core: EventCore<Action<S>>,
-}
-
-impl<S> std::fmt::Debug for Simulation<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulation")
-            .field("now", &self.now)
-            .field("pending", &self.core.len())
-            .finish()
-    }
-}
-
-impl<S> Simulation<S> {
-    /// Creates a simulation with the clock at zero.
-    pub fn new() -> Self {
-        Simulation {
-            now: Nanos::ZERO,
-            core: EventCore::new(),
-        }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> Nanos {
-        self.now
-    }
-
-    /// Schedules an action at an absolute virtual time.
-    ///
-    /// A timestamp in the past — before the current virtual time — is
-    /// clamped to `now`: the action fires at the current time (after the
-    /// already-pending actions at that timestamp, in scheduling order) and
-    /// the clock never rewinds.
-    pub fn schedule_at<F>(&mut self, at: Nanos, action: F)
-    where
-        F: FnOnce(&mut Simulation<S>, &mut S) + Send + 'static,
-    {
-        self.core.push(at.max(self.now), Box::new(action));
-    }
-
-    /// Schedules an action `delay` after the current virtual time.
-    pub fn schedule_in<F>(&mut self, delay: Nanos, action: F)
-    where
-        F: FnOnce(&mut Simulation<S>, &mut S) + Send + 'static,
-    {
-        let at = self.now + delay;
-        self.schedule_at(at, action);
-    }
-
-    /// Runs events until the queue drains; returns the final virtual time.
-    pub fn run(&mut self, state: &mut S) -> Nanos {
-        while let Some(event) = self.core.pop() {
-            self.now = event.at;
-            (event.value)(self, state);
-        }
-        self.now
-    }
-
-    /// Runs events up to (and including) virtual time `until`.
-    ///
-    /// Afterwards the clock sits at `until`, or stays where it was if it
-    /// had already advanced past the horizon — it never moves backward.
-    pub fn run_until(&mut self, state: &mut S, until: Nanos) -> Nanos {
-        while self.core.peek_time().is_some_and(|t| t <= until) {
-            let event = self.core.pop().expect("peeked event must pop");
-            self.now = event.at;
-            (event.value)(self, state);
-        }
-        self.now = self.now.max(until);
-        self.now
-    }
-
-    /// Schedules `action` to fire `ticks` times, first at `start` after the
-    /// current virtual time and then once every `period`.
-    ///
-    /// The action reschedules itself from each firing's timestamp, so a
-    /// periodic arrival source costs one pending event at a time instead of
-    /// `ticks` queue entries up front.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use simcore::{Nanos, Simulation};
-    ///
-    /// let mut sim = Simulation::new();
-    /// sim.schedule_periodic(Nanos::from_millis(1), Nanos::from_millis(2), 3, |_, n: &mut u32| {
-    ///     *n += 1;
-    /// });
-    /// let mut n = 0;
-    /// let end = sim.run(&mut n);
-    /// assert_eq!(n, 3);
-    /// assert_eq!(end, Nanos::from_millis(5)); // 1ms, 3ms, 5ms
-    /// ```
-    pub fn schedule_periodic<F>(&mut self, start: Nanos, period: Nanos, ticks: u64, action: F)
-    where
-        S: 'static,
-        F: FnMut(&mut Simulation<S>, &mut S) + Send + 'static,
-    {
-        if ticks == 0 {
-            return;
-        }
-        self.schedule_in(start, periodic_tick(period, ticks, action));
-    }
-
-    /// Schedules a batch of `(delay, action)` pairs relative to the current
-    /// virtual time.
-    ///
-    /// Load generators use this to enqueue one chunk of pre-sampled
-    /// arrivals at a time (keeping the pending-event count bounded by the
-    /// chunk size) while preserving FIFO order among equal timestamps; on
-    /// the wheel every insert is `O(1)`, so a chunk costs linear time
-    /// regardless of the pending population.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use simcore::{Nanos, Simulation};
-    ///
-    /// let mut sim = Simulation::new();
-    /// sim.schedule_batch((1..=4).map(|i| {
-    ///     (Nanos::from_micros(i), move |_: &mut Simulation<u64>, sum: &mut u64| *sum += i)
-    /// }));
-    /// let mut sum = 0;
-    /// sim.run(&mut sum);
-    /// assert_eq!(sum, 10);
-    /// ```
-    pub fn schedule_batch<F>(&mut self, batch: impl IntoIterator<Item = (Nanos, F)>)
-    where
-        F: FnOnce(&mut Simulation<S>, &mut S) + Send + 'static,
-    {
-        for (delay, action) in batch {
-            self.schedule_in(delay, action);
-        }
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.core.len()
-    }
-
-    /// Snapshot of the scheduler's lifetime operation counters.
-    pub fn counters(&self) -> CoreCounters {
-        self.core.counters()
-    }
-}
-
-impl<S> Default for Simulation<S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One firing of a periodic action: runs it and, while ticks remain,
-/// re-enqueues itself `period` after the firing timestamp.
-fn periodic_tick<S, F>(period: Nanos, remaining: u64, mut action: F) -> Action<S>
-where
-    S: 'static,
-    F: FnMut(&mut Simulation<S>, &mut S) + Send + 'static,
-{
-    Box::new(move |sim, state| {
-        action(sim, state);
-        if remaining > 1 {
-            sim.schedule_in(period, periodic_tick(period, remaining - 1, action));
-        }
-    })
 }
 
 #[cfg(test)]
@@ -841,167 +610,25 @@ mod tests {
     }
 
     #[test]
-    fn simulation_advances_clock_in_order() {
-        let mut sim: Simulation<Vec<u64>> = Simulation::new();
-        sim.schedule_at(Nanos::from_millis(3), |sim, log| {
-            log.push(sim.now().as_nanos())
-        });
-        sim.schedule_at(Nanos::from_millis(1), |sim, log| {
-            log.push(sim.now().as_nanos())
-        });
-        let mut log = Vec::new();
-        let end = sim.run(&mut log);
-        assert_eq!(log, vec![1_000_000, 3_000_000]);
-        assert_eq!(end, Nanos::from_millis(3));
-    }
-
-    #[test]
-    fn chained_events_accumulate_time() {
-        let mut sim: Simulation<u32> = Simulation::new();
-        sim.schedule_in(Nanos::from_micros(5), |sim, n| {
-            *n += 1;
-            sim.schedule_in(Nanos::from_micros(5), |sim, n| {
-                *n += 1;
-                sim.schedule_in(Nanos::from_micros(5), |_, n| *n += 1);
-            });
-        });
-        let mut n = 0;
-        let end = sim.run(&mut n);
-        assert_eq!(n, 3);
-        assert_eq!(end, Nanos::from_micros(15));
-    }
-
-    #[test]
-    fn run_until_stops_at_horizon() {
-        let mut sim: Simulation<u32> = Simulation::new();
-        sim.schedule_at(Nanos::from_millis(1), |_, n| *n += 1);
-        sim.schedule_at(Nanos::from_millis(100), |_, n| *n += 100);
-        let mut n = 0;
-        sim.run_until(&mut n, Nanos::from_millis(10));
-        assert_eq!(n, 1);
-        assert_eq!(sim.pending(), 1);
-    }
-
-    #[test]
-    fn run_until_with_a_past_horizon_never_rewinds_the_clock() {
-        // Regression: the old clamp expression only avoided rewinding
-        // because Nanos subtraction saturates; the rewrite must keep the
-        // clock monotone when `until < now`.
-        let mut sim: Simulation<u32> = Simulation::new();
-        sim.schedule_at(Nanos::from_millis(8), |_, n| *n += 1);
-        let mut n = 0;
-        sim.run(&mut n);
-        assert_eq!(sim.now(), Nanos::from_millis(8));
-        let end = sim.run_until(&mut n, Nanos::from_millis(3));
-        assert_eq!(end, Nanos::from_millis(8), "clock must not move backward");
-        assert_eq!(sim.now(), Nanos::from_millis(8));
-        // A future horizon with no events still advances the clock to it.
-        assert_eq!(
-            sim.run_until(&mut n, Nanos::from_millis(20)),
-            Nanos::from_millis(20)
-        );
-    }
-
-    #[test]
-    fn scheduling_works_after_run_until_advanced_past_the_frontier() {
-        // run_until can leave `now` ahead of the wheel's internal cursor
-        // (the last drained tick); scheduling from there must still fire
-        // at the scheduled time, clamped to `now` at the earliest.
-        let mut sim: Simulation<Vec<u64>> = Simulation::new();
-        let mut log = Vec::new();
-        sim.run_until(&mut log, Nanos::from_millis(10));
-        sim.schedule_at(Nanos::from_millis(2), |sim, log: &mut Vec<u64>| {
-            log.push(sim.now().as_nanos())
-        });
-        sim.schedule_in(Nanos::from_millis(5), |sim, log: &mut Vec<u64>| {
-            log.push(sim.now().as_nanos())
-        });
-        sim.run(&mut log);
-        assert_eq!(log, vec![10_000_000, 15_000_000]);
-    }
-
-    #[test]
-    fn periodic_actions_fire_on_schedule_and_stop() {
-        let mut sim: Simulation<Vec<u64>> = Simulation::new();
-        sim.schedule_periodic(
-            Nanos::from_micros(10),
-            Nanos::from_micros(5),
-            4,
-            |sim, log: &mut Vec<u64>| log.push(sim.now().as_nanos()),
-        );
-        let mut log = Vec::new();
-        sim.run(&mut log);
-        assert_eq!(log, vec![10_000, 15_000, 20_000, 25_000]);
-        assert_eq!(sim.pending(), 0);
-        // Zero ticks schedules nothing at all.
-        sim.schedule_periodic(
-            Nanos::ZERO,
-            Nanos::from_micros(1),
-            0,
-            |_, _: &mut Vec<u64>| unreachable!("zero-tick periodic action must never fire"),
-        );
-        assert_eq!(sim.pending(), 0);
-    }
-
-    #[test]
-    fn periodic_keeps_one_pending_event_at_a_time() {
-        let mut sim: Simulation<u32> = Simulation::new();
-        sim.schedule_periodic(
-            Nanos::from_micros(1),
-            Nanos::from_micros(1),
-            1000,
-            |_, n| *n += 1,
-        );
-        assert_eq!(sim.pending(), 1, "only the next tick is enqueued");
-        let mut n = 0;
-        sim.run(&mut n);
-        assert_eq!(n, 1000);
-    }
-
-    #[test]
-    fn batch_scheduling_preserves_fifo_among_equal_timestamps() {
-        let mut sim: Simulation<Vec<u32>> = Simulation::new();
-        sim.schedule_batch(
-            [(Nanos::from_micros(2), 1u32), (Nanos::from_micros(2), 2)]
-                .into_iter()
-                .map(|(at, tag)| {
-                    (at, move |_: &mut Simulation<_>, log: &mut Vec<u32>| {
-                        log.push(tag)
-                    })
-                }),
-        );
-        let mut log = Vec::new();
-        sim.run(&mut log);
-        assert_eq!(log, vec![1, 2]);
-    }
-
-    #[test]
-    fn scheduling_in_the_past_clamps_to_now() {
-        let mut sim: Simulation<Vec<u64>> = Simulation::new();
-        sim.schedule_at(Nanos::from_millis(2), |sim, _log: &mut Vec<u64>| {
-            // Scheduling "at 0" after the clock reached 2ms must not rewind.
-            sim.schedule_at(Nanos::ZERO, |sim, log| log.push(sim.now().as_nanos()));
-        });
-        let mut log = Vec::new();
-        sim.run(&mut log);
-        assert_eq!(log, vec![2_000_000]);
-    }
-
-    #[test]
-    fn same_tick_events_scheduled_mid_drain_run_after_the_drained_batch() {
-        // The run loop drains a whole wheel slot at a time; an action that
-        // schedules more work at the same timestamp must see it run after
-        // the already-drained events of that tick, in scheduling order.
-        let mut sim: Simulation<Vec<u32>> = Simulation::new();
+    fn same_tick_pushes_made_mid_drain_pop_after_the_drained_batch() {
+        // Popping drains a whole wheel slot at a time; a handler that
+        // pushes more work at the same timestamp must see it pop after
+        // the already-drained events of that tick, in push order.
+        let mut q = EventQueue::new();
         let at = Nanos::from_micros(3);
-        sim.schedule_at(at, |sim, log: &mut Vec<u32>| {
-            log.push(1);
-            sim.schedule_at(Nanos::ZERO, |_, log| log.push(3));
-        });
-        sim.schedule_at(at, |_, log: &mut Vec<u32>| log.push(2));
-        let mut log = Vec::new();
-        let end = sim.run(&mut log);
-        assert_eq!(log, vec![1, 2, 3]);
-        assert_eq!(end, at, "same-tick work must not advance the clock");
+        q.push(at, 1u32);
+        q.push(at, 2);
+        assert_eq!(q.pop(), Some((at, 1)));
+        q.push(Nanos::ZERO, 3);
+        q.push(at, 4);
+        assert_eq!(q.pop(), Some((at, 2)));
+        assert_eq!(q.pop(), Some((at, 3)));
+        assert_eq!(q.pop(), Some((at, 4)));
+        assert!(q.pop().is_none());
+        assert_eq!(
+            q.frontier(),
+            at,
+            "same-tick work must not advance the clock"
+        );
     }
 }

@@ -10,7 +10,7 @@
 //! * [`CompletionTimer`] — a batched completion queue for service-slot
 //!   pools: completions share coalesced scheduler wake-ups and drain a
 //!   whole timing-wheel slot per clock advance instead of costing one
-//!   scheduled closure each.
+//!   scheduled event each.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -202,8 +202,8 @@ impl QueueModel {
 
 /// A batched completion queue for service-slot pools.
 ///
-/// Slot-pool simulations used to schedule one boxed closure per in-service
-/// request to fire its completion. The timer replaces that with a single
+/// A slot-pool simulation could push one event per in-service request to
+/// fire its completion. The timer replaces that with a single
 /// timestamp-ordered [`EventQueue`] of completions (the timing wheel) plus
 /// **coalesced wake-ups**: the caller keeps at most one scheduler event
 /// armed per distinct completion time, and each wake drains *every*
@@ -211,15 +211,15 @@ impl QueueModel {
 ///
 /// Protocol:
 /// * [`CompletionTimer::schedule`] registers a completion. When it returns
-///   `Some(at)`, the caller must schedule one wake-up with its simulation
-///   at `at` (the completion became the earliest pending one); `None`
+///   `Some(at)`, the caller must push one wake-up event on its event
+///   queue at `at` (the completion became the earliest pending one); `None`
 ///   means an already-armed wake covers it.
-/// * From the wake-up's action, call [`CompletionTimer::wake`] with the
+/// * From the wake-up's handler, call [`CompletionTimer::wake`] with the
 ///   current virtual time: it drains every due completion in
 ///   deterministic `(timestamp, seq)` order and returns the next time to
 ///   arm, if a new wake is needed. Wake-ups made redundant by an earlier
-///   re-arm are recognised and become no-ops (the simulation scheduler
-///   has no cancellation), so stale firings never double-complete work.
+///   re-arm are recognised and become no-ops (the event queue has no
+///   cancellation), so stale firings never double-complete work.
 ///
 /// Determinism: everything is a pure function of the call sequence, so
 /// simulations built on the timer stay bit-identical across executor

@@ -48,7 +48,8 @@ fn d001_does_not_fire_in_the_timing_allowlist_or_on_virtual_time() {
     assert!(lint("crates/bench/src/bin/cluster.rs", wall).0.is_empty());
     assert!(lint("crates/harness/src/executor.rs", wall).0.is_empty());
     // Virtual time helpers named `now` on the simulation clock are fine.
-    let sim = "fn t(sim: &Simulation) { let now = sim.now(); let i = Nanos::from_millis(4); }";
+    let sim =
+        "fn t(clock: &VirtualClock) { let now = clock.now(); let i = Nanos::from_millis(4); }";
     assert!(lint("crates/simcore/src/events.rs", sim).0.is_empty());
 }
 

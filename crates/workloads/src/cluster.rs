@@ -71,7 +71,7 @@ use simcore::stats::{Cdf, RunningStats};
 use simcore::{CoreCounters, EventQueue, Nanos, SimRng, Zipf};
 
 use crate::format_key;
-use crate::loadgen::ARRIVAL_CHUNK;
+use crate::pipeline::ARRIVAL_CHUNK;
 use crate::slots::{backend_profile, Admission, ClassConfig, SlotPolicy, SlotPool};
 pub use crate::slots::{LoadBackend, ServiceProfile};
 

@@ -21,30 +21,52 @@
 //! the response path. The slot is occupied for the full composed time,
 //! so middleware cost feeds back into queueing exactly like backend cost.
 //!
+//! This module also owns the open-loop request engine: each sweep point
+//! drains one [`EventQueue`] of typed events (`Generate` a chunk of
+//! arrivals, `Arrive`, `Drain` the batched completion timer, `Probe` the
+//! in-flight depth). [`crate::loadgen`] runs on it as the zero-stage
+//! chain, which charges no stage cost and draws no stage stream.
+//!
 //! Determinism contract: per-stage cost/cache/short-circuit draws come
 //! from per-stage streams that are consumed identically for **every**
 //! dispatched request regardless of upstream outcomes, and the
 //! arrival/service streams reuse the `loadgen` labels. Two consequences
 //! the test battery pins down: sweep points are coupled by common random
 //! numbers (monotone curves by coupling, not just in expectation), and a
-//! zero-stage chain replays the plain [`crate::loadgen`] path **bit for
-//! bit** — the degenerate-chain regression contract.
+//! zero-depth sweep consumes the cell stream exactly like the
+//! [`crate::loadgen`] sweep, so the two agree **bit for bit** — the
+//! degenerate-chain regression contract.
 
 use platforms::Platform;
 use simcore::error::SimError;
 use simcore::obs::{Recorder, SpanKind};
 use simcore::resource::CompletionTimer;
 use simcore::stats::{Cdf, RunningStats};
-use simcore::{Nanos, SimRng, Simulation};
+use simcore::{EventQueue, Nanos, SimRng};
 
-use crate::loadgen::{ARRIVAL_CHUNK, MISC_STREAM};
-use crate::slots::{backend_profile, Admission, BackendState, ClassConfig, SlotPolicy, SlotPool};
+use crate::slots::{
+    backend_profile, Admission, BackendState, ClassConfig, ConnState, SlotPolicy, SlotPool,
+};
 pub use crate::slots::{LoadBackend, ServiceProfile};
 
 /// Label of the middleware-stage stream, split from the cell stream only
 /// when some sweep point has a non-empty chain — a zero-depth sweep must
 /// consume the cell stream exactly like [`crate::loadgen`] does.
 const STAGE_STREAM: &str = "stages";
+
+/// Label of the per-point miscellaneous stream (connection attribution,
+/// sampled backend operations). It keeps the name of the load sweep that
+/// first split it, so the load figures stay byte-identical.
+const MISC_STREAM: &str = "loadgen";
+
+/// Arrivals are pre-sampled and enqueued in chunks of this size, bounding
+/// the event queue's pending count regardless of the sweep size. Shared
+/// with [`crate::cluster`]'s router.
+pub(crate) const ARRIVAL_CHUNK: u64 = 512;
+
+/// In-flight probes per sweep point, spread evenly over the expected
+/// arrival window.
+const PROBES: u32 = 64;
 
 fn validated_us(what: &str, us: f64) -> Result<Nanos, SimError> {
     if !us.is_finite() || us < 0.0 {
@@ -591,7 +613,8 @@ impl PipelineBenchmark {
     ///
     /// Propagates the degenerate-profile error of
     /// [`PipelineBenchmark::service_profile`] and the degenerate-chain
-    /// error of [`PipelineBenchmark::chain_for`].
+    /// error of [`PipelineBenchmark::chain_for`], and returns
+    /// [`SimError::InvalidConfig`] when `requests_per_point` is zero.
     pub fn run_trial(
         &self,
         platform: &Platform,
@@ -631,7 +654,7 @@ impl PipelineBenchmark {
     /// timing-irrelevant draws are split from, one split per point — the
     /// same discipline as the `loadgen` sweep.
     #[allow(clippy::too_many_arguments)]
-    fn run_setting(
+    pub(crate) fn run_setting(
         &self,
         profile: &ServiceProfile,
         setting: &PipelineSetting,
@@ -641,6 +664,11 @@ impl PipelineBenchmark {
         misc_rng: &mut SimRng,
         obs: Option<Recorder>,
     ) -> Result<(PipelinePoint, Option<Recorder>), SimError> {
+        if self.requests_per_point == 0 {
+            return Err(SimError::InvalidConfig(
+                "an open-loop sweep needs at least one request per point".into(),
+            ));
+        }
         let chain = self.chain_for(profile, setting.depth, setting.hit_rate)?;
         let planned = self.chain_for(profile, setting.depth, setting.planned_hit_rate)?;
         // Chain-inclusive capacity at the planned hit rate: the sweep
@@ -657,8 +685,7 @@ impl PipelineBenchmark {
                 .collect(),
             None => Vec::new(),
         };
-        let mut sim: Simulation<PipelineSim> = Simulation::new();
-        let mut state = PipelineSim::new(
+        let mut sim = PipelineSim::new(
             self,
             profile,
             chain,
@@ -669,25 +696,9 @@ impl PipelineBenchmark {
             misc_rng.split(MISC_STREAM),
             obs,
         );
-        // Kick off the batched Poisson arrival source.
-        sim.schedule_at(Nanos::ZERO, |sim, st: &mut PipelineSim| st.generate(sim));
-        // Probe the in-flight population at a fixed cadence across the
-        // expected arrival window, exactly like the loadgen sweep.
-        let probes = 64;
-        let window =
-            Nanos::from_secs_f64(self.requests_per_point as f64 / offered_per_sec.max(1.0));
-        let period = window / probes;
-        sim.schedule_periodic(period, period, probes, |_, st: &mut PipelineSim| {
-            st.in_flight_probe.record(st.pool.in_flight() as f64);
-        });
-        sim.run(&mut state);
-        if let Some(obs) = state.obs.as_mut() {
-            // The wheel profile of one sweep point: the simulation's own
-            // queue plus the batched completion timer's.
-            obs.set_core_counters(sim.counters().merged(state.completions.counters()));
-        }
-        let obs = state.obs.take();
-        Ok((state.into_point(setting, offered_per_sec, sim.now()), obs))
+        let end = sim.run();
+        let obs = sim.obs.take();
+        Ok((sim.into_point(setting, offered_per_sec, end), obs))
     }
 
     /// Runs one sweep setting with a trace [`Recorder`] attached and
@@ -702,9 +713,7 @@ impl PipelineBenchmark {
     ///
     /// # Errors
     ///
-    /// Propagates the degenerate-profile and degenerate-chain errors of
-    /// [`PipelineBenchmark::service_profile`] and
-    /// [`PipelineBenchmark::chain_for`].
+    /// Same conditions as [`PipelineBenchmark::run_trial`].
     pub fn run_setting_traced(
         &self,
         platform: &Platform,
@@ -804,14 +813,6 @@ pub struct PipelinePoint {
     pub min_slack_us: f64,
 }
 
-/// Per-connection accounting of the open-loop client population.
-#[derive(Debug, Default, Clone, Copy)]
-struct ConnState {
-    issued: u64,
-    completed: u64,
-    dropped: u64,
-}
-
 /// A request waiting in the admission queue or in service.
 #[derive(Debug, Clone, Copy)]
 struct Request {
@@ -823,8 +824,24 @@ struct Request {
     cut: bool,
 }
 
-/// The discrete-event state of one pipeline sweep point — the `loadgen`
-/// event loop with the middleware chain spliced into dispatch.
+/// Typed events of one open-loop sweep point: the event queue's pop
+/// order alone drives the state machine.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    /// Sample and push the next chunk of arrivals.
+    Generate,
+    /// One open-loop arrival.
+    Arrive,
+    /// Completion-timer wake.
+    Drain,
+    /// Fixed-cadence in-flight probe; `remaining` counts this one.
+    Probe { remaining: u32 },
+}
+
+/// The discrete-event state of one open-loop sweep point: Poisson
+/// arrivals, bounded admission, the middleware chain spliced into
+/// dispatch, and batched completions. The load sweep is its zero-stage
+/// chain.
 struct PipelineSim {
     arrival_rng: SimRng,
     service_rng: SimRng,
@@ -845,6 +862,7 @@ struct PipelineSim {
     op_sample_every: u64,
     admitted: u64,
     in_flight_probe: RunningStats,
+    probe_period: Nanos,
     stage_cost_ns_sum: u128,
     depth_sum: u64,
     cache_hits: u64,
@@ -897,6 +915,8 @@ impl PipelineSim {
             }],
         )
         .expect("a validated service profile yields a valid single-class pool");
+        let offered_per_sec = offered_per_sec.max(1.0);
+        let window = Nanos::from_secs_f64(bench.requests_per_point as f64 / offered_per_sec);
         PipelineSim {
             arrival_rng,
             service_rng,
@@ -905,7 +925,7 @@ impl PipelineSim {
             profile: *profile,
             chain,
             pool,
-            offered_per_sec: offered_per_sec.max(1.0),
+            offered_per_sec,
             remaining_arrivals: bench.requests_per_point as u64,
             conns: vec![ConnState::default(); bench.clients.max(1)],
             latencies_us: Vec::with_capacity(bench.requests_per_point),
@@ -917,6 +937,7 @@ impl PipelineSim {
             op_sample_every: bench.op_sample_every.max(1),
             admitted: 0,
             in_flight_probe: RunningStats::new(),
+            probe_period: window / u64::from(PROBES),
             stage_cost_ns_sum: 0,
             depth_sum: 0,
             cache_hits: 0,
@@ -933,41 +954,69 @@ impl PipelineSim {
         }
     }
 
-    /// Samples the next chunk of Poisson interarrival gaps and enqueues
-    /// one arrival event per gap; reschedules itself after the chunk's
-    /// last arrival while arrivals remain. Identical to the `loadgen`
-    /// source, chunk size included — the zero-stage chain must replay its
-    /// event schedule bit for bit.
-    fn generate(&mut self, sim: &mut Simulation<PipelineSim>) {
+    /// Drains the point's events: the arrival source at time zero, then
+    /// the first in-flight probe one period in. Returns the virtual time
+    /// of the last event.
+    fn run(&mut self) -> Nanos {
+        let mut queue = EventQueue::new();
+        queue.push(Nanos::ZERO, Ev::Generate);
+        queue.push(self.probe_period, Ev::Probe { remaining: PROBES });
+        while let Some((now, ev)) = queue.pop() {
+            match ev {
+                Ev::Generate => self.generate(now, &mut queue),
+                Ev::Arrive => self.arrive(now, &mut queue),
+                Ev::Drain => self.drain_completions(now, &mut queue),
+                Ev::Probe { remaining } => {
+                    self.in_flight_probe.record(self.pool.in_flight() as f64);
+                    if remaining > 1 {
+                        let next = Ev::Probe {
+                            remaining: remaining - 1,
+                        };
+                        queue.push(now + self.probe_period, next);
+                    }
+                }
+            }
+        }
+        if let Some(obs) = self.obs.as_mut() {
+            // The wheel profile of one sweep point: the point's own queue
+            // plus the batched completion timer's.
+            obs.set_core_counters(queue.counters().merged(self.completions.counters()));
+        }
+        queue.frontier()
+    }
+
+    /// Samples the next chunk of Poisson interarrival gaps and pushes one
+    /// arrival per gap; pushes the next chunk's generation after the
+    /// chunk's last arrival while arrivals remain.
+    fn generate(&mut self, now: Nanos, queue: &mut EventQueue<Ev>) {
         let n = self.remaining_arrivals.min(ARRIVAL_CHUNK);
         if n == 0 {
             return;
         }
         self.remaining_arrivals -= n;
         let mut offset = Nanos::ZERO;
-        let mut batch = Vec::with_capacity(n as usize);
         for _ in 0..n {
+            // Unit-rate exponential gaps scaled by the offered rate: the
+            // same arrival stream compresses uniformly as load grows.
             offset +=
                 Nanos::from_secs_f64(self.arrival_rng.exponential(1.0) / self.offered_per_sec);
-            batch.push((
-                offset,
-                |sim: &mut Simulation<PipelineSim>, st: &mut PipelineSim| st.arrive(sim),
-            ));
+            queue.push(now + offset, Ev::Arrive);
         }
-        sim.schedule_batch(batch);
         if self.remaining_arrivals > 0 {
-            sim.schedule_in(offset, |sim, st: &mut PipelineSim| st.generate(sim));
+            // Pushed after the chunk's last arrival (FIFO among equal
+            // timestamps), so the next chunk continues from its clock.
+            queue.push(now + offset, Ev::Generate);
         }
     }
 
     /// One open-loop arrival: attribute it to a connection, run the
     /// sampled real-backend operation, then admit, enqueue or drop.
-    fn arrive(&mut self, sim: &mut Simulation<PipelineSim>) {
+    fn arrive(&mut self, now: Nanos, queue: &mut EventQueue<Ev>) {
         let conn = self.misc_rng.index(self.conns.len()) as u32;
         self.conns[conn as usize].issued += 1;
         let request = Request {
             id: self.next_request,
-            arrived: sim.now(),
+            arrived: now,
             conn,
             stage_cost: Nanos::ZERO,
             cut: false,
@@ -979,7 +1028,7 @@ impl PipelineSim {
         match self.pool.offer(0, request.arrived, request) {
             Admission::Dispatched => {
                 self.admit();
-                self.schedule_completion(sim, request);
+                self.schedule_completion(now, request, queue);
             }
             Admission::Queued => self.admit(),
             Admission::Dropped => {
@@ -1014,8 +1063,13 @@ impl PipelineSim {
     ///
     /// The backend service time is sampled unconditionally — even for
     /// requests a stage short-circuits — so the `service` stream stays
-    /// aligned with the `loadgen` path request for request.
-    fn schedule_completion(&mut self, sim: &mut Simulation<PipelineSim>, mut request: Request) {
+    /// aligned across chain depths request for request.
+    fn schedule_completion(
+        &mut self,
+        now: Nanos,
+        mut request: Request,
+        queue: &mut EventQueue<Ev>,
+    ) {
         let backend = self.profile.sample_service_time(&mut self.service_rng);
         let t = match self.obs.is_some() {
             // Traced run: collect the per-stage detail. `traverse`
@@ -1030,7 +1084,7 @@ impl PipelineSim {
             false => self.chain.traverse(&mut self.stage_rngs),
         };
         if self.obs.is_some() {
-            self.record_dispatch(sim.now(), &request, backend, t.short_circuit.is_some());
+            self.record_dispatch(now, &request, backend, t.short_circuit.is_some());
         }
         self.stage_cost_ns_sum += u128::from(t.stage_cost.as_nanos());
         self.depth_sum += t.stages_traversed as u64;
@@ -1044,8 +1098,8 @@ impl PipelineSim {
             t.stage_cost + backend
         };
         let service = service.max(Nanos::from_nanos(1));
-        if let Some(wake) = self.completions.schedule(sim.now() + service, request) {
-            sim.schedule_at(wake, |sim, st: &mut PipelineSim| st.drain_completions(sim));
+        if let Some(wake) = self.completions.schedule(now + service, request) {
+            queue.push(wake, Ev::Drain);
         }
     }
 
@@ -1120,11 +1174,10 @@ impl PipelineSim {
     /// One completion wake: drains every completion due in this wheel
     /// slot, records sojourn times and the middleware-cost slack, folds
     /// the batch into the pool, and dispatches the pulled queue heads.
-    fn drain_completions(&mut self, sim: &mut Simulation<PipelineSim>) {
-        let now = sim.now();
+    fn drain_completions(&mut self, now: Nanos, queue: &mut EventQueue<Ev>) {
         let mut due = std::mem::take(&mut self.drain_buf);
         if let Some(wake) = self.completions.wake(now, &mut due) {
-            sim.schedule_at(wake, |sim, st: &mut PipelineSim| st.drain_completions(sim));
+            queue.push(wake, Ev::Drain);
         }
         for &(at, request) in &due {
             debug_assert_eq!(at, now, "completions drain exactly at their tick");
@@ -1148,7 +1201,7 @@ impl PipelineSim {
         due.clear();
         self.drain_buf = due;
         for (_, _, next) in dispatched.drain(..) {
-            self.schedule_completion(sim, next);
+            self.schedule_completion(now, next, queue);
         }
         self.dispatch_buf = dispatched;
     }
@@ -1480,6 +1533,56 @@ mod tests {
         };
         assert!(empty_pool
             .run_trial(&PlatformId::Native.build(), &mut SimRng::seed_from(99))
+            .is_err());
+    }
+
+    #[test]
+    fn per_connection_accounting_balances() {
+        let bench = tiny(LoadBackend::Mysql);
+        let platform = PlatformId::Qemu.build();
+        let profile = bench.service_profile(&platform).unwrap();
+        let offered = profile.capacity_per_sec() * 0.8;
+        let mut rng = SimRng::seed_from(84);
+        let arrival = rng.split("arrivals");
+        let service = rng.split("service");
+        let mut sim = PipelineSim::new(
+            &bench,
+            &profile,
+            MiddlewareChain::empty(),
+            Vec::new(),
+            offered,
+            arrival,
+            service,
+            rng.split("m"),
+            None,
+        );
+        sim.run();
+        let issued: u64 = sim.conns.iter().map(|c| c.issued).sum();
+        let completed: u64 = sim.conns.iter().map(|c| c.completed).sum();
+        let dropped: u64 = sim.conns.iter().map(|c| c.dropped).sum();
+        assert_eq!(issued, bench.requests_per_point as u64);
+        assert_eq!(issued, completed + dropped);
+        assert!(
+            sim.conns.iter().filter(|c| c.issued > 0).count() > bench.clients / 2,
+            "arrivals must spread over the connection population"
+        );
+    }
+
+    #[test]
+    fn a_point_without_requests_is_a_configuration_error() {
+        let bench = PipelineBenchmark {
+            requests_per_point: 0,
+            ..tiny(LoadBackend::Memcached)
+        };
+        let platform = PlatformId::Native.build();
+        assert!(matches!(
+            bench.run_trial(&platform, &mut SimRng::seed_from(102)),
+            Err(SimError::InvalidConfig(_))
+        ));
+        let recorder = Recorder::try_new(simcore::obs::ObsConfig::new(5, 1.0)).unwrap();
+        let setting = PipelineSetting::new(2, BASELINE_HIT_RATE);
+        assert!(bench
+            .run_setting_traced(&platform, &setting, &mut SimRng::seed_from(102), recorder)
             .is_err());
     }
 

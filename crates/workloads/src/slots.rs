@@ -1,9 +1,11 @@
 //! The shared service-slot core of the open-loop subsystems.
 //!
-//! Both the single-population load generator ([`crate::loadgen`]) and the
-//! multi-tenant co-location subsystem ([`crate::tenancy`]) drive a
-//! platform's **derated service-slot pool** through bounded admission
-//! queues. This module is the one implementation both share:
+//! The single-population request engine ([`crate::pipeline`], which the
+//! [`crate::loadgen`] sweep runs as its zero-stage chain), the
+//! multi-tenant co-location subsystem ([`crate::tenancy`]) and the
+//! [`crate::cluster`] shards drive a platform's **derated service-slot
+//! pool** through bounded admission queues. This module is the one
+//! implementation they share:
 //!
 //! * [`ServiceProfile`] — the derated per-slot service-time model of one
 //!   backend on one platform, with a log-normal per-request service-time
@@ -18,6 +20,8 @@
 //! * [`BackendState`] — the sampled real-backend execution (kvstore /
 //!   relstore) that keeps the simulated load honest against the actual
 //!   data structures.
+//! * [`ConnState`] — the per-connection issued/completed/dropped
+//!   accounting of a client population.
 
 use std::collections::VecDeque;
 
@@ -504,6 +508,14 @@ impl<T> std::fmt::Debug for SlotPool<T> {
             .field("queued", &self.queued_total())
             .finish()
     }
+}
+
+/// Per-connection accounting of an open-loop client population.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct ConnState {
+    pub(crate) issued: u64,
+    pub(crate) completed: u64,
+    pub(crate) dropped: u64,
 }
 
 /// Sampled real-backend execution so the simulated load keeps the actual

@@ -30,6 +30,10 @@
 //! by coupling and the DRR-vs-FIFO comparison is apples to apples. All
 //! streams derive from the cell's random stream, keeping figures
 //! bit-identical for any executor worker count.
+//!
+//! Each window drains one [`EventQueue`] of typed events: every tenant's
+//! `Generate` pushes its next chunk of `Arrive` events, and `Drain` wakes
+//! the completion timer the tenants share.
 
 use platforms::Platform;
 use simcore::dist::Distribution;
@@ -37,11 +41,11 @@ use simcore::error::SimError;
 use simcore::obs::{Recorder, SpanKind};
 use simcore::resource::CompletionTimer;
 use simcore::stats::Cdf;
-use simcore::{Nanos, SimRng, Simulation};
+use simcore::{EventQueue, Nanos, SimRng};
 
 use crate::slots::{
-    backend_profile, Admission, BackendState, ClassConfig, LoadBackend, ServiceProfile, SlotPolicy,
-    SlotPool, StoreSnapshot,
+    backend_profile, Admission, BackendState, ClassConfig, ConnState, LoadBackend, ServiceProfile,
+    SlotPolicy, SlotPool, StoreSnapshot,
 };
 
 /// The arrival process of one tenant.
@@ -530,8 +534,7 @@ impl TenancyBenchmark {
             Some(o) => tenants.iter().map(|t| o.lane(&t.name)).collect(),
             None => Vec::new(),
         };
-        let mut sim: Simulation<TenantSim> = Simulation::new();
-        let mut state = TenantSim {
+        let mut sim = TenantSim {
             pool,
             backends: tenants
                 .iter()
@@ -548,27 +551,28 @@ impl TenancyBenchmark {
             obs,
             obs_lanes,
         };
-        for tenant in 0..tenants.len() {
-            sim.schedule_at(Nanos::ZERO, move |sim, st: &mut TenantSim| {
-                st.generate(sim, tenant)
-            });
+        let mut queue = EventQueue::new();
+        for tenant in 0..tenants.len() as u32 {
+            queue.push(Nanos::ZERO, Ev::Generate { tenant });
         }
-        sim.run(&mut state);
-        if let Some(obs) = state.obs.as_mut() {
-            // The wheel profile of the window: the simulation's own queue
-            // plus the batched completion timer's.
-            obs.set_core_counters(sim.counters().merged(state.completions.counters()));
+        while let Some((now, ev)) = queue.pop() {
+            match ev {
+                Ev::Generate { tenant } => sim.generate(tenant, &mut queue),
+                Ev::Arrive { tenant } => sim.arrive(now, tenant as usize, &mut queue),
+                Ev::Drain => sim.drain_completions(now, &mut queue),
+            }
         }
-        let obs = state.obs.take();
-        let end = sim.now();
-        let stores: Vec<StoreSnapshot> = state
-            .backends
-            .iter()
-            .map(BackendState::store_stats)
-            .collect();
+        if let Some(obs) = sim.obs.as_mut() {
+            // The wheel profile of the window: the window's own queue plus
+            // the batched completion timer's.
+            obs.set_core_counters(queue.counters().merged(sim.completions.counters()));
+        }
+        let obs = sim.obs.take();
+        let end = queue.frontier();
+        let stores: Vec<StoreSnapshot> =
+            sim.backends.iter().map(BackendState::store_stats).collect();
         Ok((
-            state
-                .tenants
+            sim.tenants
                 .into_iter()
                 .zip(stores)
                 .map(|(t, store)| t.into_point(end, store))
@@ -595,14 +599,6 @@ impl TenantStreams {
     }
 }
 
-/// Per-connection accounting of one tenant's population.
-#[derive(Debug, Default, Clone, Copy)]
-struct ConnState {
-    issued: u64,
-    completed: u64,
-    dropped: u64,
-}
-
 /// A request in the admission queue or in service.
 #[derive(Debug, Clone, Copy)]
 struct Req {
@@ -617,6 +613,18 @@ struct Req {
 /// Arrival events are pre-scheduled in chunks of this size per tenant,
 /// bounding the pending-event count.
 const ARRIVAL_CHUNK: usize = 256;
+
+/// Typed events of one co-located window: the event queue's pop order
+/// alone drives the state machine.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    /// Sample and push the next chunk of `tenant`'s arrivals.
+    Generate { tenant: u32 },
+    /// One arrival of `tenant`.
+    Arrive { tenant: u32 },
+    /// Completion-timer wake of the shared pool.
+    Drain,
+}
 
 /// Runtime state of one tenant inside the simulation.
 struct TenantRt {
@@ -699,10 +707,10 @@ struct TenantSim {
 }
 
 impl TenantSim {
-    /// Pre-schedules the next chunk of one tenant's arrivals; reschedules
-    /// itself at the chunk's last arrival while the window is open.
-    fn generate(&mut self, sim: &mut Simulation<TenantSim>, tenant: usize) {
-        let t = &mut self.tenants[tenant];
+    /// Pushes the next chunk of one tenant's arrivals; pushes its next
+    /// generation at the chunk's last arrival while the window is open.
+    fn generate(&mut self, tenant: u32, queue: &mut EventQueue<Ev>) {
+        let t = &mut self.tenants[tenant as usize];
         let mut last_at = None;
         for _ in 0..ARRIVAL_CHUNK {
             t.clock_secs += t.gen.next_gap();
@@ -710,18 +718,17 @@ impl TenantSim {
                 return;
             }
             let at = Nanos::from_secs_f64(t.clock_secs);
-            sim.schedule_at(at, move |sim, st: &mut TenantSim| st.arrive(sim, tenant));
+            queue.push(at, Ev::Arrive { tenant });
             last_at = Some(at);
         }
         if let Some(at) = last_at {
-            sim.schedule_at(at, move |sim, st: &mut TenantSim| st.generate(sim, tenant));
+            queue.push(at, Ev::Generate { tenant });
         }
     }
 
     /// One arrival: attribute it to a connection, then dispatch, queue or
     /// drop at the shared pool.
-    fn arrive(&mut self, sim: &mut Simulation<TenantSim>, tenant: usize) {
-        let now = sim.now();
+    fn arrive(&mut self, now: Nanos, tenant: usize, queue: &mut EventQueue<Ev>) {
         let conn = self.misc_rng.index(self.tenants[tenant].conns.len()) as u32;
         let t = &mut self.tenants[tenant];
         t.issued += 1;
@@ -739,7 +746,7 @@ impl TenantSim {
         match self.pool.offer(tenant, now, req) {
             Admission::Dispatched => {
                 self.admit(tenant);
-                self.start_service(sim, req);
+                self.start_service(now, req, queue);
             }
             Admission::Queued => self.admit(tenant),
             Admission::Dropped => {
@@ -764,17 +771,16 @@ impl TenantSim {
     /// Samples the dispatched request's service time from its tenant's
     /// stream and registers its completion with the batched timer, arming
     /// a scheduler wake only when it became the earliest pending one.
-    fn start_service(&mut self, sim: &mut Simulation<TenantSim>, req: Req) {
+    fn start_service(&mut self, now: Nanos, req: Req, queue: &mut EventQueue<Ev>) {
         let t = &mut self.tenants[req.tenant as usize];
         let service = t.profile.sample_service_time(&mut t.service_rng);
-        let now = sim.now();
         if let Some(obs) = self.obs.as_mut() {
             let lane = self.obs_lanes[req.tenant as usize];
             obs.span(SpanKind::AdmissionWait, req.id, lane, req.arrived, now);
             obs.span(SpanKind::SlotService, req.id, lane, now, now + service);
         }
         if let Some(wake) = self.completions.schedule(now + service, req) {
-            sim.schedule_at(wake, |sim, st: &mut TenantSim| st.drain_completions(sim));
+            queue.push(wake, Ev::Drain);
         }
     }
 
@@ -789,11 +795,10 @@ impl TenantSim {
     /// One completion wake: drains every due completion across the
     /// tenants, records their sojourn times, folds the whole batch into
     /// the shared pool, and starts service on the scheduler's next picks.
-    fn drain_completions(&mut self, sim: &mut Simulation<TenantSim>) {
-        let now = sim.now();
+    fn drain_completions(&mut self, now: Nanos, queue: &mut EventQueue<Ev>) {
         let mut due = std::mem::take(&mut self.drain_buf);
         if let Some(wake) = self.completions.wake(now, &mut due) {
-            sim.schedule_at(wake, |sim, st: &mut TenantSim| st.drain_completions(sim));
+            queue.push(wake, Ev::Drain);
         }
         for &(at, req) in &due {
             debug_assert_eq!(at, now, "completions drain exactly at their tick");
@@ -813,7 +818,7 @@ impl TenantSim {
         due.clear();
         self.drain_buf = due;
         for (_, _, next) in dispatched.drain(..) {
-            self.start_service(sim, next);
+            self.start_service(now, next, queue);
         }
         self.dispatch_buf = dispatched;
     }

@@ -1,10 +1,10 @@
 //! Acceptance tests of the timing-wheel event core: the full evaluation
 //! grid stays byte-identical across executor worker counts on the wheel,
-//! and scheduling semantics shared with the retained reference heap hold
-//! at the simulation surface.
+//! and the scheduling semantics shared with the retained reference heap
+//! hold for the push/pop drain loop every simulation runs.
 
 use isolation_bench::prelude::*;
-use isolation_bench::simcore::{EventQueue, ReferenceHeap, Simulation};
+use isolation_bench::simcore::{EventQueue, ReferenceHeap};
 
 #[test]
 fn full_grid_figures_are_byte_identical_for_1_2_and_8_workers_on_the_wheel() {
@@ -52,45 +52,54 @@ fn past_timestamps_fire_at_the_frontier_on_both_event_queues() {
 
 #[test]
 fn simulation_clock_never_rewinds_for_past_schedules() {
-    // The Simulation surface of the same contract: scheduling strictly in
-    // the past runs the action at `now`, in scheduling order among the
-    // other actions already pending at `now`.
-    let mut sim: Simulation<Vec<(u64, u32)>> = Simulation::new();
-    sim.schedule_at(Nanos::from_millis(7), |sim, log: &mut Vec<(u64, u32)>| {
-        log.push((sim.now().as_nanos(), 0));
-        // Both land at now == 7ms, in scheduling order, and the clock
-        // stays monotone through and after them.
-        sim.schedule_at(Nanos::from_millis(2), |sim, log| {
-            log.push((sim.now().as_nanos(), 1));
-        });
-        sim.schedule_at(Nanos::ZERO, |sim, log| {
-            log.push((sim.now().as_nanos(), 2));
-        });
-    });
+    // The drain-loop surface of the same contract: the queue's frontier
+    // is a simulation's clock, and a handler pushing strictly into the
+    // past gets its events at that clock, in push order, after the other
+    // events already pending there.
+    let mut queue = EventQueue::new();
+    queue.push(Nanos::from_millis(7), 0u32);
+    queue.push(Nanos::from_millis(7), 1);
     let mut log = Vec::new();
-    let end = sim.run(&mut log);
+    while let Some((now, ev)) = queue.pop() {
+        log.push((now.as_nanos(), ev));
+        if ev == 0 {
+            queue.push(Nanos::from_millis(2), 2);
+            queue.push(Nanos::ZERO, 3);
+        }
+        assert_eq!(queue.frontier(), now, "the clock is the latest pop");
+    }
     assert_eq!(
         log,
-        vec![(7_000_000, 0), (7_000_000, 1), (7_000_000, 2)],
-        "past schedules fire at now, FIFO among equal timestamps"
+        vec![
+            (7_000_000, 0),
+            (7_000_000, 1),
+            (7_000_000, 2),
+            (7_000_000, 3)
+        ],
+        "past pushes fire at the frontier, FIFO among equal timestamps"
     );
-    assert_eq!(end, Nanos::from_millis(7));
+    assert_eq!(queue.frontier(), Nanos::from_millis(7));
 }
 
 #[test]
 fn a_wheel_slots_worth_of_events_drains_at_one_clock_advance() {
-    // Batched draining at the simulation surface: many events at one tick
-    // all observe the same `now` and drain without intermediate clock
+    // Batched draining: many events at one tick all pop at the same
+    // timestamp from one whole-slot drain, without intermediate clock
     // movement, while the pending count falls one by one.
-    let mut sim: Simulation<Vec<u64>> = Simulation::new();
+    let mut queue = EventQueue::new();
     let at = Nanos::from_micros(42);
-    for _ in 0..64 {
-        sim.schedule_at(at, |sim, log: &mut Vec<u64>| {
-            log.push(sim.now().as_nanos());
-        });
+    for i in 0..64u32 {
+        queue.push(at, i);
     }
-    let mut log = Vec::new();
-    sim.run(&mut log);
-    assert_eq!(log.len(), 64);
-    assert!(log.iter().all(|&t| t == at.as_nanos()));
+    for i in 0..64u32 {
+        assert_eq!(queue.pop(), Some((at, i)));
+        assert_eq!(queue.len(), 63 - i as usize);
+    }
+    assert!(queue.pop().is_none());
+    let counters = queue.counters();
+    assert_eq!((counters.pushes, counters.pops), (64, 64));
+    assert_eq!(
+        counters.slot_drains, 1,
+        "one clock advance for the whole tick"
+    );
 }

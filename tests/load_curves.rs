@@ -2,6 +2,8 @@
 //! shape, the percentile ordering and saturation behaviour of the merged
 //! figures, and bit-identical results across executor worker counts.
 
+mod common;
+
 use std::sync::OnceLock;
 
 use isolation_bench::prelude::*;
@@ -40,6 +42,11 @@ fn load_curves_are_bit_identical_for_1_2_and_8_workers() {
             "workers={workers} must render identical bytes"
         );
     }
+}
+
+#[test]
+fn load_figures_match_the_recorded_digests() {
+    common::assert_recorded_digests(load_figures(), cfg().seed);
 }
 
 #[test]

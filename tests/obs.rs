@@ -1,7 +1,7 @@
 //! The observability layer's facade-level guarantees: trace artifacts
 //! are a pure function of the root seed — byte-identical across runs
-//! and executor worker counts — and a zero-rate recorder records
-//! nothing at all.
+//! and executor worker counts, and against recorded reference digests —
+//! and a zero-rate recorder records nothing at all.
 
 use isolation_bench::harness::obs::traced_run;
 use isolation_bench::prelude::*;
@@ -41,6 +41,34 @@ fn trace_artifacts_are_byte_identical_across_executor_worker_counts() {
         assert_eq!(traced.timeline, reference.timeline, "workers={workers}");
     }
     assert!(reference.spans_accepted > 0);
+}
+
+/// FNV-1a over an artifact's bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+#[test]
+fn traced_artifacts_match_the_recorded_digests() {
+    // Figure digests do not see the event schedule, but the timeline's
+    // `core` block (pushes, pops, slot drains, cascades) does: these pin
+    // each open-loop engine's push order, not only its measurements.
+    // Recorded at seed 2021 in quick mode, as (chrome, timeline).
+    const RECORDED: [(&str, u64, u64); 3] = [
+        ("loadgen", 0xf8df_c2a2_ee7b_f203, 0x401c_864f_091c_6bac),
+        ("tenancy", 0xe774_c852_9e3b_2ede, 0xcf4d_b689_4412_8e87),
+        ("pipeline", 0xd265_c343_6a43_d51e, 0x51f0_aec4_f5bb_1aa3),
+    ];
+    for (target, chrome, timeline) in RECORDED {
+        let run = traced_run(target, true, SEED).unwrap();
+        assert_eq!(
+            (fnv1a(&run.chrome), fnv1a(&run.timeline)),
+            (chrome, timeline),
+            "{target}: traced artifacts differ from the recorded ones"
+        );
+    }
 }
 
 #[test]

@@ -4,6 +4,8 @@
 //! to a constant-cost chain, and bit-identical results across executor
 //! worker counts.
 
+mod common;
+
 use std::sync::OnceLock;
 
 use isolation_bench::harness::grid;
@@ -61,6 +63,11 @@ fn pipeline_figures_are_bit_identical_for_1_2_and_8_workers() {
             "workers={workers} must render identical bytes"
         );
     }
+}
+
+#[test]
+fn pipeline_figures_match_the_recorded_digests() {
+    common::assert_recorded_digests(pipeline_figures(), cfg().seed);
 }
 
 #[test]

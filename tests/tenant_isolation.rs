@@ -3,6 +3,8 @@
 //! load, the weighted-vs-FIFO isolation guarantee, and bit-identical
 //! results across executor worker counts.
 
+mod common;
+
 use std::sync::OnceLock;
 
 use isolation_bench::harness::grid;
@@ -57,6 +59,11 @@ fn tenant_figures_are_bit_identical_for_1_2_and_8_workers() {
             "workers={workers} must render identical bytes"
         );
     }
+}
+
+#[test]
+fn tenant_figures_match_the_recorded_digests() {
+    common::assert_recorded_digests(tenant_figures(), cfg().seed);
 }
 
 #[test]
