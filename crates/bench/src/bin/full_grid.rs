@@ -6,7 +6,8 @@
 //! non-zero if any experiment cell is missing from the report, so CI can
 //! gate on grid completeness, and, with `--baseline`, if
 //! `fig16_memcached` takes more than its allowed share of the serial
-//! pass's cell time.
+//! pass's cell time or, in quick mode, `tenant_isolation_memcached` takes
+//! more than its allowed multiple of `tenant_isolation_mysql`'s.
 //!
 //! Run with: `cargo run --release -p bench --bin full_grid`
 //!
@@ -18,7 +19,10 @@
 //! * `--baseline PATH` — read `{mode}_max_fig16_share` from a perf
 //!   baseline (see `ci/perf_baseline.json`) and exit non-zero when
 //!   `fig16_memcached`'s serial cell time exceeds that share of the
-//!   serial pass's total cell time
+//!   serial pass's total cell time; when the baseline also has
+//!   `{mode}_max_tenancy_kv_sql_ratio` (only `quick` does), exit non-zero
+//!   when `tenant_isolation_memcached`'s serial cell time exceeds that
+//!   multiple of `tenant_isolation_mysql`'s
 
 use harness::cli::{flag_value, json_number, run_serial_and_parallel};
 use harness::{report, ExperimentId};
@@ -98,21 +102,24 @@ fn main() {
     if !missing.is_empty() {
         failures.push(format!("missing experiment cells: {}", missing.join(", ")));
     }
-    // Share gate: a ratio of two cell times on the same machine, so it
-    // holds on any hardware. A YCSB key draw that pays the O(n) Zipf
-    // normaliser per draw makes fig16 most of the grid.
+    // Both baseline gates are ratios of cell times on the same machine,
+    // so they hold on any hardware.
     if let Some(path) = flag_value(&args, "--baseline") {
         let baseline = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+        let serial_secs = |experiment: ExperimentId| {
+            run.serial
+                .timings
+                .iter()
+                .find(|t| t.experiment == experiment)
+                .map_or(0.0, |t| t.cell_time.as_secs_f64())
+        };
+        // Share gate: a YCSB key draw that pays the O(n) Zipf normaliser
+        // per draw makes fig16 most of the grid.
         let key = format!("{}_max_fig16_share", run.mode);
         let max_share =
             json_number(&baseline, &key).unwrap_or_else(|| panic!("baseline {path} lacks {key}"));
-        let fig16 = run
-            .serial
-            .timings
-            .iter()
-            .find(|t| t.experiment == ExperimentId::Fig16Memcached)
-            .map_or(0.0, |t| t.cell_time.as_secs_f64());
+        let fig16 = serial_secs(ExperimentId::Fig16Memcached);
         let share = fig16 / run.serial.total_cell_time().as_secs_f64().max(1e-9);
         println!(
             "baseline ({}): fig16_memcached {share:.3} of serial cell time (max {max_share:.3})",
@@ -122,6 +129,25 @@ fn main() {
             failures.push(format!(
                 "fig16_memcached took {share:.3} of the serial cell time, above the baseline ceiling {max_share:.3}"
             ));
+        }
+        // Ratio gate: the two tenancy experiments run the same request
+        // counts, so a Memcached sweep far slower than its MySQL twin
+        // means per-window work outside the request path, such as
+        // repopulating the 4,096-record sampled store every window.
+        let key = format!("{}_max_tenancy_kv_sql_ratio", run.mode);
+        if let Some(max_ratio) = json_number(&baseline, &key) {
+            let kv = serial_secs(ExperimentId::TenantIsolationMemcached);
+            let sql = serial_secs(ExperimentId::TenantIsolationMysql);
+            let ratio = kv / sql.max(1e-9);
+            println!(
+                "baseline ({}): tenant_isolation_memcached {ratio:.2}x tenant_isolation_mysql's serial cell time (max {max_ratio:.2}x)",
+                run.mode
+            );
+            if ratio > max_ratio {
+                failures.push(format!(
+                    "tenant_isolation_memcached took {ratio:.2}x tenant_isolation_mysql's serial cell time, above the baseline ceiling {max_ratio:.2}x"
+                ));
+            }
         }
     }
     if !failures.is_empty() {

@@ -32,7 +32,9 @@
 //! same service-time sequence — so latency curves are monotone in offered
 //! load by coupling, not just in expectation; every stream derives from
 //! the cell's own random stream, keeping results bit-identical across any
-//! parallel execution schedule.
+//! parallel execution schedule. The sampled backend is likewise populated
+//! once per trial and reused by every sweep point, which leaves the
+//! figures unchanged (see [`crate::slots`]).
 //!
 //! [`YcsbBenchmark::per_op_service_time`]: crate::ycsb::YcsbBenchmark::per_op_service_time
 //! [`OltpBenchmark::per_txn_service_time`]: crate::sysbench_oltp::OltpBenchmark::per_txn_service_time
@@ -44,7 +46,7 @@ use simcore::obs::Recorder;
 use simcore::SimRng;
 
 use crate::pipeline::{PipelineBenchmark, PipelineSetting};
-use crate::slots::backend_profile;
+use crate::slots::{backend_profile, BackendState};
 pub use crate::slots::{LoadBackend, ServiceProfile};
 
 /// Configuration of one open-loop load sweep.
@@ -116,7 +118,7 @@ impl LoadgenBenchmark {
     }
 
     /// Runs one sweep point at `fraction` of the platform's saturation
-    /// capacity.
+    /// capacity, against a freshly populated backend.
     ///
     /// # Errors
     ///
@@ -132,8 +134,16 @@ impl LoadgenBenchmark {
         let profile = self.service_profile(platform)?;
         let arrival = rng.split("arrivals");
         let service = rng.split("service");
-        self.run_point_with_profile(&profile, fraction, arrival, service, rng, None)
-            .map(|(point, _)| point)
+        self.run_point_with_profile(
+            &profile,
+            fraction,
+            arrival,
+            service,
+            rng,
+            &mut BackendState::build(self.backend),
+            None,
+        )
+        .map(|(point, _)| point)
     }
 
     /// Runs one sweep point with a trace [`Recorder`] attached and
@@ -161,8 +171,15 @@ impl LoadgenBenchmark {
         let profile = self.service_profile(platform)?;
         let arrival = rng.split("arrivals");
         let service = rng.split("service");
-        let (point, obs) =
-            self.run_point_with_profile(&profile, fraction, arrival, service, rng, Some(recorder))?;
+        let (point, obs) = self.run_point_with_profile(
+            &profile,
+            fraction,
+            arrival,
+            service,
+            rng,
+            &mut BackendState::build(self.backend),
+            Some(recorder),
+        )?;
         Ok((point, obs.expect("the recorder threads through the run")))
     }
 
@@ -174,12 +191,13 @@ impl LoadgenBenchmark {
     /// passing the same streams at every fraction of a sweep yields the
     /// common-random-numbers coupling the monotonicity of the curves
     /// relies on. `misc_rng` covers the timing-irrelevant draws
-    /// (connection attribution, sampled backend operations).
+    /// (connection attribution, sampled operations on `backend`).
     ///
     /// The point is the zero-stage pipeline at `fraction` of the
     /// chain-inclusive capacity, which for the empty chain is
     /// [`ServiceProfile::capacity_per_sec`]. The stage-cost fields the
     /// pipeline defaults to are never read by an empty chain.
+    #[allow(clippy::too_many_arguments)]
     fn run_point_with_profile(
         &self,
         profile: &ServiceProfile,
@@ -187,6 +205,7 @@ impl LoadgenBenchmark {
         arrival_rng: SimRng,
         service_rng: SimRng,
         misc_rng: &mut SimRng,
+        backend: &mut BackendState,
         obs: Option<Recorder>,
     ) -> Result<(LoadPoint, Option<Recorder>), SimError> {
         let zero_stage = PipelineBenchmark {
@@ -204,6 +223,7 @@ impl LoadgenBenchmark {
             service_rng,
             None,
             misc_rng,
+            backend,
             obs,
         )?;
         let point = LoadPoint {
@@ -226,8 +246,9 @@ impl LoadgenBenchmark {
     /// [`LoadPoint`] per configured fraction.
     ///
     /// This is the unit the parallel executor shards on: each trial sweeps
-    /// every offered load once from its own derived random stream, and the
-    /// harness merges the per-trial samples into the figure's mean/std.
+    /// every offered load once from its own derived random stream, against
+    /// one backend it populates up front, and the harness merges the
+    /// per-trial samples into the figure's mean/std.
     ///
     /// # Errors
     ///
@@ -243,6 +264,7 @@ impl LoadgenBenchmark {
         // unit-rate arrival gaps and the same service-time sequence.
         let arrival = rng.split("arrivals");
         let service = rng.split("service");
+        let mut backend = BackendState::build(self.backend);
         self.load_points
             .iter()
             .map(|&fraction| {
@@ -252,6 +274,7 @@ impl LoadgenBenchmark {
                     arrival.clone(),
                     service.clone(),
                     rng,
+                    &mut backend,
                     None,
                 )
                 .map(|(point, _)| point)

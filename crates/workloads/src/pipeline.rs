@@ -25,7 +25,9 @@
 //! drains one [`EventQueue`] of typed events (`Generate` a chunk of
 //! arrivals, `Arrive`, `Drain` the batched completion timer, `Probe` the
 //! in-flight depth). [`crate::loadgen`] runs on it as the zero-stage
-//! chain, which charges no stage cost and draws no stage stream.
+//! chain, which charges no stage cost and draws no stage stream. A trial
+//! populates its sampled backend once and lends it to every sweep point
+//! (see [`crate::slots`]); a single-point entry point builds its own.
 //!
 //! Determinism contract: per-stage cost/cache/short-circuit draws come
 //! from per-stage streams that are consumed identically for **every**
@@ -606,8 +608,10 @@ impl PipelineBenchmark {
     ///
     /// This is the unit the parallel executor shards on. The arrival and
     /// service streams are common random numbers across the sweep points
-    /// (the `loadgen` discipline), and the per-stage streams are derived
-    /// so that two depths share the streams of their common stage prefix.
+    /// (the `loadgen` discipline), the per-stage streams are derived so
+    /// that two depths share the streams of their common stage prefix,
+    /// and the sampled backend is populated once and reused by every
+    /// point.
     ///
     /// # Errors
     ///
@@ -633,6 +637,7 @@ impl PipelineBenchmark {
         } else {
             None
         };
+        let mut backend = BackendState::build(self.backend);
         self.sweep
             .iter()
             .map(|setting| {
@@ -643,6 +648,7 @@ impl PipelineBenchmark {
                     service.clone(),
                     stage_root.clone(),
                     rng,
+                    &mut backend,
                     None,
                 )
                 .map(|(point, _)| point)
@@ -650,9 +656,9 @@ impl PipelineBenchmark {
             .collect()
     }
 
-    /// Runs one sweep point. `misc_rng` is the cell stream the
-    /// timing-irrelevant draws are split from, one split per point — the
-    /// same discipline as the `loadgen` sweep.
+    /// Runs one sweep point against `backend`. `misc_rng` is the cell
+    /// stream the timing-irrelevant draws are split from, one split per
+    /// point — the same discipline as the `loadgen` sweep.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_setting(
         &self,
@@ -662,6 +668,7 @@ impl PipelineBenchmark {
         service_rng: SimRng,
         stage_root: Option<SimRng>,
         misc_rng: &mut SimRng,
+        backend: &mut BackendState,
         obs: Option<Recorder>,
     ) -> Result<(PipelinePoint, Option<Recorder>), SimError> {
         if self.requests_per_point == 0 {
@@ -694,6 +701,7 @@ impl PipelineBenchmark {
             arrival_rng,
             service_rng,
             misc_rng.split(MISC_STREAM),
+            backend,
             obs,
         );
         let end = sim.run();
@@ -709,7 +717,7 @@ impl PipelineBenchmark {
     /// Tracing is observation only — the recorder consumes no random
     /// draws, so the returned [`PipelinePoint`] is bit-identical to the
     /// same setting inside an untraced [`PipelineBenchmark::run_trial`]
-    /// of the same streams.
+    /// of the same streams. The single setting populates its own backend.
     ///
     /// # Errors
     ///
@@ -736,6 +744,7 @@ impl PipelineBenchmark {
             service,
             stage_root,
             rng,
+            &mut BackendState::build(self.backend),
             Some(recorder),
         )?;
         Ok((point, obs.expect("the recorder threads through the run")))
@@ -840,9 +849,9 @@ enum Ev {
 
 /// The discrete-event state of one open-loop sweep point: Poisson
 /// arrivals, bounded admission, the middleware chain spliced into
-/// dispatch, and batched completions. The load sweep is its zero-stage
-/// chain.
-struct PipelineSim {
+/// dispatch, and batched completions, against the sampled backend it
+/// borrows from its trial. The load sweep is its zero-stage chain.
+struct PipelineSim<'a> {
     arrival_rng: SimRng,
     service_rng: SimRng,
     misc_rng: SimRng,
@@ -858,7 +867,7 @@ struct PipelineSim {
     short_circuited: u64,
     dropped: u64,
     peak_in_flight: usize,
-    backend: BackendState,
+    backend: &'a mut BackendState,
     op_sample_every: u64,
     admitted: u64,
     in_flight_probe: RunningStats,
@@ -880,7 +889,7 @@ struct PipelineSim {
     visit_buf: Vec<StageVisit>,
 }
 
-impl PipelineSim {
+impl<'a> PipelineSim<'a> {
     #[allow(clippy::too_many_arguments)]
     fn new(
         bench: &PipelineBenchmark,
@@ -891,6 +900,7 @@ impl PipelineSim {
         arrival_rng: SimRng,
         service_rng: SimRng,
         misc_rng: SimRng,
+        backend: &'a mut BackendState,
         mut obs: Option<Recorder>,
     ) -> Self {
         // Lane 0 is the admission/slot pool; each stage gets its own
@@ -933,7 +943,7 @@ impl PipelineSim {
             short_circuited: 0,
             dropped: 0,
             peak_in_flight: 0,
-            backend: BackendState::build(bench.backend),
+            backend,
             op_sample_every: bench.op_sample_every.max(1),
             admitted: 0,
             in_flight_probe: RunningStats::new(),
@@ -1545,6 +1555,7 @@ mod tests {
         let mut rng = SimRng::seed_from(84);
         let arrival = rng.split("arrivals");
         let service = rng.split("service");
+        let mut backend = BackendState::build(bench.backend);
         let mut sim = PipelineSim::new(
             &bench,
             &profile,
@@ -1554,6 +1565,7 @@ mod tests {
             arrival,
             service,
             rng.split("m"),
+            &mut backend,
             None,
         );
         sim.run();

@@ -29,7 +29,9 @@
 //! burst shape), so victim-latency curves are monotone in aggressor load
 //! by coupling and the DRR-vs-FIFO comparison is apples to apples. All
 //! streams derive from the cell's random stream, keeping figures
-//! bit-identical for any executor worker count.
+//! bit-identical for any executor worker count. Each tenant's sampled
+//! backend is populated once per trial and carried through the solo
+//! window and every co-located window (see [`crate::slots`]).
 //!
 //! Each window drains one [`EventQueue`] of typed events: every tenant's
 //! `Generate` pushes its next chunk of `Arrive` events, and `Drain` wakes
@@ -218,11 +220,19 @@ pub struct TenantPoint {
     pub slo_us: f64,
     /// Live entries (kv) or rows (sql) in the tenant's sampled backend
     /// store at the end of the window — shard-level parity with
-    /// [`crate::ClusterPoint::store_entries`].
+    /// [`crate::ClusterPoint::store_entries`]. The trial populates each
+    /// tenant's backend once and reuses it in every window; the sampled
+    /// operations only overwrite loaded keys or update loaded rows, so
+    /// every window reads the loaded size (4,096 kv records, 2,000 sql
+    /// rows).
     pub store_entries: u64,
-    /// Store evictions (kv) or row deletes (sql) over the window.
+    /// Store evictions (kv) or row deletes (sql) since the trial populated
+    /// the backend: zero, as the kv store stays far below its memory
+    /// limit and no sampled operation deletes a row.
     pub store_evictions: u64,
-    /// Row-lock contention events in the tenant's backend (sql only).
+    /// Row-lock contention events in the tenant's backend since the trial
+    /// populated it (sql only): zero, as its transactions run one at a
+    /// time.
     pub store_lock_waits: u64,
 }
 
@@ -261,7 +271,8 @@ pub struct TenancyBenchmark {
     pub victim_requests: usize,
     /// Measurement repetitions (trials) per sweep point.
     pub runs: usize,
-    /// Execute one real backend operation per this many admitted requests.
+    /// Execute one real backend operation per this many admitted requests,
+    /// against the admitting tenant's backend (populated once per trial).
     pub op_sample_every: u64,
     /// Log-normal sigma of per-request service times.
     pub service_sigma: f64,
@@ -334,7 +345,8 @@ impl TenancyBenchmark {
     /// Runs one co-located window over an arbitrary tenant set under
     /// `policy` and returns one [`TenantPoint`] per tenant, in input
     /// order. The first tenant anchors the measurement window
-    /// ([`TenancyBenchmark::victim_requests`] of its arrivals).
+    /// ([`TenancyBenchmark::victim_requests`] of its arrivals). Each
+    /// tenant gets a freshly populated backend.
     ///
     /// # Errors
     ///
@@ -351,8 +363,16 @@ impl TenancyBenchmark {
             .iter()
             .map(|t| TenantStreams::derive(t, rng))
             .collect::<Vec<_>>();
-        self.run_once(platform, tenants, policy, &streams, rng.split("misc"), None)
-            .map(|(points, _)| points)
+        self.run_once(
+            platform,
+            tenants,
+            policy,
+            &streams,
+            rng.split("misc"),
+            &mut build_backends(tenants),
+            None,
+        )
+        .map(|(points, _)| points)
     }
 
     /// [`TenancyBenchmark::run_colocated`] with a trace [`Recorder`]
@@ -385,6 +405,7 @@ impl TenancyBenchmark {
             policy,
             &streams,
             rng.split("misc"),
+            &mut build_backends(tenants),
             Some(recorder),
         )?;
         Ok((points, obs.expect("the recorder threads through the run")))
@@ -392,7 +413,8 @@ impl TenancyBenchmark {
 
     /// Runs the whole victim-vs-aggressor sweep once: a solo victim
     /// baseline, then one weighted (DRR) and one unweighted (FIFO) run per
-    /// aggressor fraction, all on common per-tenant random streams.
+    /// aggressor fraction, all on common per-tenant random streams and
+    /// against one victim and one aggressor backend populated up front.
     ///
     /// This is the unit the parallel executor shards on.
     ///
@@ -408,6 +430,10 @@ impl TenancyBenchmark {
         let victim_streams = TenantStreams::derive(&self.victim, rng);
         let aggressor_streams = TenantStreams::derive(&self.aggressor, rng);
         let mut misc = rng.split("misc");
+        let mut backends = [
+            BackendState::build(self.victim.backend),
+            BackendState::build(self.aggressor.backend),
+        ];
 
         // Solo baseline: the victim's own streams, nobody else on the pool.
         let (solo, _) = self.run_once(
@@ -416,6 +442,7 @@ impl TenancyBenchmark {
             SlotPolicy::WeightedDrr,
             std::slice::from_ref(&victim_streams),
             misc.split("solo"),
+            &mut backends[..1],
             None,
         )?;
         let solo_p99 = solo[0].p99_us;
@@ -432,6 +459,7 @@ impl TenancyBenchmark {
                 SlotPolicy::WeightedDrr,
                 &streams,
                 misc.split("drr"),
+                &mut backends,
                 None,
             )?;
             let (fifo, _) = self.run_once(
@@ -440,6 +468,7 @@ impl TenancyBenchmark {
                 SlotPolicy::FifoArrival,
                 &streams,
                 misc.split("fifo"),
+                &mut backends,
                 None,
             )?;
             let [victim, aggressor] = <[TenantPoint; 2]>::try_from(drr)
@@ -462,7 +491,10 @@ impl TenancyBenchmark {
     }
 
     /// One simulated window: every tenant's arrival source drives the
-    /// shared pool, and the results are folded into per-tenant points.
+    /// shared pool, each tenant's sampled operations run against its own
+    /// entry of `backends`, and the results are folded into per-tenant
+    /// points.
+    #[allow(clippy::too_many_arguments)]
     fn run_once(
         &self,
         platform: &Platform,
@@ -470,6 +502,7 @@ impl TenancyBenchmark {
         policy: SlotPolicy,
         streams: &[TenantStreams],
         misc_rng: SimRng,
+        backends: &mut [BackendState],
         mut obs: Option<Recorder>,
     ) -> Result<(Vec<TenantPoint>, Option<Recorder>), SimError> {
         if tenants.is_empty() {
@@ -534,12 +567,10 @@ impl TenancyBenchmark {
             Some(o) => tenants.iter().map(|t| o.lane(&t.name)).collect(),
             None => Vec::new(),
         };
+        debug_assert_eq!(backends.len(), tenants.len(), "one backend per tenant");
         let mut sim = TenantSim {
             pool,
-            backends: tenants
-                .iter()
-                .map(|t| BackendState::build(t.backend))
-                .collect(),
+            backends,
             tenants: runtime,
             misc_rng,
             op_sample_every: self.op_sample_every.max(1),
@@ -580,6 +611,14 @@ impl TenancyBenchmark {
             obs,
         ))
     }
+}
+
+/// One freshly populated sampled backend per tenant, in tenant order.
+fn build_backends(tenants: &[TenantSpec]) -> Vec<BackendState> {
+    tenants
+        .iter()
+        .map(|t| BackendState::build(t.backend))
+        .collect()
 }
 
 /// The per-tenant random streams of one trial, shared (cloned) across the
@@ -685,11 +724,12 @@ impl TenantRt {
     }
 }
 
-/// The discrete-event state of one co-located window.
-struct TenantSim {
+/// The discrete-event state of one co-located window, borrowing each
+/// tenant's sampled backend from its trial.
+struct TenantSim<'a> {
     pool: SlotPool<Req>,
     tenants: Vec<TenantRt>,
-    backends: Vec<BackendState>,
+    backends: &'a mut [BackendState],
     misc_rng: SimRng,
     op_sample_every: u64,
     admitted: u64,
@@ -706,7 +746,7 @@ struct TenantSim {
     obs_lanes: Vec<u32>,
 }
 
-impl TenantSim {
+impl TenantSim<'_> {
     /// Pushes the next chunk of one tenant's arrivals; pushes its next
     /// generation at the chunk's last arrival while the window is open.
     fn generate(&mut self, tenant: u32, queue: &mut EventQueue<Ev>) {
@@ -874,11 +914,19 @@ mod tests {
                 assert!(tenant.p50_us <= tenant.p95_us && tenant.p95_us <= tenant.p99_us);
                 assert!((0.0..=1.0).contains(&tenant.drop_rate));
                 assert!((0.0..=1.0).contains(&tenant.slo_violation));
-                assert!(
-                    tenant.store_entries > 0,
-                    "the sampled kv backend is pre-populated"
+                // Every window reports the loaded store: the trial's
+                // writes overwrite loaded keys far below the memory limit,
+                // and kv backends take no row locks.
+                assert_eq!(
+                    (
+                        tenant.store_entries,
+                        tenant.store_evictions,
+                        tenant.store_lock_waits
+                    ),
+                    (4_096, 0, 0),
+                    "kv store snapshot at aggressor fraction {}",
+                    point.aggressor_fraction
                 );
-                assert_eq!(tenant.store_lock_waits, 0, "kv backends take no row locks");
             }
         }
     }
@@ -893,9 +941,21 @@ mod tests {
         let points = bench
             .run_trial(&platform, &mut SimRng::seed_from(35))
             .unwrap();
+        assert_eq!(points.len(), bench.aggressor_fractions.len());
         for point in &points {
             for tenant in [&point.victim, &point.aggressor] {
-                assert!(tenant.store_entries > 0, "sysbench tables hold rows");
+                // Every window reports the prepared table: selects and
+                // updates hit loaded rows, one transaction at a time.
+                assert_eq!(
+                    (
+                        tenant.store_entries,
+                        tenant.store_evictions,
+                        tenant.store_lock_waits
+                    ),
+                    (2_000, 0, 0),
+                    "sql store snapshot at aggressor fraction {}",
+                    point.aggressor_fraction
+                );
             }
         }
     }
