@@ -8,12 +8,12 @@
 # non-empty and contain no non-finite values (NaN/inf); the full-grid
 # report must additionally cover every experiment it declares, the
 # event-loop report must attest order equivalence between the wheel and
-# the reference heap, and the cluster reports must carry their v2
-# schema, attest serial/parallel equality and record the timed sweep
-# replay's events/sec. The failover report must additionally attest its
-# three acceptance invariants (R=1 replays plain routing, scatter p99
-# monotone in K, kill spike subsides) and record the deterministic
-# mid-window kill.
+# the reference heap, every sweep report must carry its schema and
+# attest serial/parallel equality, and the cluster reports must also
+# record the timed sweep replay's events/sec. The failover report must
+# additionally attest its three acceptance invariants (R=1 replays plain
+# routing, scatter p99 monotone in K, kill spike subsides) and record the
+# deterministic mid-window kill.
 # Trace artifacts (named explicitly when a bench ran with --trace) must
 # carry the obs timeline schema (BENCH_trace*.json) — with a drop-free
 # steady phase and monotone, non-negative bucket counters — or Chrome
@@ -188,6 +188,15 @@ for f in "${files[@]}"; do
       fi
       ;;
     *pipeline*|*tenant_isolation*|*load_curves*)
+      case "$f" in
+        *pipeline*) schema="isolation-bench/pipeline/v1" ;;
+        *tenant_isolation*) schema="isolation-bench/tenant-isolation/v1" ;;
+        *) schema="isolation-bench/load-curves/v1" ;;
+      esac
+      if ! grep -q "\"schema\": \"$schema\"" "$f"; then
+        echo "check_bench: $f does not carry the $schema schema" >&2
+        status=1
+      fi
       if ! grep -q '"identical": true' "$f"; then
         echo "check_bench: $f does not attest serial/parallel equality" >&2
         status=1

@@ -40,12 +40,12 @@
 //!   write `TRACE_cluster.json` (Chrome trace events) plus
 //!   `BENCH_trace_cluster.json` (the windowed-metrics timeline)
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use harness::cli::{flag_value, json_number, run_serial_and_parallel, BenchRun};
+use harness::cli::{flag_value, json_number, run_sweep_bench, BenchRun, SweepBench};
 use harness::executor::RunReport;
-use harness::report::{FailoverAttestation, SweepThroughput};
-use harness::{grid, report, ExperimentId};
+use harness::{grid, ExperimentId, FigureData};
 use platforms::PlatformId;
 use simcore::SimRng;
 use workloads::cluster::{ClusterBenchmark, ClusterSetting, BASELINE_THETA};
@@ -55,6 +55,32 @@ use workloads::LoadBackend;
 /// this much before the kill-then-recover gate fails — the "returns to
 /// the pre-failure band" acceptance criterion.
 const RECOVERY_BAND: f64 = 0.02;
+
+/// The plain mode: the shard-count × skew × routing sweep. `cluster_m`
+/// selects exactly its two experiments (`cluster_memcached`,
+/// `cluster_mysql`); the failover slugs continue with `_failover_` and
+/// stay out of this mode.
+const PLAIN: SweepBench = SweepBench {
+    name: "cluster",
+    shard: "cluster_m",
+    experiments: &[ExperimentId::ClusterMemcached, ExperimentId::ClusterMysql],
+    schema: "isolation-bench/cluster/v2",
+    default_out: "BENCH_cluster.json",
+    trace: Some("cluster"),
+};
+
+/// The `--failover` mode: the replication/failover sweep.
+const FAILOVER: SweepBench = SweepBench {
+    name: "cluster --failover",
+    shard: "cluster_failover",
+    experiments: &[
+        ExperimentId::ClusterFailoverMemcached,
+        ExperimentId::ClusterFailoverMysql,
+    ],
+    schema: "isolation-bench/cluster-failover/v2",
+    default_out: "BENCH_cluster_failover.json",
+    trace: None,
+};
 
 /// The Memcached benchmark the timed replay runs: the plain
 /// shard-count × skew × routing sweep, or the replication/failover
@@ -68,109 +94,94 @@ fn sweep_bench(failover: bool, quick: bool) -> ClusterBenchmark {
     }
 }
 
-/// One timed replay of the Memcached sweep on the native platform: the
-/// event throughput the `--baseline` floor gates.
-fn timed_sweep(failover: bool, quick: bool, seed: u64) -> SweepThroughput {
+/// One timed replay of the Memcached sweep on the native platform. Its
+/// events/sec must clear the `--baseline` floor for the mode; returns
+/// the report's `sweep_throughput` field.
+fn timed_sweep(
+    args: &[String],
+    run: &BenchRun,
+    failover: bool,
+    failures: &mut Vec<String>,
+) -> (&'static str, String) {
     let platform = PlatformId::Native.build();
-    let mut rng = SimRng::seed_from(seed);
+    let mut rng = SimRng::seed_from(run.config.seed);
     let start = Instant::now();
-    let points = sweep_bench(failover, quick)
+    let points = sweep_bench(failover, run.mode == "quick")
         .run_trial(&platform, &mut rng)
         .expect("the native cluster sweep configuration is valid");
     let elapsed_secs = start.elapsed().as_secs_f64();
     let events: u64 = points.iter().map(|p| p.events).sum();
-    SweepThroughput {
-        wall_ms: elapsed_secs * 1e3,
-        events_per_sec: events as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
+    let wall_ms = elapsed_secs * 1e3;
+    let measured = events as f64 / elapsed_secs.max(f64::MIN_POSITIVE);
+    println!("timed sweep replay: {wall_ms:.1} ms, {measured:.0} events/sec");
+
+    if let Some(path) = flag_value(args, "--baseline") {
+        let baseline = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+        let sweep = if failover {
+            "cluster_failover"
+        } else {
+            "cluster"
+        };
+        let key = format!("{}_{sweep}_min_events_per_sec", run.mode);
+        let min_eps =
+            json_number(&baseline, &key).unwrap_or_else(|| panic!("baseline {path} lacks {key}"));
+        println!(
+            "baseline ({}): min {min_eps:.0} events/sec (measured {measured:.0})",
+            run.mode
+        );
+        if measured < min_eps {
+            failures.push(format!(
+                "cluster throughput {measured:.0} events/sec regressed below the baseline floor {min_eps:.0}"
+            ));
+        }
     }
+    (
+        "sweep_throughput",
+        format!("{{\"wall_ms\": {wall_ms:.3}, \"events_per_sec\": {measured:.1}}}"),
+    )
 }
 
-/// The checks both modes share: every experiment present in both passes
-/// with non-empty series, drop fractions inside [0, 1], p50 <= p99 per
-/// setting, and serial/parallel figure equality.
-fn shared_checks(
-    run: &BenchRun,
-    experiments: [ExperimentId; 2],
-    anchor_metric: &str,
-    failures: &mut Vec<String>,
-) {
-    for experiment in experiments {
-        for (label, pass) in [("serial", &run.serial), ("parallel", &run.parallel)] {
-            let ok = pass.figure(experiment).is_some_and(|fig| {
-                !fig.series.is_empty() && fig.series.iter().all(|s| !s.points.is_empty())
-            });
-            if !ok {
+/// The invariants both modes check on every platform: the drop metric is
+/// a fraction and p50 cannot exceed p99; the plain mode's imbalance is
+/// also a max/mean ratio (>= 1).
+fn domain_gates(fig: &FigureData, failures: &mut Vec<String>) {
+    let slug = fig.experiment.slug();
+    for platform in grid::platforms_of(fig, grid::CLUSTER_P50) {
+        let series = |metric: &str| {
+            fig.series_named(&format!("{platform} {metric}"))
+                .unwrap_or_else(|| panic!("{metric} series missing for {platform}"))
+        };
+        for point in &series(grid::CLUSTER_DROP_RATE).points {
+            if !(0.0..=1.0).contains(&point.mean) {
                 failures.push(format!(
-                    "{} missing from the {label} run",
-                    experiment.slug()
+                    "{slug}/{platform}: drop fraction at \"{}\" is {} (outside [0, 1])",
+                    point.x, point.mean,
                 ));
             }
         }
-        if let Some(fig) = run.serial.figure(experiment) {
-            for platform in grid::platforms_of(fig, anchor_metric) {
-                let series = |metric: &str| {
-                    fig.series_named(&format!("{platform} {metric}"))
-                        .unwrap_or_else(|| panic!("{metric} series missing for {platform}"))
-                };
-                for point in &series(grid::CLUSTER_DROP_RATE).points {
-                    if !(0.0..=1.0).contains(&point.mean) {
-                        failures.push(format!(
-                            "{}/{platform}: drop fraction at \"{}\" is {} (outside [0, 1])",
-                            experiment.slug(),
-                            point.x,
-                            point.mean,
-                        ));
-                    }
-                }
-                let p99 = series(grid::CLUSTER_P99);
-                for point in &series(grid::CLUSTER_P50).points {
-                    let Some(p99_mean) = p99.mean_of(&point.x) else {
-                        continue;
-                    };
-                    if point.mean > p99_mean {
-                        failures.push(format!(
-                            "{}/{platform}: p50 at \"{}\" ({:.1} us) exceeds p99 ({:.1} us)",
-                            experiment.slug(),
-                            point.x,
-                            point.mean,
-                            p99_mean,
-                        ));
-                    }
+        let p99 = series(grid::CLUSTER_P99);
+        for point in &series(grid::CLUSTER_P50).points {
+            let Some(p99_mean) = p99.mean_of(&point.x) else {
+                continue;
+            };
+            if point.mean > p99_mean {
+                failures.push(format!(
+                    "{slug}/{platform}: p50 at \"{}\" ({:.1} us) exceeds p99 ({:.1} us)",
+                    point.x, point.mean, p99_mean,
+                ));
+            }
+        }
+        if PLAIN.experiments.contains(&fig.experiment) {
+            for point in &series(grid::CLUSTER_IMBALANCE).points {
+                if point.mean < 1.0 {
+                    failures.push(format!(
+                        "{slug}/{platform}: imbalance at \"{}\" is {} (a max/mean ratio below 1)",
+                        point.x, point.mean,
+                    ));
                 }
             }
         }
-    }
-    if run.serial.figures != run.parallel.figures {
-        failures.push(format!(
-            "serial and {}-worker figure data disagree",
-            run.parallel_workers
-        ));
-    }
-}
-
-/// The `--baseline` gate shared by both modes: the timed replay's
-/// events/sec must clear the floor stored under `key` in the baseline
-/// file.
-fn baseline_check(
-    args: &[String],
-    mode: &str,
-    key: &str,
-    throughput: &SweepThroughput,
-    failures: &mut Vec<String>,
-) {
-    let Some(path) = flag_value(args, "--baseline") else {
-        return;
-    };
-    let baseline = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let min_eps =
-        json_number(&baseline, key).unwrap_or_else(|| panic!("baseline {path} lacks {key}"));
-    let measured = throughput.events_per_sec;
-    println!("baseline ({mode}): min {min_eps:.0} events/sec (measured {measured:.0})");
-    if measured < min_eps {
-        failures.push(format!(
-            "cluster throughput {measured:.0} events/sec regressed below the baseline floor {min_eps:.0}"
-        ));
     }
 }
 
@@ -211,12 +222,9 @@ fn r1_matches_plain(quick: bool, seed: u64, failures: &mut Vec<String>) -> bool 
 /// scatter samples to gate individually).
 fn scatter_monotone(serial: &RunReport, failures: &mut Vec<String>) -> bool {
     let mut ok = true;
-    for experiment in [
-        ExperimentId::ClusterFailoverMemcached,
-        ExperimentId::ClusterFailoverMysql,
-    ] {
-        let Some(fig) = serial.figure(experiment) else {
-            // shared_checks already reported the missing experiment.
+    for experiment in FAILOVER.experiments {
+        let Some(fig) = serial.figure(*experiment) else {
+            // The driver already reported the missing experiment.
             continue;
         };
         let platforms = grid::platforms_of(fig, grid::FAILOVER_SCATTER_P99);
@@ -250,11 +258,8 @@ fn scatter_monotone(serial: &RunReport, failures: &mut Vec<String>) -> bool {
 /// within [`RECOVERY_BAND`] of the pre-failure rate.
 fn spike_subsides(serial: &RunReport, failures: &mut Vec<String>) -> bool {
     let mut ok = true;
-    for experiment in [
-        ExperimentId::ClusterFailoverMemcached,
-        ExperimentId::ClusterFailoverMysql,
-    ] {
-        let Some(fig) = serial.figure(experiment) else {
+    for experiment in FAILOVER.experiments {
+        let Some(fig) = serial.figure(*experiment) else {
             continue;
         };
         for platform in grid::platforms_of(fig, grid::FAILOVER_SCATTER_P99) {
@@ -313,172 +318,39 @@ fn spike_subsides(serial: &RunReport, failures: &mut Vec<String>) -> bool {
     ok
 }
 
-/// The `--failover` mode: the replication/failover sweep, its timed
-/// replay, and the quorum-specific acceptance gates.
-fn run_failover(args: &[String]) {
-    let run = run_serial_and_parallel(
-        "cluster --failover",
-        args,
-        Some("cluster_failover"),
-        "BENCH_cluster_failover.json",
-    );
-    let quick = run.mode == "quick";
-    let mut failures = Vec::new();
-
-    let throughput = timed_sweep(true, quick, run.config.seed);
-    let attest = FailoverAttestation {
-        r1_matches_plain: r1_matches_plain(quick, run.config.seed, &mut failures),
-        scatter_p99_monotone: scatter_monotone(&run.serial, &mut failures),
-        spike_subsides: spike_subsides(&run.serial, &mut failures),
-    };
-
-    let json = report::cluster_failover_json(
-        run.mode,
-        run.config.seed,
-        &run.serial,
-        &run.parallel,
-        &throughput,
-        &attest,
-    );
-    std::fs::write(&run.out_path, &json)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", run.out_path));
-
-    for figure in &run.serial.figures {
-        println!("{}", report::to_markdown(figure));
-    }
-    print_throughput(&throughput);
-    println!(
-        "attestations: r1_matches_plain {}, scatter_p99_monotone {}, spike_subsides {}",
-        attest.r1_matches_plain, attest.scatter_p99_monotone, attest.spike_subsides
-    );
-    println!(
-        "\nwall clock: serial {:.0} ms, {} workers {:.0} ms; report: {}",
-        run.serial.wall.as_secs_f64() * 1e3,
-        run.parallel_workers,
-        run.parallel.wall.as_secs_f64() * 1e3,
-        run.out_path,
-    );
-
-    shared_checks(
-        &run,
-        [
-            ExperimentId::ClusterFailoverMemcached,
-            ExperimentId::ClusterFailoverMysql,
-        ],
-        grid::FAILOVER_SCATTER_P99,
-        &mut failures,
-    );
-    if let Some(token) = report::find_non_finite(&json) {
-        failures.push(format!("emitted JSON contains non-finite value {token:?}"));
-    }
-    baseline_check(
-        args,
-        run.mode,
-        &format!("{}_cluster_failover_min_events_per_sec", run.mode),
-        &throughput,
-        &mut failures,
-    );
-    if !failures.is_empty() {
-        eprintln!("cluster --failover: FAILED: {}", failures.join("; "));
-        std::process::exit(1);
-    }
-}
-
-fn print_throughput(throughput: &SweepThroughput) {
-    println!(
-        "timed sweep replay: {:.1} ms, {:.0} events/sec",
-        throughput.wall_ms, throughput.events_per_sec
-    );
-}
-
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--failover") {
-        run_failover(&args);
-        return;
-    }
-    // `cluster_m` selects exactly the two plain sharded-cluster
-    // experiments (`cluster_memcached`, `cluster_mysql`) — the failover
-    // slugs continue with `_failover_` and stay out of this mode.
-    let run = run_serial_and_parallel("cluster", &args, Some("cluster_m"), "BENCH_cluster.json");
-    let quick = run.mode == "quick";
-    let mut failures = Vec::new();
-
-    let throughput = timed_sweep(false, quick, run.config.seed);
-
-    let json = report::cluster_json(
-        run.mode,
-        run.config.seed,
-        &run.serial,
-        &run.parallel,
-        &throughput,
-    );
-    std::fs::write(&run.out_path, &json)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", run.out_path));
-
-    for figure in &run.serial.figures {
-        println!("{}", report::to_markdown(figure));
-    }
-    print_throughput(&throughput);
-    println!(
-        "\nwall clock: serial {:.0} ms, {} workers {:.0} ms; report: {}",
-        run.serial.wall.as_secs_f64() * 1e3,
-        run.parallel_workers,
-        run.parallel.wall.as_secs_f64() * 1e3,
-        run.out_path,
-    );
-
-    if args.iter().any(|a| a == "--trace") {
-        let trace = harness::obs::emit_trace_artifacts("cluster", quick, run.config.seed);
-        if let Some(token) = trace.non_finite {
-            failures.push(format!(
-                "trace timeline contains non-finite value {token:?}"
-            ));
+    let failover = args.iter().any(|a| a == "--failover");
+    let bench = if failover { FAILOVER } else { PLAIN };
+    run_sweep_bench(&bench, &args, |run, failures| {
+        let throughput = timed_sweep(&args, run, failover, failures);
+        let mut extra = Vec::new();
+        if failover {
+            let quick = run.mode == "quick";
+            let attestations = [
+                (
+                    "r1_matches_plain",
+                    r1_matches_plain(quick, run.config.seed, failures),
+                ),
+                (
+                    "scatter_p99_monotone",
+                    scatter_monotone(&run.serial, failures),
+                ),
+                ("spike_subsides", spike_subsides(&run.serial, failures)),
+            ];
+            let line: Vec<String> = attestations
+                .iter()
+                .map(|(key, holds)| format!("{key} {holds}"))
+                .collect();
+            println!("attestations: {}", line.join(", "));
+            extra.extend(attestations.map(|(key, holds)| (key, holds.to_string())));
         }
-        println!(
-            "trace: {} spans accepted; artifacts: {}, {}",
-            trace.spans_accepted, trace.chrome_path, trace.timeline_path
-        );
-    }
-
-    shared_checks(
-        &run,
-        [ExperimentId::ClusterMemcached, ExperimentId::ClusterMysql],
-        grid::CLUSTER_HOT_P99,
-        &mut failures,
-    );
-    // Plain-mode domain invariant: imbalance is a max/mean ratio.
-    for experiment in [ExperimentId::ClusterMemcached, ExperimentId::ClusterMysql] {
-        if let Some(fig) = run.serial.figure(experiment) {
-            for platform in grid::platforms_of(fig, grid::CLUSTER_HOT_P99) {
-                let imbalance = fig
-                    .series_named(&format!("{platform} {}", grid::CLUSTER_IMBALANCE))
-                    .unwrap_or_else(|| panic!("imbalance series missing for {platform}"));
-                for point in &imbalance.points {
-                    if point.mean < 1.0 {
-                        failures.push(format!(
-                            "{}/{platform}: imbalance at \"{}\" is {} (a max/mean ratio below 1)",
-                            experiment.slug(),
-                            point.x,
-                            point.mean,
-                        ));
-                    }
-                }
+        for experiment in bench.experiments {
+            if let Some(fig) = run.serial.figure(*experiment) {
+                domain_gates(fig, failures);
             }
         }
-    }
-    if let Some(token) = report::find_non_finite(&json) {
-        failures.push(format!("emitted JSON contains non-finite value {token:?}"));
-    }
-    baseline_check(
-        &args,
-        run.mode,
-        &format!("{}_cluster_min_events_per_sec", run.mode),
-        &throughput,
-        &mut failures,
-    );
-    if !failures.is_empty() {
-        eprintln!("cluster: FAILED: {}", failures.join("; "));
-        std::process::exit(1);
-    }
+        extra.push(throughput);
+        extra
+    })
 }

@@ -18,73 +18,22 @@
 //!   write `TRACE_loadgen.json` (Chrome trace events) plus
 //!   `BENCH_trace_loadgen.json` (the windowed-metrics timeline)
 
-use harness::cli::run_serial_and_parallel;
-use harness::{report, ExperimentId};
+use std::process::ExitCode;
 
-fn main() {
+use harness::cli::{run_sweep_bench, SweepBench};
+use harness::ExperimentId;
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `load_` keeps the filter to the two open-loop experiments (the
-    // closed-loop fig16_memcached/fig17_mysql slugs do not contain it).
-    let run = run_serial_and_parallel(
-        "load_curves",
-        &args,
-        Some("load_"),
-        "BENCH_load_curves.json",
-    );
-
-    let json = report::load_curves_json(run.mode, run.config.seed, &run.serial, &run.parallel);
-    std::fs::write(&run.out_path, &json)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", run.out_path));
-
-    for figure in &run.serial.figures {
-        println!("{}", report::to_markdown(figure));
-    }
-    println!(
-        "wall clock: serial {:.0} ms, {} workers {:.0} ms; report: {}",
-        run.serial.wall.as_secs_f64() * 1e3,
-        run.parallel_workers,
-        run.parallel.wall.as_secs_f64() * 1e3,
-        run.out_path,
-    );
-
-    let mut failures = Vec::new();
-    if args.iter().any(|a| a == "--trace") {
-        let trace =
-            harness::obs::emit_trace_artifacts("loadgen", run.mode == "quick", run.config.seed);
-        if let Some(token) = trace.non_finite {
-            failures.push(format!(
-                "trace timeline contains non-finite value {token:?}"
-            ));
-        }
-        println!(
-            "trace: {} spans accepted; artifacts: {}, {}",
-            trace.spans_accepted, trace.chrome_path, trace.timeline_path
-        );
-    }
-    for experiment in [ExperimentId::LoadMemcached, ExperimentId::LoadMysql] {
-        for (label, pass) in [("serial", &run.serial), ("parallel", &run.parallel)] {
-            let ok = pass.figure(experiment).is_some_and(|fig| {
-                !fig.series.is_empty() && fig.series.iter().all(|s| !s.points.is_empty())
-            });
-            if !ok {
-                failures.push(format!(
-                    "{} missing from the {label} run",
-                    experiment.slug()
-                ));
-            }
-        }
-    }
-    if run.serial.figures != run.parallel.figures {
-        failures.push(format!(
-            "serial and {}-worker figure data disagree",
-            run.parallel_workers
-        ));
-    }
-    if let Some(token) = report::find_non_finite(&json) {
-        failures.push(format!("emitted JSON contains non-finite value {token:?}"));
-    }
-    if !failures.is_empty() {
-        eprintln!("load_curves: FAILED: {}", failures.join("; "));
-        std::process::exit(1);
-    }
+    let bench = SweepBench {
+        name: "load_curves",
+        // `load_` keeps the filter to the two open-loop experiments (the
+        // closed-loop fig16_memcached/fig17_mysql slugs do not contain it).
+        shard: "load_",
+        experiments: &[ExperimentId::LoadMemcached, ExperimentId::LoadMysql],
+        schema: "isolation-bench/load-curves/v1",
+        default_out: "BENCH_load_curves.json",
+        trace: Some("loadgen"),
+    };
+    run_sweep_bench(&bench, &args, |_, _| Vec::new())
 }

@@ -7,9 +7,10 @@
 //! short-circuit / cache-hit / drop fractions). Exits non-zero if the
 //! serial and parallel runs disagree, if an experiment is missing, if
 //! the emitted JSON contains any non-finite value (NaN/inf), or if the
-//! sweep violates the pipeline's domain invariants: the deepest
-//! warm-cache chain must not undercut the shallowest on median latency,
-//! and every fraction series must stay within [0, 1].
+//! sweep violates the pipeline's domain invariants: the deepest chain at
+//! the baseline cache hit rate must not undercut the shallowest
+//! (`d1 h0.90`) on median latency, and every fraction series must stay
+//! within [0, 1].
 //!
 //! Run with: `cargo run --release -p bench --bin pipeline`
 //!
@@ -23,109 +24,136 @@
 //!   write `TRACE_pipeline.json` (Chrome trace events) plus
 //!   `BENCH_trace_pipeline.json` (the windowed-metrics timeline)
 
-use harness::cli::run_serial_and_parallel;
-use harness::{grid, report, ExperimentId};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // `pipeline` selects exactly the two middleware-pipeline experiments.
-    let run = run_serial_and_parallel("pipeline", &args, Some("pipeline"), "BENCH_pipeline.json");
+use harness::cli::{run_sweep_bench, SweepBench};
+use harness::{grid, ExperimentId, FigureData, Series};
+use workloads::pipeline::BASELINE_HIT_RATE;
 
-    let json = report::pipeline_json(run.mode, run.config.seed, &run.serial, &run.parallel);
-    std::fs::write(&run.out_path, &json)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", run.out_path));
+const EXPERIMENTS: &[ExperimentId] =
+    &[ExperimentId::PipelineMemcached, ExperimentId::PipelineMysql];
 
-    for figure in &run.serial.figures {
-        println!("{}", report::to_markdown(figure));
-    }
-    println!(
-        "wall clock: serial {:.0} ms, {} workers {:.0} ms; report: {}",
-        run.serial.wall.as_secs_f64() * 1e3,
-        run.parallel_workers,
-        run.parallel.wall.as_secs_f64() * 1e3,
-        run.out_path,
-    );
-
-    let mut failures = Vec::new();
-    if args.iter().any(|a| a == "--trace") {
-        let trace =
-            harness::obs::emit_trace_artifacts("pipeline", run.mode == "quick", run.config.seed);
-        if let Some(token) = trace.non_finite {
-            failures.push(format!(
-                "trace timeline contains non-finite value {token:?}"
-            ));
-        }
-        println!(
-            "trace: {} spans accepted; artifacts: {}, {}",
-            trace.spans_accepted, trace.chrome_path, trace.timeline_path
-        );
-    }
-    for experiment in [ExperimentId::PipelineMemcached, ExperimentId::PipelineMysql] {
-        for (label, pass) in [("serial", &run.serial), ("parallel", &run.parallel)] {
-            let ok = pass.figure(experiment).is_some_and(|fig| {
-                !fig.series.is_empty() && fig.series.iter().all(|s| !s.points.is_empty())
-            });
-            if !ok {
-                failures.push(format!(
-                    "{} missing from the {label} run",
-                    experiment.slug()
-                ));
-            }
-        }
-        // Domain invariants: deeper warm-cache chains cannot be cheaper
-        // than the shallowest at the median, and the fraction metrics are
-        // probabilities.
-        if let Some(fig) = run.serial.figure(experiment) {
-            for platform in grid::platforms_of(fig, grid::PIPELINE_STAGE_TAX) {
-                let series = |metric: &str| {
-                    fig.series_named(&format!("{platform} {metric}"))
-                        .unwrap_or_else(|| panic!("{metric} series missing for {platform}"))
-                };
-                let p50 = series(grid::PIPELINE_P50);
-                let (Some(first), Some(last)) = (p50.points.first(), p50.points.last()) else {
-                    failures.push(format!("{}/{platform}: empty p50 sweep", experiment.slug()));
-                    continue;
-                };
-                if last.mean < first.mean {
-                    failures.push(format!(
-                        "{}/{platform}: p50 at \"{}\" ({:.1} us) undercuts \"{}\" ({:.1} us)",
-                        experiment.slug(),
-                        last.x,
-                        last.mean,
-                        first.x,
-                        first.mean,
-                    ));
-                }
-                for metric in [
-                    grid::PIPELINE_SHORT_CIRCUIT,
-                    grid::PIPELINE_CACHE_HIT,
-                    grid::PIPELINE_DROP_RATE,
-                ] {
-                    for point in &series(metric).points {
-                        if !(0.0..=1.0).contains(&point.mean) {
-                            failures.push(format!(
-                                "{}/{platform}: {metric} at \"{}\" is {} (outside [0, 1])",
-                                experiment.slug(),
-                                point.x,
-                                point.mean,
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if run.serial.figures != run.parallel.figures {
+/// The depth gate: a deeper chain at [`BASELINE_HIT_RATE`] cannot be
+/// cheaper at the median than a shallower one, so the deepest such point
+/// must not undercut the shallowest. Both are found by their
+/// `d<depth> h<rate>` labels; the hit-rate and miss-storm points are
+/// left out.
+fn depth_gate(slug: &str, platform: &str, p50: &Series, failures: &mut Vec<String>) {
+    let suffix = format!(" h{BASELINE_HIT_RATE:.2}");
+    let depth =
+        |x: &str| -> Option<usize> { x.strip_suffix(&suffix)?.strip_prefix('d')?.parse().ok() };
+    let warm = p50.points.iter().filter_map(|p| Some((depth(&p.x)?, p)));
+    let (Some((_, shallow)), Some((_, deep))) = (
+        warm.clone().min_by_key(|(d, _)| *d),
+        warm.max_by_key(|(d, _)| *d),
+    ) else {
+        failures.push(format!("{slug}/{platform}: no warm-cache depth points"));
+        return;
+    };
+    if deep.mean < shallow.mean {
         failures.push(format!(
-            "serial and {}-worker figure data disagree",
-            run.parallel_workers
+            "{slug}/{platform}: p50 at \"{}\" ({:.1} us) undercuts \"{}\" ({:.1} us)",
+            deep.x, deep.mean, shallow.x, shallow.mean,
         ));
     }
-    if let Some(token) = report::find_non_finite(&json) {
-        failures.push(format!("emitted JSON contains non-finite value {token:?}"));
+}
+
+/// The domain invariants of one pipeline figure: the depth gate, and
+/// every fraction metric is a probability.
+fn domain_gates(fig: &FigureData, failures: &mut Vec<String>) {
+    let slug = fig.experiment.slug();
+    for platform in grid::platforms_of(fig, grid::PIPELINE_STAGE_TAX) {
+        let series = |metric: &str| {
+            fig.series_named(&format!("{platform} {metric}"))
+                .unwrap_or_else(|| panic!("{metric} series missing for {platform}"))
+        };
+        depth_gate(slug, &platform, series(grid::PIPELINE_P50), failures);
+        for metric in [
+            grid::PIPELINE_SHORT_CIRCUIT,
+            grid::PIPELINE_CACHE_HIT,
+            grid::PIPELINE_DROP_RATE,
+        ] {
+            for point in &series(metric).points {
+                if !(0.0..=1.0).contains(&point.mean) {
+                    failures.push(format!(
+                        "{slug}/{platform}: {metric} at \"{}\" is {} (outside [0, 1])",
+                        point.x, point.mean,
+                    ));
+                }
+            }
+        }
     }
-    if !failures.is_empty() {
-        eprintln!("pipeline: FAILED: {}", failures.join("; "));
-        std::process::exit(1);
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let bench = SweepBench {
+        name: "pipeline",
+        // `pipeline` selects exactly the two middleware-pipeline experiments.
+        shard: "pipeline",
+        experiments: EXPERIMENTS,
+        schema: "isolation-bench/pipeline/v1",
+        default_out: "BENCH_pipeline.json",
+        trace: Some("pipeline"),
+    };
+    run_sweep_bench(&bench, &args, |run, failures| {
+        for experiment in EXPERIMENTS {
+            if let Some(fig) = run.serial.figure(*experiment) {
+                domain_gates(fig, failures);
+            }
+        }
+        Vec::new()
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use harness::DataPoint;
+
+    fn p50(points: &[(&str, f64)]) -> Series {
+        let mut series = Series::new("native p50 (us)");
+        for (i, (x, mean)) in points.iter().enumerate() {
+            series.points.push(DataPoint {
+                x: x.to_string(),
+                x_value: i as f64,
+                mean: *mean,
+                std_dev: 0.0,
+            });
+        }
+        series
+    }
+
+    fn gate(points: &[(&str, f64)]) -> Vec<String> {
+        let mut failures = Vec::new();
+        depth_gate("pipeline_memcached", "native", &p50(points), &mut failures);
+        failures
+    }
+
+    #[test]
+    fn the_deepest_warm_chain_is_gated_not_the_last_sweep_point() {
+        // d8 undercuts d1 while the miss-storm point, last in sweep order,
+        // sits far above it.
+        let failures = gate(&[
+            ("d1 h0.90", 12.0),
+            ("d4 h0.90", 18.0),
+            ("d8 h0.90", 11.0),
+            ("d4 h0.50", 30.0),
+            ("d4 miss-storm", 200.0),
+        ]);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("\"d8 h0.90\" (11.0 us) undercuts \"d1 h0.90\" (12.0 us)"));
+    }
+
+    #[test]
+    fn a_depth_monotone_sweep_passes_whatever_its_storm_point_does() {
+        let failures = gate(&[
+            ("d1 h0.90", 12.0),
+            ("d8 h0.90", 24.0),
+            ("d4 h1.00", 1.0),
+            ("d4 miss-storm", 5.0),
+        ]);
+        assert!(failures.is_empty(), "{failures:?}");
+        assert_eq!(gate(&[("d4 miss-storm", 5.0)]).len(), 1);
     }
 }

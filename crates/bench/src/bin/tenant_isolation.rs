@@ -23,112 +23,61 @@
 //!   point and write `TRACE_tenancy.json` (Chrome trace events) plus
 //!   `BENCH_trace_tenancy.json` (the windowed-metrics timeline)
 
-use harness::cli::run_serial_and_parallel;
-use harness::{grid, report, ExperimentId};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // `tenant_` selects exactly the two co-location experiments.
-    let run = run_serial_and_parallel(
-        "tenant_isolation",
-        &args,
-        Some("tenant_"),
-        "BENCH_tenant_isolation.json",
-    );
+use harness::cli::{run_sweep_bench, SweepBench};
+use harness::{grid, ExperimentId, FigureData};
 
-    let json = report::tenant_isolation_json(run.mode, run.config.seed, &run.serial, &run.parallel);
-    std::fs::write(&run.out_path, &json)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", run.out_path));
+const EXPERIMENTS: &[ExperimentId] = &[
+    ExperimentId::TenantIsolationMemcached,
+    ExperimentId::TenantIsolationMysql,
+];
 
-    for figure in &run.serial.figures {
-        println!("{}", report::to_markdown(figure));
-    }
-    println!(
-        "wall clock: serial {:.0} ms, {} workers {:.0} ms; report: {}",
-        run.serial.wall.as_secs_f64() * 1e3,
-        run.parallel_workers,
-        run.parallel.wall.as_secs_f64() * 1e3,
-        run.out_path,
-    );
-
-    let mut failures = Vec::new();
-    if args.iter().any(|a| a == "--trace") {
-        let trace =
-            harness::obs::emit_trace_artifacts("tenancy", run.mode == "quick", run.config.seed);
-        if let Some(token) = trace.non_finite {
-            failures.push(format!(
-                "trace timeline contains non-finite value {token:?}"
-            ));
-        }
-        println!(
-            "trace: {} spans accepted; artifacts: {}, {}",
-            trace.spans_accepted, trace.chrome_path, trace.timeline_path
-        );
-    }
-    for experiment in [
-        ExperimentId::TenantIsolationMemcached,
-        ExperimentId::TenantIsolationMysql,
-    ] {
-        for (label, pass) in [("serial", &run.serial), ("parallel", &run.parallel)] {
-            let ok = pass.figure(experiment).is_some_and(|fig| {
-                !fig.series.is_empty() && fig.series.iter().all(|s| !s.points.is_empty())
-            });
-            if !ok {
+/// The isolation guarantee: at every sweep point of every platform, the
+/// victim's p99 inflation over its solo baseline under the weighted
+/// scheduler must not exceed its inflation under unweighted FIFO sharing.
+fn isolation_gate(fig: &FigureData, failures: &mut Vec<String>) {
+    for platform in grid::platforms_of(fig, grid::TENANT_VICTIM_P99) {
+        let series = |metric: &str| {
+            fig.series_named(&format!("{platform} {metric}"))
+                .unwrap_or_else(|| panic!("{metric} series missing for {platform}"))
+        };
+        let p99 = series(grid::TENANT_VICTIM_P99);
+        let fifo = series(grid::TENANT_VICTIM_FIFO_P99);
+        let solo = series(grid::TENANT_VICTIM_SOLO_P99);
+        for i in 0..p99.points.len() {
+            let baseline = solo.points[i].mean.max(f64::MIN_POSITIVE);
+            let weighted = p99.points[i].mean / baseline;
+            let unweighted = fifo.points[i].mean / baseline;
+            if weighted > unweighted {
                 failures.push(format!(
-                    "{} missing from the {label} run",
-                    experiment.slug()
+                    "{}/{platform} at aggressor {}: weighted inflation {weighted:.3} \
+                     exceeds FIFO inflation {unweighted:.3}",
+                    fig.experiment.slug(),
+                    p99.points[i].x,
                 ));
             }
         }
-        // The isolation guarantee: at every sweep point of every platform,
-        // the victim's p99 inflation over its solo baseline under the
-        // weighted scheduler must not exceed its inflation under
-        // unweighted FIFO sharing.
-        if let Some(fig) = run.serial.figure(experiment) {
-            let platforms: Vec<String> = fig
-                .series
-                .iter()
-                .filter_map(|s| {
-                    s.label
-                        .strip_suffix(&format!(" {}", grid::TENANT_VICTIM_P99))
-                })
-                .map(str::to_string)
-                .collect();
-            for platform in &platforms {
-                let series = |metric: &str| {
-                    fig.series_named(&format!("{platform} {metric}"))
-                        .unwrap_or_else(|| panic!("{metric} series missing for {platform}"))
-                };
-                let p99 = series(grid::TENANT_VICTIM_P99);
-                let fifo = series(grid::TENANT_VICTIM_FIFO_P99);
-                let solo = series(grid::TENANT_VICTIM_SOLO_P99);
-                for i in 0..p99.points.len() {
-                    let baseline = solo.points[i].mean.max(f64::MIN_POSITIVE);
-                    let weighted = p99.points[i].mean / baseline;
-                    let unweighted = fifo.points[i].mean / baseline;
-                    if weighted > unweighted {
-                        failures.push(format!(
-                            "{}/{platform} at aggressor {}: weighted inflation {weighted:.3} \
-                             exceeds FIFO inflation {unweighted:.3}",
-                            experiment.slug(),
-                            p99.points[i].x,
-                        ));
-                    }
-                }
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let bench = SweepBench {
+        name: "tenant_isolation",
+        // `tenant_` selects exactly the two co-location experiments.
+        shard: "tenant_",
+        experiments: EXPERIMENTS,
+        schema: "isolation-bench/tenant-isolation/v1",
+        default_out: "BENCH_tenant_isolation.json",
+        trace: Some("tenancy"),
+    };
+    run_sweep_bench(&bench, &args, |run, failures| {
+        for experiment in EXPERIMENTS {
+            if let Some(fig) = run.serial.figure(*experiment) {
+                isolation_gate(fig, failures);
             }
         }
-    }
-    if run.serial.figures != run.parallel.figures {
-        failures.push(format!(
-            "serial and {}-worker figure data disagree",
-            run.parallel_workers
-        ));
-    }
-    if let Some(token) = report::find_non_finite(&json) {
-        failures.push(format!("emitted JSON contains non-finite value {token:?}"));
-    }
-    if !failures.is_empty() {
-        eprintln!("tenant_isolation: FAILED: {}", failures.join("; "));
-        std::process::exit(1);
-    }
+        Vec::new()
+    })
 }

@@ -1,10 +1,15 @@
-//! Tiny flag- and baseline-parsing helpers and the shared
-//! serial-vs-parallel bench scaffold used by the runnable surfaces (the
-//! `full_evaluation` example and the `full_grid`/`load_curves` bench
-//! runners).
+//! Tiny flag- and baseline-parsing helpers, the shared serial-vs-parallel
+//! bench scaffold ([`run_serial_and_parallel`]) behind every bench
+//! runner, and the one driver ([`run_sweep_bench`]) the five sweep bench
+//! modes (`load_curves`, `tenant_isolation`, `pipeline`, `cluster` and
+//! `cluster --failover`) run through.
+
+use std::process::ExitCode;
 
 use crate::config::RunConfig;
 use crate::executor::{Executor, RunPlan, RunReport};
+use crate::experiment::ExperimentId;
+use crate::report;
 
 /// Returns the value following the flag `name`.
 ///
@@ -125,6 +130,111 @@ pub fn run_serial_and_parallel(
     }
 }
 
+/// One sweep bench mode: the experiments it runs and the report it
+/// writes.
+#[derive(Debug)]
+pub struct SweepBench {
+    /// The mode's name in progress and failure messages.
+    pub name: &'static str,
+    /// The shard filter that selects exactly `experiments`.
+    pub shard: &'static str,
+    /// The experiments the report covers, in report order.
+    pub experiments: &'static [ExperimentId],
+    /// The report's `schema` identifier.
+    pub schema: &'static str,
+    /// The report path when `--out` is absent.
+    pub default_out: &'static str,
+    /// The [`crate::obs`] target `--trace` runs, or `None` if the mode
+    /// takes no `--trace`.
+    pub trace: Option<&'static str>,
+}
+
+/// Runs one sweep bench mode end to end: both passes
+/// ([`run_serial_and_parallel`]), then `domain`, which adds the mode's
+/// own gate failures and returns the report's extra header fields in
+/// order. It then writes the report ([`report::sweep_json`]), prints the
+/// figures and wall clocks, runs `--trace`, and gates on every
+/// experiment being present in both passes, on the two passes' figures
+/// being identical and on the report being finite. Returns failure,
+/// after naming every failed gate, if any gate failed.
+///
+/// # Panics
+///
+/// Panics on malformed flags, like [`run_serial_and_parallel`], and if
+/// the report cannot be written.
+pub fn run_sweep_bench(
+    bench: &SweepBench,
+    args: &[String],
+    domain: impl FnOnce(&BenchRun, &mut Vec<String>) -> Vec<(&'static str, String)>,
+) -> ExitCode {
+    let run = run_serial_and_parallel(bench.name, args, Some(bench.shard), bench.default_out);
+    let mut failures = Vec::new();
+    let extra = domain(&run, &mut failures);
+    let json = report::sweep_json(
+        bench.schema,
+        run.mode,
+        run.config.seed,
+        &run.serial,
+        &run.parallel,
+        bench.experiments,
+        &extra,
+    );
+    std::fs::write(&run.out_path, &json)
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", run.out_path));
+
+    for figure in &run.serial.figures {
+        println!("{}", report::to_markdown(figure));
+    }
+    println!(
+        "wall clock: serial {:.0} ms, {} workers {:.0} ms; report: {}",
+        run.serial.wall.as_secs_f64() * 1e3,
+        run.parallel_workers,
+        run.parallel.wall.as_secs_f64() * 1e3,
+        run.out_path,
+    );
+
+    if let Some(target) = bench.trace.filter(|_| args.iter().any(|a| a == "--trace")) {
+        let trace = crate::obs::emit_trace_artifacts(target, run.mode == "quick", run.config.seed);
+        if let Some(token) = trace.non_finite {
+            failures.push(format!(
+                "trace timeline contains non-finite value {token:?}"
+            ));
+        }
+        println!(
+            "trace: {} spans accepted; artifacts: {}, {}",
+            trace.spans_accepted, trace.chrome_path, trace.timeline_path
+        );
+    }
+    for experiment in bench.experiments {
+        for (label, pass) in [("serial", &run.serial), ("parallel", &run.parallel)] {
+            let ok = pass.figure(*experiment).is_some_and(|fig| {
+                !fig.series.is_empty() && fig.series.iter().all(|s| !s.points.is_empty())
+            });
+            if !ok {
+                failures.push(format!(
+                    "{} missing from the {label} run",
+                    experiment.slug()
+                ));
+            }
+        }
+    }
+    if run.serial.figures != run.parallel.figures {
+        failures.push(format!(
+            "serial and {}-worker figure data disagree",
+            run.parallel_workers
+        ));
+    }
+    if let Some(token) = report::find_non_finite(&json) {
+        failures.push(format!("emitted JSON contains non-finite value {token:?}"));
+    }
+    if failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("{}: FAILED: {}", bench.name, failures.join("; "));
+        ExitCode::FAILURE
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,5 +301,35 @@ mod tests {
             run_serial_and_parallel("test", &args(&["--trials", "1"]), Some("no-such"), "d.json");
         assert_eq!(default_out.out_path, "d.json");
         assert!(default_out.serial.figures.is_empty());
+    }
+
+    #[test]
+    fn sweep_driver_writes_the_report_and_fails_on_a_missing_experiment() {
+        let out = std::env::temp_dir().join(format!("sweep_driver_{}.json", std::process::id()));
+        let flags = ["--trials", "1", "--workers", "2", "--out"];
+        let mut flags = args(&flags);
+        flags.push(out.to_str().expect("the temp path is UTF-8").to_string());
+        let bench = SweepBench {
+            name: "test",
+            shard: "load_mysql",
+            experiments: &[ExperimentId::LoadMysql],
+            schema: "test/v1",
+            default_out: "unused.json",
+            trace: None,
+        };
+        let mode =
+            |run: &BenchRun, _: &mut Vec<String>| vec![("seen", format!("\"{}\"", run.mode))];
+        assert_eq!(run_sweep_bench(&bench, &flags, mode), ExitCode::SUCCESS);
+        let json = std::fs::read_to_string(&out).expect("the driver wrote its report");
+        assert!(json.starts_with("{\n  \"schema\": \"test/v1\",\n"));
+        assert!(json.contains("  \"identical\": true,\n  \"seen\": \"quick\",\n  \"experiments\""));
+        assert!(json.contains("\"slug\": \"load_mysql\""));
+
+        let missing = SweepBench {
+            experiments: &[ExperimentId::LoadMemcached, ExperimentId::LoadMysql],
+            ..bench
+        };
+        assert_eq!(run_sweep_bench(&missing, &flags, mode), ExitCode::FAILURE);
+        std::fs::remove_file(&out).expect("the report exists");
     }
 }

@@ -197,10 +197,12 @@ pub fn trials(experiment: ExperimentId, cfg: &RunConfig) -> usize {
 pub struct SweepPoint {
     /// X-axis label.
     pub x: String,
-    /// Numeric x value (buffer bytes, thread count).
+    /// Numeric x value (buffer bytes, thread count, load fraction, or
+    /// the setting's index in the sweep).
     pub x_value: f64,
-    /// The sampled metric at this x.
-    pub value: f64,
+    /// The sampled metrics at this x: one value for Figs. 6 and 17, one
+    /// per [`metrics`] column for the sweep families.
+    pub values: Vec<f64>,
 }
 
 /// The measurement one cell contributes to its figure.
@@ -210,8 +212,9 @@ pub enum CellOutput {
     /// contribute to one series, fio throughput and tinymembench copy
     /// bandwidth to two).
     Scalars(Vec<f64>),
-    /// One sample per x position (the Fig. 6 buffer sweep and the Fig. 17
-    /// thread sweep).
+    /// One row per x position: the Fig. 6 buffer sweep, the Fig. 17
+    /// thread sweep, and every load, tenancy, pipeline, cluster and
+    /// failover sweep.
     Sweep(Vec<SweepPoint>),
     /// One boot time in milliseconds (the CDF figures).
     Boot(f64),
@@ -222,19 +225,6 @@ pub enum CellOutput {
         /// EPSS-weighted attack-surface score.
         weighted: f64,
     },
-    /// One open-loop load sweep (one [`LoadPoint`] per offered-load
-    /// fraction) of the load-curve experiments.
-    Load(Vec<LoadPoint>),
-    /// One multi-tenant co-location sweep (one [`ColocationPoint`] per
-    /// aggressor offered-load fraction) of the tenant-isolation
-    /// experiments.
-    Tenant(Vec<ColocationPoint>),
-    /// One middleware-pipeline sweep (one [`PipelinePoint`] per
-    /// depth/hit-rate setting) of the pipeline experiments.
-    Pipeline(Vec<PipelinePoint>),
-    /// One sharded-cluster sweep (one [`ClusterPoint`] per
-    /// shard-count/skew/routing setting) of the cluster experiments.
-    Cluster(Vec<ClusterPoint>),
     /// The platform is excluded from this experiment.
     Skip,
 }
@@ -324,18 +314,27 @@ fn failover_bench(experiment: ExperimentId, cfg: &RunConfig) -> ClusterBenchmark
 }
 
 /// Runs one sweep-workload trial through the unified
-/// [`WorkloadBenchmark`] surface — the single dispatch point of the
-/// load-curve, tenancy, pipeline and cluster cells. A new sweep workload
-/// reaches the grid by implementing the trait and wrapping its points in
-/// a [`CellOutput`] variant here.
+/// [`WorkloadBenchmark`] surface and projects its points through the
+/// family's metric table into [`CellOutput::Sweep`] rows — the single
+/// dispatch point of the load-curve, tenancy, pipeline and cluster cells.
+/// A new sweep workload reaches the grid by implementing the trait and
+/// giving its point type a table here.
 fn run_sweep_trial<B: WorkloadBenchmark>(
     bench: &B,
+    table: &Table<B::Point>,
     platform: &Platform,
     rng: &mut SimRng,
-) -> Vec<B::Point> {
-    bench
+) -> CellOutput {
+    let points = bench
         .run_trial(platform, rng)
-        .expect("paper platforms derate to valid sweep configurations")
+        .expect("paper platforms derate to valid sweep configurations");
+    CellOutput::Sweep(
+        points
+            .iter()
+            .enumerate()
+            .map(|(index, point)| table.row(index, point))
+            .collect(),
+    )
 }
 
 /// Runs one cell: one trial of one platform entry of one experiment.
@@ -369,7 +368,7 @@ pub fn run_cell(
                     .map(|p| SweepPoint {
                         x: format!("2^{}", (p.buffer_bytes as f64).log2() as u32),
                         x_value: p.buffer_bytes as f64,
-                        value: p.latency_ns.mean(),
+                        values: vec![p.latency_ns.mean()],
                     })
                     .collect(),
             )
@@ -421,7 +420,7 @@ pub fn run_cell(
                     .map(|(threads, tps)| SweepPoint {
                         x: format!("{}", threads as f64),
                         x_value: threads as f64,
-                        value: tps,
+                        values: vec![tps],
                     })
                     .collect(),
             )
@@ -438,31 +437,30 @@ pub fn run_cell(
                 weighted: profile.weighted_score,
             }
         }
-        LoadMemcached | LoadMysql => CellOutput::Load(run_sweep_trial(
-            &load_bench(experiment, cfg),
-            &platform,
-            &mut rng,
-        )),
-        TenantIsolationMemcached | TenantIsolationMysql => CellOutput::Tenant(run_sweep_trial(
-            &tenant_bench(experiment, cfg),
-            &platform,
-            &mut rng,
-        )),
-        PipelineMemcached | PipelineMysql => CellOutput::Pipeline(run_sweep_trial(
+        LoadMemcached | LoadMysql => {
+            run_sweep_trial(&load_bench(experiment, cfg), &LOAD, &platform, &mut rng)
+        }
+        TenantIsolationMemcached | TenantIsolationMysql => {
+            run_sweep_trial(&tenant_bench(experiment, cfg), &TENANT, &platform, &mut rng)
+        }
+        PipelineMemcached | PipelineMysql => run_sweep_trial(
             &pipeline_bench(experiment, cfg),
+            &PIPELINE,
             &platform,
             &mut rng,
-        )),
-        ClusterMemcached | ClusterMysql => CellOutput::Cluster(run_sweep_trial(
+        ),
+        ClusterMemcached | ClusterMysql => run_sweep_trial(
             &cluster_bench(experiment, cfg),
+            &CLUSTER,
             &platform,
             &mut rng,
-        )),
-        ClusterFailoverMemcached | ClusterFailoverMysql => CellOutput::Cluster(run_sweep_trial(
+        ),
+        ClusterFailoverMemcached | ClusterFailoverMysql => run_sweep_trial(
             &failover_bench(experiment, cfg),
+            &FAILOVER,
             &platform,
             &mut rng,
-        )),
+        ),
     }
 }
 
@@ -497,20 +495,131 @@ const BOOT_PERCENTILES: [f64; 6] = [10.0, 25.0, 50.0, 75.0, 90.0, 99.0];
 pub fn merge(experiment: ExperimentId, outputs: &[Vec<CellOutput>]) -> FigureData {
     use ExperimentId::*;
     match experiment {
-        Fig06MemLatency | Fig17Mysql => merge_sweep(experiment, outputs),
+        Fig06MemLatency | Fig17Mysql => merge_sweep(experiment, outputs, &[]),
         Fig13BootContainers | Fig14BootHypervisors | Fig15BootOsv => {
             merge_boot(experiment, outputs)
         }
         Fig18Hap => merge_hap(experiment, outputs),
-        LoadMemcached | LoadMysql => merge_load(experiment, outputs),
-        TenantIsolationMemcached | TenantIsolationMysql => merge_tenant(experiment, outputs),
-        PipelineMemcached | PipelineMysql => merge_pipeline(experiment, outputs),
-        ClusterMemcached | ClusterMysql => merge_cluster(experiment, outputs),
-        ClusterFailoverMemcached | ClusterFailoverMysql => merge_failover(experiment, outputs),
         // Fig. 11 reports the maximum over the runs, everything else the mean.
         Fig11Iperf => merge_bars(experiment, outputs, true),
-        _ => merge_bars(experiment, outputs, false),
+        _ => match layout(experiment) {
+            Some(layout) => merge_sweep(experiment, outputs, &layout.metrics),
+            None => merge_bars(experiment, outputs, false),
+        },
     }
+}
+
+/// One metric column of a sweep family's table, without its reader: what
+/// the merge and the bench report need to know about it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Metric {
+    /// The series-label suffix: the figure names the column's series
+    /// `"<platform> <label>"`.
+    pub label: &'static str,
+    /// The key the bench report writes the column's mean under.
+    pub key: &'static str,
+    /// The decimal places the bench report writes.
+    pub decimals: usize,
+}
+
+/// The x axis of a sweep family's table.
+enum Axis<P: 'static> {
+    /// A load fraction read from the point: labelled to two decimals and
+    /// reported as a number under the key.
+    Fraction(&'static str, fn(&P) -> f64),
+    /// A named sweep setting read from the point: valued by its index in
+    /// the sweep and reported as a string under `"setting"`.
+    Setting(fn(&P) -> &str),
+}
+
+/// A sweep family's metric table: its x axis and its metric columns in
+/// series order. It is the only code that knows the family's metrics:
+/// the cells project through it, and the merge and the bench report read
+/// its [`Layout`].
+struct Table<P: 'static> {
+    axis: Axis<P>,
+    columns: &'static [Column<P>],
+}
+
+/// One column of a [`Table`]: its [`Metric`] and the reader that takes
+/// the column's value from a point.
+type Column<P> = (Metric, fn(&P) -> f64);
+
+const fn column<P>(
+    label: &'static str,
+    key: &'static str,
+    decimals: usize,
+    read: fn(&P) -> f64,
+) -> Column<P> {
+    (
+        Metric {
+            label,
+            key,
+            decimals,
+        },
+        read,
+    )
+}
+
+impl<P> Table<P> {
+    /// Projects the sweep's `index`-th point into its cell row.
+    fn row(&self, index: usize, point: &P) -> SweepPoint {
+        let (x, x_value) = match self.axis {
+            Axis::Fraction(_, fraction) => {
+                let fraction = fraction(point);
+                (format!("{fraction:.2}"), fraction)
+            }
+            Axis::Setting(name) => (name(point).to_string(), index as f64),
+        };
+        SweepPoint {
+            x,
+            x_value,
+            values: self.columns.iter().map(|(_, read)| read(point)).collect(),
+        }
+    }
+
+    fn layout(&self) -> Layout {
+        Layout {
+            fraction_key: match self.axis {
+                Axis::Fraction(key, _) => Some(key),
+                Axis::Setting(_) => None,
+            },
+            metrics: self.columns.iter().map(|(metric, _)| *metric).collect(),
+        }
+    }
+}
+
+/// A sweep family's table without its readers.
+#[derive(Debug)]
+pub(crate) struct Layout {
+    /// The report key of a load-fraction x axis; `None` for a named
+    /// setting, which the report writes under `"setting"`.
+    pub fraction_key: Option<&'static str>,
+    /// The metric columns, in series order.
+    pub metrics: Vec<Metric>,
+}
+
+/// The table layout of a load, tenancy, pipeline, cluster or failover
+/// experiment; `None` for the paper's figures.
+pub(crate) fn layout(experiment: ExperimentId) -> Option<Layout> {
+    use ExperimentId::*;
+    Some(match experiment {
+        LoadMemcached | LoadMysql => LOAD.layout(),
+        TenantIsolationMemcached | TenantIsolationMysql => TENANT.layout(),
+        PipelineMemcached | PipelineMysql => PIPELINE.layout(),
+        ClusterMemcached | ClusterMysql => CLUSTER.layout(),
+        ClusterFailoverMemcached | ClusterFailoverMysql => FAILOVER.layout(),
+        _ => return None,
+    })
+}
+
+/// The per-platform metric series labels of a sweep experiment's figure,
+/// in series order (empty for the paper's figures). Every series is
+/// labelled `"<platform> <metric>"`.
+pub fn metrics(experiment: ExperimentId) -> Vec<&'static str> {
+    layout(experiment)
+        .map(|layout| layout.metrics.iter().map(|metric| metric.label).collect())
+        .unwrap_or_default()
 }
 
 /// Series-label suffix of the load figures' median sojourn time.
@@ -522,75 +631,17 @@ pub const LOAD_P99: &str = "p99 (us)";
 /// Series-label suffix of the load figures' achieved throughput.
 pub const LOAD_ACHIEVED: &str = "achieved (req/s)";
 
-/// The per-platform metric series of one load-curve figure, in series
-/// order: the sojourn-time percentiles plus the achieved throughput.
-/// Every series is labelled `"<platform> <metric>"`; [`crate::findings`]
-/// and [`crate::report`] look series up through these constants.
-pub const LOAD_METRICS: [&str; 4] = [LOAD_P50, LOAD_P95, LOAD_P99, LOAD_ACHIEVED];
-
-fn load_metric(point: &LoadPoint, metric: &str) -> f64 {
-    match metric {
-        LOAD_P50 => point.p50_us,
-        LOAD_P95 => point.p95_us,
-        LOAD_P99 => point.p99_us,
-        LOAD_ACHIEVED => point.achieved_per_sec,
-        other => unreachable!("unknown load metric {other}"),
-    }
-}
-
-fn merge_load(experiment: ExperimentId, outputs: &[Vec<CellOutput>]) -> FigureData {
-    let mut fig = FigureData::new(experiment);
-    for (entry, trials) in entries(experiment).iter().zip(outputs) {
-        let sweeps: Vec<&[LoadPoint]> = trials
-            .iter()
-            .map(|output| match output {
-                CellOutput::Load(points) => points.as_slice(),
-                other => unreachable!("{experiment:?} produced {other:?}, expected a load sweep"),
-            })
-            .collect();
-        let first = sweeps.first().expect("every entry runs at least one trial");
-        for metric in LOAD_METRICS {
-            let mut series = Series::new(&format!("{} {metric}", entry.label));
-            for (xi, sample) in first.iter().enumerate() {
-                let stats: RunningStats = sweeps
-                    .iter()
-                    .map(|points| load_metric(&points[xi], metric))
-                    .collect();
-                series.points.push(DataPoint {
-                    x: format!("{:.2}", sample.offered_fraction),
-                    x_value: sample.offered_fraction,
-                    mean: stats.mean(),
-                    std_dev: stats.std_dev(),
-                });
-            }
-            fig.series.push(series);
-        }
-    }
-    fig
-}
-
-/// The per-platform metric series of one tenant-isolation figure, in
-/// series order: the victim's percentiles, throughput, drop/SLO behaviour
-/// and isolation diagnostics (solo baseline, FIFO comparison, isolation
-/// index), then the aggressor's percentiles, throughput and drop rate.
-/// Every series is labelled `"<platform> <metric>"`; [`crate::findings`]
-/// and [`crate::report`] look series up through these constants.
-pub const TENANT_METRICS: [&str; 14] = [
-    TENANT_VICTIM_P50,
-    TENANT_VICTIM_P95,
-    TENANT_VICTIM_P99,
-    TENANT_VICTIM_ACHIEVED,
-    TENANT_VICTIM_DROP_RATE,
-    TENANT_VICTIM_SLO_VIOLATION,
-    TENANT_VICTIM_SOLO_P99,
-    TENANT_VICTIM_FIFO_P99,
-    TENANT_ISOLATION_INDEX,
-    TENANT_AGGRESSOR_P50,
-    TENANT_AGGRESSOR_P95,
-    TENANT_AGGRESSOR_P99,
-    TENANT_AGGRESSOR_ACHIEVED,
-    TENANT_AGGRESSOR_DROP_RATE,
-];
+/// The load-curve table: per offered-load fraction, the sojourn-time
+/// percentiles and the achieved throughput.
+static LOAD: Table<LoadPoint> = Table {
+    axis: Axis::Fraction("fraction", |p| p.offered_fraction),
+    columns: &[
+        column(LOAD_P50, "p50_us", 3, |p| p.p50_us),
+        column(LOAD_P95, "p95_us", 3, |p| p.p95_us),
+        column(LOAD_P99, "p99_us", 3, |p| p.p99_us),
+        column(LOAD_ACHIEVED, "achieved_per_sec", 3, |p| p.achieved_per_sec),
+    ],
+};
 
 /// Victim median sojourn time under the weighted scheduler.
 pub const TENANT_VICTIM_P50: &str = "victim p50 (us)";
@@ -621,19 +672,57 @@ pub const TENANT_AGGRESSOR_ACHIEVED: &str = "aggressor achieved (req/s)";
 /// Aggressor drop rate (dropped / issued) under the weighted scheduler.
 pub const TENANT_AGGRESSOR_DROP_RATE: &str = "aggressor drop rate";
 
-/// The per-platform metric series of one middleware-pipeline figure, in
-/// series order: sojourn percentiles, the per-request middleware tax,
-/// and the short-circuit / cache-hit / drop fractions. Every series is
-/// labelled `"<platform> <metric>"`; [`crate::findings`] and
-/// [`crate::report`] look series up through these constants.
-pub const PIPELINE_METRICS: [&str; 6] = [
-    PIPELINE_P50,
-    PIPELINE_P99,
-    PIPELINE_STAGE_TAX,
-    PIPELINE_SHORT_CIRCUIT,
-    PIPELINE_CACHE_HIT,
-    PIPELINE_DROP_RATE,
-];
+/// The tenant-isolation table: per aggressor offered-load fraction, the
+/// victim's percentiles, throughput, drop/SLO behaviour and isolation
+/// diagnostics (solo baseline, FIFO comparison, isolation index), then
+/// the aggressor's percentiles, throughput and drop rate.
+static TENANT: Table<ColocationPoint> = Table {
+    axis: Axis::Fraction("aggressor_fraction", |p| p.aggressor_fraction),
+    columns: &[
+        column(TENANT_VICTIM_P50, "victim_p50_us", 3, |p| p.victim.p50_us),
+        column(TENANT_VICTIM_P95, "victim_p95_us", 3, |p| p.victim.p95_us),
+        column(TENANT_VICTIM_P99, "victim_p99_us", 3, |p| p.victim.p99_us),
+        column(TENANT_VICTIM_ACHIEVED, "victim_achieved_per_sec", 3, |p| {
+            p.victim.achieved_per_sec
+        }),
+        column(TENANT_VICTIM_DROP_RATE, "victim_drop_rate", 6, |p| {
+            p.victim.drop_rate
+        }),
+        column(
+            TENANT_VICTIM_SLO_VIOLATION,
+            "victim_slo_violation",
+            6,
+            |p| p.victim.slo_violation,
+        ),
+        column(TENANT_VICTIM_SOLO_P99, "victim_solo_p99_us", 3, |p| {
+            p.victim_solo_p99_us
+        }),
+        column(TENANT_VICTIM_FIFO_P99, "victim_fifo_p99_us", 3, |p| {
+            p.victim_fifo_p99_us
+        }),
+        column(TENANT_ISOLATION_INDEX, "isolation_index", 4, |p| {
+            p.isolation_index
+        }),
+        column(TENANT_AGGRESSOR_P50, "aggressor_p50_us", 3, |p| {
+            p.aggressor.p50_us
+        }),
+        column(TENANT_AGGRESSOR_P95, "aggressor_p95_us", 3, |p| {
+            p.aggressor.p95_us
+        }),
+        column(TENANT_AGGRESSOR_P99, "aggressor_p99_us", 3, |p| {
+            p.aggressor.p99_us
+        }),
+        column(
+            TENANT_AGGRESSOR_ACHIEVED,
+            "aggressor_achieved_per_sec",
+            3,
+            |p| p.aggressor.achieved_per_sec,
+        ),
+        column(TENANT_AGGRESSOR_DROP_RATE, "aggressor_drop_rate", 6, |p| {
+            p.aggressor.drop_rate
+        }),
+    ],
+};
 
 /// Pipeline median sojourn time (queueing + chain + backend).
 pub const PIPELINE_P50: &str = "p50 (us)";
@@ -649,65 +738,24 @@ pub const PIPELINE_CACHE_HIT: &str = "cache hit fraction";
 /// Dropped fraction of all issued requests.
 pub const PIPELINE_DROP_RATE: &str = "drop fraction";
 
-fn pipeline_metric(point: &PipelinePoint, metric: &str) -> f64 {
-    match metric {
-        PIPELINE_P50 => point.p50_us,
-        PIPELINE_P99 => point.p99_us,
-        PIPELINE_STAGE_TAX => point.stage_tax_us,
-        PIPELINE_SHORT_CIRCUIT => point.short_circuit_fraction,
-        PIPELINE_CACHE_HIT => point.cache_hit_fraction,
-        PIPELINE_DROP_RATE => point.drop_fraction,
-        other => unreachable!("unknown pipeline metric {other}"),
-    }
-}
-
-fn merge_pipeline(experiment: ExperimentId, outputs: &[Vec<CellOutput>]) -> FigureData {
-    let mut fig = FigureData::new(experiment);
-    for (entry, trials) in entries(experiment).iter().zip(outputs) {
-        let sweeps: Vec<&[PipelinePoint]> = trials
-            .iter()
-            .map(|output| match output {
-                CellOutput::Pipeline(points) => points.as_slice(),
-                other => {
-                    unreachable!("{experiment:?} produced {other:?}, expected a pipeline sweep")
-                }
-            })
-            .collect();
-        let first = sweeps.first().expect("every entry runs at least one trial");
-        for metric in PIPELINE_METRICS {
-            let mut series = Series::new(&format!("{} {metric}", entry.label));
-            for (xi, sample) in first.iter().enumerate() {
-                let stats: RunningStats = sweeps
-                    .iter()
-                    .map(|points| pipeline_metric(&points[xi], metric))
-                    .collect();
-                series.points.push(DataPoint {
-                    x: sample.label.clone(),
-                    x_value: xi as f64,
-                    mean: stats.mean(),
-                    std_dev: stats.std_dev(),
-                });
-            }
-            fig.series.push(series);
-        }
-    }
-    fig
-}
-
-/// The per-platform metric series of one sharded-cluster figure, in
-/// series order: cluster-wide sojourn percentiles, the hottest shard's
-/// tail, the steady-phase load imbalance, and the achieved/drop
-/// behaviour. Every series is labelled `"<platform> <metric>"`;
-/// [`crate::findings`] and [`crate::report`] look series up through
-/// these constants.
-pub const CLUSTER_METRICS: [&str; 6] = [
-    CLUSTER_P50,
-    CLUSTER_P99,
-    CLUSTER_HOT_P99,
-    CLUSTER_IMBALANCE,
-    CLUSTER_ACHIEVED,
-    CLUSTER_DROP_RATE,
-];
+/// The middleware-pipeline table: per depth/hit-rate setting, the
+/// sojourn percentiles, the per-request middleware tax, and the
+/// short-circuit / cache-hit / drop fractions.
+static PIPELINE: Table<PipelinePoint> = Table {
+    axis: Axis::Setting(|p| &p.label),
+    columns: &[
+        column(PIPELINE_P50, "p50_us", 3, |p| p.p50_us),
+        column(PIPELINE_P99, "p99_us", 3, |p| p.p99_us),
+        column(PIPELINE_STAGE_TAX, "stage_tax_us", 3, |p| p.stage_tax_us),
+        column(PIPELINE_SHORT_CIRCUIT, "short_circuit_fraction", 6, |p| {
+            p.short_circuit_fraction
+        }),
+        column(PIPELINE_CACHE_HIT, "cache_hit_fraction", 6, |p| {
+            p.cache_hit_fraction
+        }),
+        column(PIPELINE_DROP_RATE, "drop_fraction", 6, |p| p.drop_fraction),
+    ],
+};
 
 /// Cluster-wide median sojourn time across all shards.
 pub const CLUSTER_P50: &str = "p50 (us)";
@@ -723,35 +771,22 @@ pub const CLUSTER_ACHIEVED: &str = "achieved (req/s)";
 /// Dropped fraction of all issued requests.
 pub const CLUSTER_DROP_RATE: &str = "drop fraction";
 
-fn cluster_metric(point: &ClusterPoint, metric: &str) -> f64 {
-    match metric {
-        CLUSTER_P50 => point.p50_us,
-        CLUSTER_P99 => point.p99_us,
-        CLUSTER_HOT_P99 => point.hot_p99_us,
-        CLUSTER_IMBALANCE => point.imbalance,
-        CLUSTER_ACHIEVED => point.achieved_per_sec,
-        CLUSTER_DROP_RATE => point.drop_fraction,
-        other => unreachable!("unknown cluster metric {other}"),
-    }
-}
-
-/// The per-platform metric series of one replication/failover figure, in
-/// series order: cluster-wide sojourn percentiles, the scatter-gather
-/// tail, the drop behaviour, the sloppy-quorum hand-off count and the
-/// failure-phase drop rates. Every series is labelled
-/// `"<platform> <metric>"`; [`crate::findings`] and [`crate::report`]
-/// look series up through these constants.
-pub const FAILOVER_METRICS: [&str; 9] = [
-    CLUSTER_P50,
-    CLUSTER_P99,
-    FAILOVER_SCATTER_P99,
-    CLUSTER_DROP_RATE,
-    FAILOVER_HANDOFFS,
-    FAILOVER_FAIL_AT,
-    FAILOVER_PRE_DROP,
-    FAILOVER_WINDOW_DROP,
-    FAILOVER_POST_DROP,
-];
+/// The sharded-cluster table: per shard-count/skew/routing setting, the
+/// cluster-wide sojourn percentiles, the hottest shard's tail, the
+/// steady-phase load imbalance, and the achieved/drop behaviour.
+static CLUSTER: Table<ClusterPoint> = Table {
+    axis: Axis::Setting(|p| &p.label),
+    columns: &[
+        column(CLUSTER_P50, "p50_us", 3, |p| p.p50_us),
+        column(CLUSTER_P99, "p99_us", 3, |p| p.p99_us),
+        column(CLUSTER_HOT_P99, "hot_shard_p99_us", 3, |p| p.hot_p99_us),
+        column(CLUSTER_IMBALANCE, "imbalance", 4, |p| p.imbalance),
+        column(CLUSTER_ACHIEVED, "achieved_per_sec", 3, |p| {
+            p.achieved_per_sec
+        }),
+        column(CLUSTER_DROP_RATE, "drop_fraction", 6, |p| p.drop_fraction),
+    ],
+};
 
 /// 99th-percentile sojourn of the scatter-gather class (max over its K
 /// partial queries).
@@ -768,74 +803,42 @@ pub const FAILOVER_WINDOW_DROP: &str = "fail-window drop rate";
 /// Drop rate over requests resolved after the recovery instant.
 pub const FAILOVER_POST_DROP: &str = "post-recover drop rate";
 
-fn failover_metric(point: &ClusterPoint, metric: &str) -> f64 {
-    match metric {
-        CLUSTER_P50 => point.p50_us,
-        CLUSTER_P99 => point.p99_us,
-        FAILOVER_SCATTER_P99 => point.scatter_p99_us,
-        CLUSTER_DROP_RATE => point.drop_fraction,
-        FAILOVER_HANDOFFS => point.failover_handoffs as f64,
-        FAILOVER_FAIL_AT => point.fail_at_us,
-        FAILOVER_PRE_DROP => point.pre_fail_drop_rate,
-        FAILOVER_WINDOW_DROP => point.fail_window_drop_rate,
-        FAILOVER_POST_DROP => point.post_recover_drop_rate,
-        other => unreachable!("unknown failover metric {other}"),
-    }
-}
-
-fn merge_cluster(experiment: ExperimentId, outputs: &[Vec<CellOutput>]) -> FigureData {
-    merge_cluster_family(experiment, outputs, &CLUSTER_METRICS, cluster_metric)
-}
-
-fn merge_failover(experiment: ExperimentId, outputs: &[Vec<CellOutput>]) -> FigureData {
-    merge_cluster_family(experiment, outputs, &FAILOVER_METRICS, failover_metric)
-}
-
-fn merge_cluster_family(
-    experiment: ExperimentId,
-    outputs: &[Vec<CellOutput>],
-    metrics: &[&str],
-    metric_of: fn(&ClusterPoint, &str) -> f64,
-) -> FigureData {
-    let mut fig = FigureData::new(experiment);
-    for (entry, trials) in entries(experiment).iter().zip(outputs) {
-        let sweeps: Vec<&[ClusterPoint]> = trials
-            .iter()
-            .map(|output| match output {
-                CellOutput::Cluster(points) => points.as_slice(),
-                other => {
-                    unreachable!("{experiment:?} produced {other:?}, expected a cluster sweep")
-                }
-            })
-            .collect();
-        let first = sweeps.first().expect("every entry runs at least one trial");
-        for metric in metrics {
-            let mut series = Series::new(&format!("{} {metric}", entry.label));
-            for (xi, sample) in first.iter().enumerate() {
-                let stats: RunningStats = sweeps
-                    .iter()
-                    .map(|points| metric_of(&points[xi], metric))
-                    .collect();
-                series.points.push(DataPoint {
-                    x: sample.label.clone(),
-                    x_value: xi as f64,
-                    mean: stats.mean(),
-                    std_dev: stats.std_dev(),
-                });
-            }
-            fig.series.push(series);
-        }
-    }
-    fig
-}
+/// The replication/failover table: per quorum/fan-out/fault setting, the
+/// cluster-wide sojourn percentiles, the scatter-gather tail, the drop
+/// behaviour, the sloppy-quorum hand-off count and the failure-phase
+/// drop rates.
+static FAILOVER: Table<ClusterPoint> = Table {
+    axis: Axis::Setting(|p| &p.label),
+    columns: &[
+        column(CLUSTER_P50, "p50_us", 3, |p| p.p50_us),
+        column(CLUSTER_P99, "p99_us", 3, |p| p.p99_us),
+        column(FAILOVER_SCATTER_P99, "scatter_p99_us", 3, |p| {
+            p.scatter_p99_us
+        }),
+        column(CLUSTER_DROP_RATE, "drop_fraction", 6, |p| p.drop_fraction),
+        column(FAILOVER_HANDOFFS, "handoffs", 3, |p| {
+            p.failover_handoffs as f64
+        }),
+        column(FAILOVER_FAIL_AT, "fail_at_us", 3, |p| p.fail_at_us),
+        column(FAILOVER_PRE_DROP, "pre_fail_drop_rate", 6, |p| {
+            p.pre_fail_drop_rate
+        }),
+        column(FAILOVER_WINDOW_DROP, "fail_window_drop_rate", 6, |p| {
+            p.fail_window_drop_rate
+        }),
+        column(FAILOVER_POST_DROP, "post_recover_drop_rate", 6, |p| {
+            p.post_recover_drop_rate
+        }),
+    ],
+};
 
 /// The platform labels of a merged per-metric sweep figure (load,
-/// tenancy, pipeline or cluster), recovered in canonical entry order by
-/// stripping one of the figure's metric suffixes (e.g. [`LOAD_P50`],
-/// [`TENANT_VICTIM_P99`], [`PIPELINE_STAGE_TAX`], [`CLUSTER_P99`]) from
-/// its `"<platform> <metric>"` series labels. Any metric the figure
-/// carries recovers the same list; callers conventionally pass the
-/// figure family's first headline metric.
+/// tenancy, pipeline, cluster or failover), recovered in canonical entry
+/// order by stripping one of the figure's [`metrics`] (e.g.
+/// [`LOAD_P50`], [`TENANT_VICTIM_P99`], [`PIPELINE_STAGE_TAX`],
+/// [`CLUSTER_HOT_P99`]) from its `"<platform> <metric>"` series labels.
+/// Any metric the figure carries recovers the same list; the bench
+/// report passes the table's first column.
 pub fn platforms_of(fig: &FigureData, metric: &str) -> Vec<String> {
     let suffix = format!(" {metric}");
     fig.series
@@ -843,59 +846,6 @@ pub fn platforms_of(fig: &FigureData, metric: &str) -> Vec<String> {
         .filter_map(|s| s.label.strip_suffix(suffix.as_str()))
         .map(str::to_string)
         .collect()
-}
-
-fn tenant_metric(point: &ColocationPoint, metric: &str) -> f64 {
-    match metric {
-        TENANT_VICTIM_P50 => point.victim.p50_us,
-        TENANT_VICTIM_P95 => point.victim.p95_us,
-        TENANT_VICTIM_P99 => point.victim.p99_us,
-        TENANT_VICTIM_ACHIEVED => point.victim.achieved_per_sec,
-        TENANT_VICTIM_DROP_RATE => point.victim.drop_rate,
-        TENANT_VICTIM_SLO_VIOLATION => point.victim.slo_violation,
-        TENANT_VICTIM_SOLO_P99 => point.victim_solo_p99_us,
-        TENANT_VICTIM_FIFO_P99 => point.victim_fifo_p99_us,
-        TENANT_ISOLATION_INDEX => point.isolation_index,
-        TENANT_AGGRESSOR_P50 => point.aggressor.p50_us,
-        TENANT_AGGRESSOR_P95 => point.aggressor.p95_us,
-        TENANT_AGGRESSOR_P99 => point.aggressor.p99_us,
-        TENANT_AGGRESSOR_ACHIEVED => point.aggressor.achieved_per_sec,
-        TENANT_AGGRESSOR_DROP_RATE => point.aggressor.drop_rate,
-        other => unreachable!("unknown tenant metric {other}"),
-    }
-}
-
-fn merge_tenant(experiment: ExperimentId, outputs: &[Vec<CellOutput>]) -> FigureData {
-    let mut fig = FigureData::new(experiment);
-    for (entry, trials) in entries(experiment).iter().zip(outputs) {
-        let sweeps: Vec<&[ColocationPoint]> = trials
-            .iter()
-            .map(|output| match output {
-                CellOutput::Tenant(points) => points.as_slice(),
-                other => {
-                    unreachable!("{experiment:?} produced {other:?}, expected a tenant sweep")
-                }
-            })
-            .collect();
-        let first = sweeps.first().expect("every entry runs at least one trial");
-        for metric in TENANT_METRICS {
-            let mut series = Series::new(&format!("{} {metric}", entry.label));
-            for (xi, sample) in first.iter().enumerate() {
-                let stats: RunningStats = sweeps
-                    .iter()
-                    .map(|points| tenant_metric(&points[xi], metric))
-                    .collect();
-                series.points.push(DataPoint {
-                    x: format!("{:.2}", sample.aggressor_fraction),
-                    x_value: sample.aggressor_fraction,
-                    mean: stats.mean(),
-                    std_dev: stats.std_dev(),
-                });
-            }
-            fig.series.push(series);
-        }
-    }
-    fig
 }
 
 fn merge_bars(
@@ -939,30 +889,50 @@ fn merge_bars(
     fig
 }
 
-fn merge_sweep(experiment: ExperimentId, outputs: &[Vec<CellOutput>]) -> FigureData {
+/// Merges a sweep experiment's rows: one series per entry and metric
+/// column, labelled `"<platform> <metric>"`, or one per entry, labelled
+/// by the entry alone, for the single-valued Figs. 6 and 17 (no
+/// `metrics`). Each point is the mean and spread of its column over the
+/// trials, at the first trial's x.
+fn merge_sweep(
+    experiment: ExperimentId,
+    outputs: &[Vec<CellOutput>],
+    metrics: &[Metric],
+) -> FigureData {
     let mut fig = FigureData::new(experiment);
     for (entry, trials) in entries(experiment).iter().zip(outputs) {
-        let mut series = Series::new(entry.label);
-        let first = match trials.first() {
-            Some(CellOutput::Sweep(points)) => points,
-            other => unreachable!("{experiment:?} produced {other:?}, expected a sweep"),
+        let sweeps: Vec<&[SweepPoint]> = trials
+            .iter()
+            .map(|output| match output {
+                CellOutput::Sweep(points) => points.as_slice(),
+                other => unreachable!("{experiment:?} produced {other:?}, expected a sweep"),
+            })
+            .collect();
+        let first = sweeps.first().expect("every entry runs at least one trial");
+        let labels: Vec<String> = if metrics.is_empty() {
+            vec![entry.label.to_string()]
+        } else {
+            metrics
+                .iter()
+                .map(|metric| format!("{} {}", entry.label, metric.label))
+                .collect()
         };
-        for (xi, sp) in first.iter().enumerate() {
-            let mut stats = RunningStats::new();
-            for output in trials {
-                match output {
-                    CellOutput::Sweep(points) => stats.record(points[xi].value),
-                    other => unreachable!("{experiment:?} produced {other:?}, expected a sweep"),
-                }
+        for (column, label) in labels.iter().enumerate() {
+            let mut series = Series::new(label);
+            for (xi, sample) in first.iter().enumerate() {
+                let stats: RunningStats = sweeps
+                    .iter()
+                    .map(|points| points[xi].values[column])
+                    .collect();
+                series.points.push(DataPoint {
+                    x: sample.x.clone(),
+                    x_value: sample.x_value,
+                    mean: stats.mean(),
+                    std_dev: stats.std_dev(),
+                });
             }
-            series.points.push(DataPoint {
-                x: sp.x.clone(),
-                x_value: sp.x_value,
-                mean: stats.mean(),
-                std_dev: stats.std_dev(),
-            });
+            fig.series.push(series);
         }
-        fig.series.push(series);
     }
     fig
 }
@@ -1081,185 +1051,59 @@ mod tests {
     }
 
     #[test]
-    fn load_cells_produce_full_sweeps_and_merge_per_metric_series() {
-        let experiment = ExperimentId::LoadMemcached;
-        let grid_entries = entries(experiment);
-        let outputs: Vec<Vec<CellOutput>> = grid_entries
+    fn sweep_cells_merge_one_series_per_platform_and_metric() {
+        let sweeps: Vec<ExperimentId> = ExperimentId::all()
             .iter()
-            .map(|entry| vec![run_cell(experiment, entry, 0, &cfg())])
+            .copied()
+            .filter(|experiment| layout(*experiment).is_some())
             .collect();
-        let sweep_len = match &outputs[0][0] {
-            CellOutput::Load(points) => {
-                assert!(points.len() >= 5, "load sweep needs >= 5 offered points");
-                points.len()
+        assert!(!sweeps.is_empty());
+        for experiment in sweeps {
+            let grid_entries = entries(experiment);
+            assert!(grid_entries.len() >= 3, "{experiment:?}");
+            let entry = &grid_entries[0];
+            let outputs = [vec![run_cell(experiment, entry, 0, &cfg())]];
+            let metrics = metrics(experiment);
+            let rows = match &outputs[0][0] {
+                CellOutput::Sweep(rows) => rows.len(),
+                other => panic!("{experiment:?} produced {other:?}, expected a sweep"),
+            };
+            assert!(rows >= 5, "{experiment:?} sweeps only {rows} points");
+            let fig = merge(experiment, &outputs);
+            assert_eq!(fig.series.len(), metrics.len(), "{experiment:?}");
+            for metric in &metrics {
+                let series = fig
+                    .series_named(&format!("{} {metric}", entry.label))
+                    .unwrap_or_else(|| panic!("{experiment:?} lacks {} {metric}", entry.label));
+                assert_eq!(series.points.len(), rows);
             }
-            other => panic!("expected a load sweep, got {other:?}"),
-        };
-        let fig = merge(experiment, &outputs);
-        assert_eq!(fig.series.len(), grid_entries.len() * LOAD_METRICS.len());
-        for series in &fig.series {
-            assert_eq!(series.points.len(), sweep_len);
-        }
-        for entry in &grid_entries {
-            for metric in LOAD_METRICS {
-                assert!(
-                    fig.series_named(&format!("{} {metric}", entry.label))
-                        .is_some(),
-                    "missing series for {} {metric}",
-                    entry.label
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn tenant_cells_produce_full_sweeps_and_merge_per_metric_series() {
-        let experiment = ExperimentId::TenantIsolationMemcached;
-        let grid_entries = entries(experiment);
-        assert!(grid_entries.len() >= 3);
-        let entry = &grid_entries[0];
-        let outputs = [vec![run_cell(experiment, entry, 0, &cfg())]];
-        let sweep_len = match &outputs[0][0] {
-            CellOutput::Tenant(points) => {
-                assert!(
-                    points.len() >= 5,
-                    "tenant sweep needs >= 5 aggressor points"
-                );
-                assert!(
-                    points.last().unwrap().aggressor_fraction > 1.0,
-                    "the aggressor sweep must reach overload"
-                );
-                points.len()
-            }
-            other => panic!("expected a tenant sweep, got {other:?}"),
-        };
-        let fig = merge(experiment, &outputs[..1]);
-        assert_eq!(fig.series.len(), TENANT_METRICS.len());
-        for metric in TENANT_METRICS {
-            let series = fig
-                .series_named(&format!("{} {metric}", entry.label))
-                .unwrap_or_else(|| panic!("missing series for {} {metric}", entry.label));
-            assert_eq!(series.points.len(), sweep_len);
+            assert_eq!(
+                platforms_of(&fig, metrics[0]),
+                vec![entry.label.to_string()]
+            );
         }
     }
 
     #[test]
-    fn pipeline_cells_produce_full_sweeps_and_merge_per_metric_series() {
-        let experiment = ExperimentId::PipelineMemcached;
-        let grid_entries = entries(experiment);
-        assert!(grid_entries.len() >= 3);
-        let entry = &grid_entries[0];
-        let outputs = [vec![run_cell(experiment, entry, 0, &cfg())]];
-        let sweep_len = match &outputs[0][0] {
-            CellOutput::Pipeline(points) => {
-                assert!(
-                    points.len() >= 8,
-                    "pipeline sweep needs the depth and hit-rate axes"
-                );
-                assert!(
-                    points.iter().any(|p| p.depth == 8),
-                    "the depth sweep must reach 8 stages"
-                );
-                assert!(
-                    points.iter().any(|p| p.planned_hit_rate > p.hit_rate + 0.5),
-                    "the sweep must include the cache-miss-storm point"
-                );
-                points.len()
-            }
-            other => panic!("expected a pipeline sweep, got {other:?}"),
-        };
-        let fig = merge(experiment, &outputs[..1]);
-        assert_eq!(fig.series.len(), PIPELINE_METRICS.len());
-        for metric in PIPELINE_METRICS {
-            let series = fig
-                .series_named(&format!("{} {metric}", entry.label))
-                .unwrap_or_else(|| panic!("missing series for {} {metric}", entry.label));
-            assert_eq!(series.points.len(), sweep_len);
+    fn sweep_benchmarks_reach_their_stress_points() {
+        fn trial<B: WorkloadBenchmark>(bench: B) -> Vec<B::Point> {
+            bench.run_point(7, &PlatformId::Native.build()).unwrap()
         }
-        assert_eq!(
-            platforms_of(&fig, PIPELINE_STAGE_TAX),
-            vec![entry.label.to_string()]
-        );
-    }
-
-    #[test]
-    fn cluster_cells_produce_full_sweeps_and_merge_per_metric_series() {
-        let experiment = ExperimentId::ClusterMemcached;
-        let grid_entries = entries(experiment);
-        assert!(grid_entries.len() >= 3);
-        let entry = &grid_entries[0];
-        let outputs = [vec![run_cell(experiment, entry, 0, &cfg())]];
-        let sweep_len = match &outputs[0][0] {
-            CellOutput::Cluster(points) => {
-                assert!(
-                    points.len() >= 8,
-                    "cluster sweep needs the shard-count and skew axes"
-                );
-                assert!(
-                    points.iter().any(|p| p.shards == 256),
-                    "the shard sweep must reach 256 shards"
-                );
-                assert!(
-                    points.iter().any(|p| p.rebalanced),
-                    "the sweep must include the resharding point"
-                );
-                points.len()
-            }
-            other => panic!("expected a cluster sweep, got {other:?}"),
-        };
-        let fig = merge(experiment, &outputs[..1]);
-        assert_eq!(fig.series.len(), CLUSTER_METRICS.len());
-        for metric in CLUSTER_METRICS {
-            let series = fig
-                .series_named(&format!("{} {metric}", entry.label))
-                .unwrap_or_else(|| panic!("missing series for {} {metric}", entry.label));
-            assert_eq!(series.points.len(), sweep_len);
-        }
-        assert_eq!(
-            platforms_of(&fig, CLUSTER_HOT_P99),
-            vec![entry.label.to_string()]
-        );
-    }
-
-    #[test]
-    fn failover_cells_produce_full_sweeps_and_merge_per_metric_series() {
-        let experiment = ExperimentId::ClusterFailoverMemcached;
-        let grid_entries = entries(experiment);
-        assert!(grid_entries.len() >= 3);
-        let entry = &grid_entries[0];
-        let outputs = [vec![run_cell(experiment, entry, 0, &cfg())]];
-        let sweep_len = match &outputs[0][0] {
-            CellOutput::Cluster(points) => {
-                assert!(
-                    points.iter().any(|p| p.replicas == 3),
-                    "the sweep must reach R=3 replication"
-                );
-                assert!(
-                    points.iter().any(|p| p.fanout == 16),
-                    "the scatter axis must reach K=16"
-                );
-                assert!(
-                    points
-                        .iter()
-                        .any(|p| p.failed_shard >= 0 && p.recover_at_us > 0.0),
-                    "the sweep must include a kill-then-recover point"
-                );
-                points.len()
-            }
-            other => panic!("expected a cluster sweep, got {other:?}"),
-        };
-        let fig = merge(experiment, &outputs[..1]);
-        assert_eq!(fig.series.len(), FAILOVER_METRICS.len());
-        for metric in FAILOVER_METRICS {
-            let series = fig
-                .series_named(&format!("{} {metric}", entry.label))
-                .unwrap_or_else(|| panic!("missing series for {} {metric}", entry.label));
-            assert_eq!(series.points.len(), sweep_len);
-        }
-        assert_eq!(
-            platforms_of(&fig, FAILOVER_SCATTER_P99),
-            vec![entry.label.to_string()]
-        );
+        use ExperimentId::*;
+        let tenant = trial(tenant_bench(TenantIsolationMemcached, &cfg()));
+        assert!(tenant.last().unwrap().aggressor_fraction > 1.0, "overload");
+        let pipeline = trial(pipeline_bench(PipelineMemcached, &cfg()));
+        assert!(pipeline.iter().any(|p| p.depth == 8), "8 stages");
+        let storm = |p: &PipelinePoint| p.planned_hit_rate > p.hit_rate + 0.5;
+        assert!(pipeline.iter().any(storm), "cache-miss storm");
+        let cluster = trial(cluster_bench(ClusterMemcached, &cfg()));
+        assert!(cluster.iter().any(|p| p.shards == 256), "256 shards");
+        assert!(cluster.iter().any(|p| p.rebalanced), "resharding");
+        let failover = trial(failover_bench(ClusterFailoverMemcached, &cfg()));
+        assert!(failover.iter().any(|p| p.replicas == 3), "R=3");
+        assert!(failover.iter().any(|p| p.fanout == 16), "K=16");
+        let recovers = |p: &ClusterPoint| p.failed_shard >= 0 && p.recover_at_us > 0.0;
+        assert!(failover.iter().any(recovers), "kill then recover");
     }
 
     #[test]

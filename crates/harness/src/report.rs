@@ -1,11 +1,13 @@
 //! Rendering figure data as markdown tables and CSV, plus the executor's
-//! wall-clock summary table and the machine-readable full-grid bench
-//! report (`BENCH_full_grid.json`).
+//! wall-clock summary table and the machine-readable bench reports: the
+//! full-grid report ([`full_grid_json`]) and one emitter for all five
+//! sweep reports ([`sweep_json`]), which lays each experiment out by its
+//! metric table in [`crate::grid`].
 
 use std::fmt::Write as _;
 
 use crate::executor::RunReport;
-use crate::experiment::FigureData;
+use crate::experiment::{ExperimentId, FigureData, Series};
 
 /// Renders a figure as a GitHub-flavoured markdown table (one row per x
 /// value, one mean/std column pair per series).
@@ -150,7 +152,7 @@ pub fn full_grid_json(mode: &str, seed: u64, serial: &RunReport, parallel: &RunR
     let _ = writeln!(
         out,
         "  \"experiment_count\": {},",
-        crate::experiment::ExperimentId::all().len()
+        ExperimentId::all().len()
     );
     let _ = writeln!(out, "  \"experiments\": [");
     for (i, timing) in serial.timings.iter().enumerate() {
@@ -252,183 +254,52 @@ pub fn hockey_stick(fig: &FigureData) -> FigureData {
     out
 }
 
-/// The figure-level payload of one load-curve experiment: per-platform
-/// offered-load sweeps with percentile latencies and achieved throughput,
-/// reconstructed from the merged figure series.
-fn load_experiment_json(out: &mut String, fig: &FigureData) {
-    let _ = writeln!(out, "    {{");
-    let _ = writeln!(out, "      \"slug\": \"{}\",", fig.experiment.slug());
-    let platforms = crate::grid::platforms_of(fig, crate::grid::LOAD_P50);
-    let _ = writeln!(out, "      \"platforms\": [");
-    for (pi, platform) in platforms.iter().enumerate() {
-        let series = |metric: &str| fig.series_named(&format!("{platform} {metric}"));
-        let _ = writeln!(out, "        {{");
-        let _ = writeln!(out, "          \"label\": \"{}\",", json_escape(platform));
-        let _ = writeln!(out, "          \"points\": [");
-        let p50 = series(crate::grid::LOAD_P50).expect("p50 series exists by construction");
-        for (i, point) in p50.points.iter().enumerate() {
-            // Panic (rather than emit a plausible 0.0) on a missing series
-            // or point: a malformed figure must fail the bench run loudly.
-            let metric_mean = |metric: &str| {
-                series(metric)
-                    .unwrap_or_else(|| panic!("{} series missing for {platform}", metric))
-                    .points[i]
-                    .mean
-            };
-            let _ = write!(
-                out,
-                "            {{\"fraction\": {:.2}, \"p50_us\": {:.3}, \"p95_us\": {:.3}, \"p99_us\": {:.3}, \"achieved_per_sec\": {:.3}}}",
-                point.x_value,
-                point.mean,
-                metric_mean(crate::grid::LOAD_P95),
-                metric_mean(crate::grid::LOAD_P99),
-                metric_mean(crate::grid::LOAD_ACHIEVED),
-            );
-            let _ = writeln!(out, "{}", if i + 1 < p50.points.len() { "," } else { "" });
-        }
-        let _ = writeln!(out, "          ]");
-        let _ = write!(out, "        }}");
-        let _ = writeln!(out, "{}", if pi + 1 < platforms.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "      ]");
-    let _ = write!(out, "    }}");
-}
-
-/// Renders the machine-readable load-curve bench report
-/// (`BENCH_load_curves.json`): the open-loop throughput-vs-latency sweeps
-/// of both backends, from a serial (1-worker) and an N-worker run of the
-/// same plan, plus whether the two produced identical figure data.
-pub fn load_curves_json(mode: &str, seed: u64, serial: &RunReport, parallel: &RunReport) -> String {
-    let load_figs = |report: &RunReport| {
-        [
-            crate::experiment::ExperimentId::LoadMemcached,
-            crate::experiment::ExperimentId::LoadMysql,
-        ]
-        .iter()
-        .filter_map(|e| report.figure(*e).cloned())
-        .collect::<Vec<_>>()
-    };
-    let serial_figs = load_figs(serial);
-    let parallel_figs = load_figs(parallel);
-    let identical = serial_figs == parallel_figs;
-
-    let mut out = json_report_header(
-        "isolation-bench/load-curves/v1",
-        mode,
-        seed,
-        serial,
-        parallel,
-    );
-    let _ = writeln!(out, "  \"identical\": {identical},");
-    let _ = writeln!(out, "  \"experiments\": [");
-    for (i, fig) in serial_figs.iter().enumerate() {
-        load_experiment_json(&mut out, fig);
-        let _ = writeln!(out, "{}", if i + 1 < serial_figs.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
-}
-
-/// The figure-level payload of one tenant-isolation experiment:
-/// per-platform aggressor sweeps with the victim's and aggressor's
-/// percentile/SLO/drop series plus the isolation diagnostics,
-/// reconstructed from the merged figure series.
-fn tenant_experiment_json(out: &mut String, fig: &FigureData) {
-    let _ = writeln!(out, "    {{");
-    let _ = writeln!(out, "      \"slug\": \"{}\",", fig.experiment.slug());
-    let platforms = crate::grid::platforms_of(fig, crate::grid::TENANT_VICTIM_P99);
-    let _ = writeln!(out, "      \"platforms\": [");
-    for (pi, platform) in platforms.iter().enumerate() {
-        let series = |metric: &str| fig.series_named(&format!("{platform} {metric}"));
-        let _ = writeln!(out, "        {{");
-        let _ = writeln!(out, "          \"label\": \"{}\",", json_escape(platform));
-        let _ = writeln!(out, "          \"points\": [");
-        let anchor = series(crate::grid::TENANT_VICTIM_P99)
-            .expect("victim p99 series exists by construction");
-        for (i, point) in anchor.points.iter().enumerate() {
-            // Panic (rather than emit a plausible 0.0) on a missing series
-            // or point: a malformed figure must fail the bench run loudly.
-            let metric_mean = |metric: &str| {
-                series(metric)
-                    .unwrap_or_else(|| panic!("{metric} series missing for {platform}"))
-                    .points[i]
-                    .mean
-            };
-            let _ = write!(
-                out,
-                "            {{\"aggressor_fraction\": {:.2}, \
-                 \"victim_p50_us\": {:.3}, \"victim_p95_us\": {:.3}, \"victim_p99_us\": {:.3}, \
-                 \"victim_achieved_per_sec\": {:.3}, \"victim_drop_rate\": {:.6}, \
-                 \"victim_slo_violation\": {:.6}, \"victim_solo_p99_us\": {:.3}, \
-                 \"victim_fifo_p99_us\": {:.3}, \"isolation_index\": {:.4}, \
-                 \"aggressor_p50_us\": {:.3}, \"aggressor_p95_us\": {:.3}, \
-                 \"aggressor_p99_us\": {:.3}, \"aggressor_achieved_per_sec\": {:.3}, \
-                 \"aggressor_drop_rate\": {:.6}}}",
-                point.x_value,
-                metric_mean(crate::grid::TENANT_VICTIM_P50),
-                metric_mean(crate::grid::TENANT_VICTIM_P95),
-                point.mean,
-                metric_mean(crate::grid::TENANT_VICTIM_ACHIEVED),
-                metric_mean(crate::grid::TENANT_VICTIM_DROP_RATE),
-                metric_mean(crate::grid::TENANT_VICTIM_SLO_VIOLATION),
-                metric_mean(crate::grid::TENANT_VICTIM_SOLO_P99),
-                metric_mean(crate::grid::TENANT_VICTIM_FIFO_P99),
-                metric_mean(crate::grid::TENANT_ISOLATION_INDEX),
-                metric_mean(crate::grid::TENANT_AGGRESSOR_P50),
-                metric_mean(crate::grid::TENANT_AGGRESSOR_P95),
-                metric_mean(crate::grid::TENANT_AGGRESSOR_P99),
-                metric_mean(crate::grid::TENANT_AGGRESSOR_ACHIEVED),
-                metric_mean(crate::grid::TENANT_AGGRESSOR_DROP_RATE),
-            );
-            let _ = writeln!(
-                out,
-                "{}",
-                if i + 1 < anchor.points.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "          ]");
-        let _ = write!(out, "        }}");
-        let _ = writeln!(out, "{}", if pi + 1 < platforms.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "      ]");
-    let _ = write!(out, "    }}");
-}
-
-/// Renders the machine-readable tenant-isolation bench report
-/// (`BENCH_tenant_isolation.json`): the victim-vs-aggressor co-location
-/// sweeps of both backends, from a serial (1-worker) and an N-worker run
-/// of the same plan, plus whether the two produced identical figure data.
-pub fn tenant_isolation_json(
+/// Renders the machine-readable report of a sweep bench bin
+/// (`BENCH_load_curves.json`, `BENCH_tenant_isolation.json`,
+/// `BENCH_pipeline.json`, `BENCH_cluster.json`,
+/// `BENCH_cluster_failover.json`) from a serial (1-worker) and an
+/// N-worker run of the same plan.
+///
+/// After the shared header it writes whether the two runs produced
+/// identical figure data for `experiments`, then the `extra` header
+/// fields in order, each value already rendered as JSON. Each experiment
+/// the serial run holds then lists, per platform, one object per sweep
+/// point, laid out by the experiment's metric table in [`crate::grid`]:
+/// the x value first, then every metric column's mean under its key and
+/// to its decimal places.
+///
+/// # Panics
+///
+/// Panics if an experiment has no metric table, or its figure lacks a
+/// platform's series: a malformed figure must fail the bench run loudly
+/// rather than emit a plausible 0.0.
+pub fn sweep_json(
+    schema: &str,
     mode: &str,
     seed: u64,
     serial: &RunReport,
     parallel: &RunReport,
+    experiments: &[ExperimentId],
+    extra: &[(&str, String)],
 ) -> String {
-    let tenant_figs = |report: &RunReport| {
-        [
-            crate::experiment::ExperimentId::TenantIsolationMemcached,
-            crate::experiment::ExperimentId::TenantIsolationMysql,
-        ]
+    let serial_figs: Vec<&FigureData> = experiments
         .iter()
-        .filter_map(|e| report.figure(*e).cloned())
-        .collect::<Vec<_>>()
-    };
-    let serial_figs = tenant_figs(serial);
-    let parallel_figs = tenant_figs(parallel);
+        .filter_map(|e| serial.figure(*e))
+        .collect();
+    let parallel_figs: Vec<&FigureData> = experiments
+        .iter()
+        .filter_map(|e| parallel.figure(*e))
+        .collect();
     let identical = serial_figs == parallel_figs;
 
-    let mut out = json_report_header(
-        "isolation-bench/tenant-isolation/v1",
-        mode,
-        seed,
-        serial,
-        parallel,
-    );
+    let mut out = json_report_header(schema, mode, seed, serial, parallel);
     let _ = writeln!(out, "  \"identical\": {identical},");
+    for (key, value) in extra {
+        let _ = writeln!(out, "  \"{key}\": {value},");
+    }
     let _ = writeln!(out, "  \"experiments\": [");
     for (i, fig) in serial_figs.iter().enumerate() {
-        tenant_experiment_json(&mut out, fig);
+        sweep_experiment_json(&mut out, fig);
         let _ = writeln!(out, "{}", if i + 1 < serial_figs.len() { "," } else { "" });
     }
     let _ = writeln!(out, "  ]");
@@ -436,49 +307,46 @@ pub fn tenant_isolation_json(
     out
 }
 
-/// The figure-level payload of one middleware-pipeline experiment:
-/// per-platform sweep points (chain depth × cache hit rate) with sojourn
-/// percentiles, the per-request stage tax, and the short-circuit /
-/// cache-hit / drop fractions, reconstructed from the merged figure
+/// The figure-level payload of one sweep experiment: per platform, one
+/// JSON object per sweep point, reconstructed from the merged figure
 /// series.
-fn pipeline_experiment_json(out: &mut String, fig: &FigureData) {
+fn sweep_experiment_json(out: &mut String, fig: &FigureData) {
+    let layout = crate::grid::layout(fig.experiment)
+        .unwrap_or_else(|| panic!("{:?} has no metric table", fig.experiment));
     let _ = writeln!(out, "    {{");
     let _ = writeln!(out, "      \"slug\": \"{}\",", fig.experiment.slug());
-    let platforms = crate::grid::platforms_of(fig, crate::grid::PIPELINE_STAGE_TAX);
+    let platforms = crate::grid::platforms_of(fig, layout.metrics[0].label);
     let _ = writeln!(out, "      \"platforms\": [");
     for (pi, platform) in platforms.iter().enumerate() {
-        let series = |metric: &str| fig.series_named(&format!("{platform} {metric}"));
+        let columns: Vec<&Series> = layout
+            .metrics
+            .iter()
+            .map(|metric| {
+                fig.series_named(&format!("{platform} {}", metric.label))
+                    .unwrap_or_else(|| panic!("{} series missing for {platform}", metric.label))
+            })
+            .collect();
         let _ = writeln!(out, "        {{");
         let _ = writeln!(out, "          \"label\": \"{}\",", json_escape(platform));
         let _ = writeln!(out, "          \"points\": [");
-        let anchor = series(crate::grid::PIPELINE_P50).expect("p50 series exists by construction");
-        for (i, point) in anchor.points.iter().enumerate() {
-            // Panic (rather than emit a plausible 0.0) on a missing series
-            // or point: a malformed figure must fail the bench run loudly.
-            let metric_mean = |metric: &str| {
-                series(metric)
-                    .unwrap_or_else(|| panic!("{metric} series missing for {platform}"))
-                    .points[i]
-                    .mean
+        let anchor = &columns[0].points;
+        for (i, point) in anchor.iter().enumerate() {
+            let _ = match layout.fraction_key {
+                Some(key) => write!(out, "            {{\"{key}\": {:.2}", point.x_value),
+                None => write!(
+                    out,
+                    "            {{\"setting\": \"{}\"",
+                    json_escape(&point.x)
+                ),
             };
-            let _ = write!(
-                out,
-                "            {{\"setting\": \"{}\", \"p50_us\": {:.3}, \"p99_us\": {:.3}, \
-                 \"stage_tax_us\": {:.3}, \"short_circuit_fraction\": {:.6}, \
-                 \"cache_hit_fraction\": {:.6}, \"drop_fraction\": {:.6}}}",
-                json_escape(&point.x),
-                point.mean,
-                metric_mean(crate::grid::PIPELINE_P99),
-                metric_mean(crate::grid::PIPELINE_STAGE_TAX),
-                metric_mean(crate::grid::PIPELINE_SHORT_CIRCUIT),
-                metric_mean(crate::grid::PIPELINE_CACHE_HIT),
-                metric_mean(crate::grid::PIPELINE_DROP_RATE),
-            );
-            let _ = writeln!(
-                out,
-                "{}",
-                if i + 1 < anchor.points.len() { "," } else { "" }
-            );
+            for (metric, series) in layout.metrics.iter().zip(&columns) {
+                let _ = write!(
+                    out,
+                    ", \"{}\": {:.*}",
+                    metric.key, metric.decimals, series.points[i].mean
+                );
+            }
+            let _ = writeln!(out, "}}{}", if i + 1 < anchor.len() { "," } else { "" });
         }
         let _ = writeln!(out, "          ]");
         let _ = write!(out, "        }}");
@@ -486,272 +354,6 @@ fn pipeline_experiment_json(out: &mut String, fig: &FigureData) {
     }
     let _ = writeln!(out, "      ]");
     let _ = write!(out, "    }}");
-}
-
-/// Renders the machine-readable middleware-pipeline bench report
-/// (`BENCH_pipeline.json`): the depth × cache-hit-rate sweeps of both
-/// backends, from a serial (1-worker) and an N-worker run of the same
-/// plan, plus whether the two produced identical figure data.
-pub fn pipeline_json(mode: &str, seed: u64, serial: &RunReport, parallel: &RunReport) -> String {
-    let pipeline_figs = |report: &RunReport| {
-        [
-            crate::experiment::ExperimentId::PipelineMemcached,
-            crate::experiment::ExperimentId::PipelineMysql,
-        ]
-        .iter()
-        .filter_map(|e| report.figure(*e).cloned())
-        .collect::<Vec<_>>()
-    };
-    let serial_figs = pipeline_figs(serial);
-    let parallel_figs = pipeline_figs(parallel);
-    let identical = serial_figs == parallel_figs;
-
-    let mut out = json_report_header("isolation-bench/pipeline/v1", mode, seed, serial, parallel);
-    let _ = writeln!(out, "  \"identical\": {identical},");
-    let _ = writeln!(out, "  \"experiments\": [");
-    for (i, fig) in serial_figs.iter().enumerate() {
-        pipeline_experiment_json(&mut out, fig);
-        let _ = writeln!(out, "{}", if i + 1 < serial_figs.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
-}
-
-/// The figure-level payload of one sharded-cluster experiment:
-/// per-platform sweep points (shard count × Zipf skew × routing policy)
-/// with cluster-wide sojourn percentiles, the hottest shard's tail, the
-/// steady-phase imbalance, and the achieved/drop behaviour,
-/// reconstructed from the merged figure series.
-fn cluster_experiment_json(out: &mut String, fig: &FigureData) {
-    let _ = writeln!(out, "    {{");
-    let _ = writeln!(out, "      \"slug\": \"{}\",", fig.experiment.slug());
-    let platforms = crate::grid::platforms_of(fig, crate::grid::CLUSTER_HOT_P99);
-    let _ = writeln!(out, "      \"platforms\": [");
-    for (pi, platform) in platforms.iter().enumerate() {
-        let series = |metric: &str| fig.series_named(&format!("{platform} {metric}"));
-        let _ = writeln!(out, "        {{");
-        let _ = writeln!(out, "          \"label\": \"{}\",", json_escape(platform));
-        let _ = writeln!(out, "          \"points\": [");
-        let anchor = series(crate::grid::CLUSTER_P50).expect("p50 series exists by construction");
-        for (i, point) in anchor.points.iter().enumerate() {
-            // Panic (rather than emit a plausible 0.0) on a missing series
-            // or point: a malformed figure must fail the bench run loudly.
-            let metric_mean = |metric: &str| {
-                series(metric)
-                    .unwrap_or_else(|| panic!("{metric} series missing for {platform}"))
-                    .points[i]
-                    .mean
-            };
-            let _ = write!(
-                out,
-                "            {{\"setting\": \"{}\", \"p50_us\": {:.3}, \"p99_us\": {:.3}, \
-                 \"hot_shard_p99_us\": {:.3}, \"imbalance\": {:.4}, \
-                 \"achieved_per_sec\": {:.3}, \"drop_fraction\": {:.6}}}",
-                json_escape(&point.x),
-                point.mean,
-                metric_mean(crate::grid::CLUSTER_P99),
-                metric_mean(crate::grid::CLUSTER_HOT_P99),
-                metric_mean(crate::grid::CLUSTER_IMBALANCE),
-                metric_mean(crate::grid::CLUSTER_ACHIEVED),
-                metric_mean(crate::grid::CLUSTER_DROP_RATE),
-            );
-            let _ = writeln!(
-                out,
-                "{}",
-                if i + 1 < anchor.points.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "          ]");
-        let _ = write!(out, "        }}");
-        let _ = writeln!(out, "{}", if pi + 1 < platforms.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "      ]");
-    let _ = write!(out, "    }}");
-}
-
-/// The cluster bench's timed replay of one sweep: its wall clock and
-/// event throughput.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepThroughput {
-    /// Wall clock of the sweep, in milliseconds.
-    pub wall_ms: f64,
-    /// Simulated events processed per wall-clock second.
-    pub events_per_sec: f64,
-}
-
-/// Writes the `"sweep_throughput"` line of a cluster report.
-fn sweep_throughput_json(out: &mut String, throughput: &SweepThroughput) {
-    let _ = writeln!(
-        out,
-        "  \"sweep_throughput\": {{\"wall_ms\": {:.3}, \"events_per_sec\": {:.1}}},",
-        throughput.wall_ms, throughput.events_per_sec,
-    );
-}
-
-/// Renders the machine-readable sharded-cluster bench report
-/// (`BENCH_cluster.json`): the shard-count × skew × routing sweeps of
-/// both backends, from a serial (1-worker) and an N-worker run of the
-/// same plan, whether the two produced identical figure data, and the
-/// throughput of one timed sweep replay.
-pub fn cluster_json(
-    mode: &str,
-    seed: u64,
-    serial: &RunReport,
-    parallel: &RunReport,
-    throughput: &SweepThroughput,
-) -> String {
-    let cluster_figs = |report: &RunReport| {
-        [
-            crate::experiment::ExperimentId::ClusterMemcached,
-            crate::experiment::ExperimentId::ClusterMysql,
-        ]
-        .iter()
-        .filter_map(|e| report.figure(*e).cloned())
-        .collect::<Vec<_>>()
-    };
-    let serial_figs = cluster_figs(serial);
-    let parallel_figs = cluster_figs(parallel);
-    let identical = serial_figs == parallel_figs;
-
-    let mut out = json_report_header("isolation-bench/cluster/v2", mode, seed, serial, parallel);
-    let _ = writeln!(out, "  \"identical\": {identical},");
-    sweep_throughput_json(&mut out, throughput);
-    let _ = writeln!(out, "  \"experiments\": [");
-    for (i, fig) in serial_figs.iter().enumerate() {
-        cluster_experiment_json(&mut out, fig);
-        let _ = writeln!(out, "{}", if i + 1 < serial_figs.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
-}
-
-/// The figure-level payload of one replication/failover experiment:
-/// per-platform sweep points (replication factor × write quorum ×
-/// scatter fan-out × fault scenario) with sojourn percentiles, the
-/// scatter-gather tail, sloppy-quorum hand-offs, the failure instant and
-/// the failure-phase drop rates, reconstructed from the merged figure
-/// series.
-fn failover_experiment_json(out: &mut String, fig: &FigureData) {
-    let _ = writeln!(out, "    {{");
-    let _ = writeln!(out, "      \"slug\": \"{}\",", fig.experiment.slug());
-    let platforms = crate::grid::platforms_of(fig, crate::grid::FAILOVER_SCATTER_P99);
-    let _ = writeln!(out, "      \"platforms\": [");
-    for (pi, platform) in platforms.iter().enumerate() {
-        let series = |metric: &str| fig.series_named(&format!("{platform} {metric}"));
-        let _ = writeln!(out, "        {{");
-        let _ = writeln!(out, "          \"label\": \"{}\",", json_escape(platform));
-        let _ = writeln!(out, "          \"points\": [");
-        let anchor = series(crate::grid::CLUSTER_P50).expect("p50 series exists by construction");
-        for (i, point) in anchor.points.iter().enumerate() {
-            // Panic (rather than emit a plausible 0.0) on a missing series
-            // or point: a malformed figure must fail the bench run loudly.
-            let metric_mean = |metric: &str| {
-                series(metric)
-                    .unwrap_or_else(|| panic!("{metric} series missing for {platform}"))
-                    .points[i]
-                    .mean
-            };
-            let _ = write!(
-                out,
-                "            {{\"setting\": \"{}\", \"p50_us\": {:.3}, \"p99_us\": {:.3}, \
-                 \"scatter_p99_us\": {:.3}, \"drop_fraction\": {:.6}, \"handoffs\": {:.3}, \
-                 \"fail_at_us\": {:.3}, \"pre_fail_drop_rate\": {:.6}, \
-                 \"fail_window_drop_rate\": {:.6}, \"post_recover_drop_rate\": {:.6}}}",
-                json_escape(&point.x),
-                point.mean,
-                metric_mean(crate::grid::CLUSTER_P99),
-                metric_mean(crate::grid::FAILOVER_SCATTER_P99),
-                metric_mean(crate::grid::CLUSTER_DROP_RATE),
-                metric_mean(crate::grid::FAILOVER_HANDOFFS),
-                metric_mean(crate::grid::FAILOVER_FAIL_AT),
-                metric_mean(crate::grid::FAILOVER_PRE_DROP),
-                metric_mean(crate::grid::FAILOVER_WINDOW_DROP),
-                metric_mean(crate::grid::FAILOVER_POST_DROP),
-            );
-            let _ = writeln!(
-                out,
-                "{}",
-                if i + 1 < anchor.points.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "          ]");
-        let _ = write!(out, "        }}");
-        let _ = writeln!(out, "{}", if pi + 1 < platforms.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "      ]");
-    let _ = write!(out, "    }}");
-}
-
-/// The determinism and physics attestations the failover bench computes
-/// before emitting `BENCH_cluster_failover.json`; each one also gates the
-/// binary's exit status, so a `false` here can only appear in a report
-/// from a run that failed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FailoverAttestation {
-    /// The R=1 quorum sweep replayed PR 7's plain single-shard routing
-    /// bit-for-bit.
-    pub r1_matches_plain: bool,
-    /// The platform-averaged scatter p99 was monotone non-decreasing in
-    /// the fan-out K on every backend.
-    pub scatter_p99_monotone: bool,
-    /// Every kill-then-recover point's post-recovery drop rate returned
-    /// to within the pre-failure band.
-    pub spike_subsides: bool,
-}
-
-/// Renders the machine-readable replication/failover bench report
-/// (`BENCH_cluster_failover.json`): the R/W-quorum × fan-out ×
-/// fault-scenario sweeps of both backends, from a serial (1-worker) and
-/// an N-worker run of the same plan, whether the two produced identical
-/// figure data, the failover attestations, and the throughput of one
-/// timed sweep replay.
-pub fn cluster_failover_json(
-    mode: &str,
-    seed: u64,
-    serial: &RunReport,
-    parallel: &RunReport,
-    throughput: &SweepThroughput,
-    attest: &FailoverAttestation,
-) -> String {
-    let failover_figs = |report: &RunReport| {
-        [
-            crate::experiment::ExperimentId::ClusterFailoverMemcached,
-            crate::experiment::ExperimentId::ClusterFailoverMysql,
-        ]
-        .iter()
-        .filter_map(|e| report.figure(*e).cloned())
-        .collect::<Vec<_>>()
-    };
-    let serial_figs = failover_figs(serial);
-    let parallel_figs = failover_figs(parallel);
-    let identical = serial_figs == parallel_figs;
-
-    let mut out = json_report_header(
-        "isolation-bench/cluster-failover/v2",
-        mode,
-        seed,
-        serial,
-        parallel,
-    );
-    let _ = writeln!(out, "  \"identical\": {identical},");
-    let _ = writeln!(out, "  \"r1_matches_plain\": {},", attest.r1_matches_plain);
-    let _ = writeln!(
-        out,
-        "  \"scatter_p99_monotone\": {},",
-        attest.scatter_p99_monotone
-    );
-    let _ = writeln!(out, "  \"spike_subsides\": {},", attest.spike_subsides);
-    sweep_throughput_json(&mut out, throughput);
-    let _ = writeln!(out, "  \"experiments\": [");
-    for (i, fig) in serial_figs.iter().enumerate() {
-        failover_experiment_json(&mut out, fig);
-        let _ = writeln!(out, "{}", if i + 1 < serial_figs.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
@@ -837,26 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn load_curves_json_has_both_experiments_and_is_finite() {
-        let cfg = RunConfig {
-            seed: 7,
-            runs: 2,
-            startups: 8,
-            quick: true,
-        };
-        let serial = Executor::new(RunPlan::new(cfg).with_shard("load_").with_workers(1)).run();
-        let parallel = Executor::new(RunPlan::new(cfg).with_shard("load_").with_workers(2)).run();
-        let json = load_curves_json("quick", 7, &serial, &parallel);
-        assert!(json.contains("\"schema\": \"isolation-bench/load-curves/v1\""));
-        assert!(json.contains("\"slug\": \"load_memcached\""));
-        assert!(json.contains("\"slug\": \"load_mysql\""));
-        assert!(json.contains("\"identical\": true"));
-        assert!(json.contains("\"label\": \"native\""));
-        assert!(json.contains("\"p99_us\""));
-        assert_eq!(find_non_finite(&json), None, "emitted JSON must be finite");
-    }
-
-    #[test]
     fn hockey_stick_puts_achieved_throughput_on_the_x_axis() {
         let cfg = RunConfig {
             seed: 7,
@@ -869,7 +451,7 @@ mod tests {
         assert!(stick.title.contains("p99 vs achieved throughput"));
         assert_eq!(
             stick.series.len(),
-            fig.series.len() / crate::grid::LOAD_METRICS.len(),
+            fig.series.len() / crate::grid::metrics(ExperimentId::LoadMemcached).len(),
             "one hockey-stick series per platform"
         );
         for series in &stick.series {
@@ -901,136 +483,76 @@ mod tests {
         );
     }
 
-    #[test]
-    fn tenant_isolation_json_has_both_experiments_and_is_finite() {
-        let cfg = RunConfig {
-            seed: 7,
-            runs: 1,
-            startups: 8,
-            quick: true,
-        };
-        let serial = Executor::new(RunPlan::new(cfg).with_shard("tenant_").with_workers(1)).run();
-        let parallel = Executor::new(RunPlan::new(cfg).with_shard("tenant_").with_workers(2)).run();
-        let json = tenant_isolation_json("quick", 7, &serial, &parallel);
-        assert!(json.contains("\"schema\": \"isolation-bench/tenant-isolation/v1\""));
-        assert!(json.contains("\"slug\": \"tenant_isolation_memcached\""));
-        assert!(json.contains("\"slug\": \"tenant_isolation_mysql\""));
-        assert!(json.contains("\"identical\": true"));
-        assert!(json.contains("\"label\": \"native\""));
-        assert!(json.contains("\"isolation_index\""));
-        assert!(json.contains("\"victim_fifo_p99_us\""));
-        assert!(json.contains("\"aggressor_drop_rate\""));
-        assert_eq!(find_non_finite(&json), None, "emitted JSON must be finite");
+    /// A run report with one figure per `(experiment, x, x_value)`, each
+    /// merged from one synthetic row per entry: every point sits at `x`,
+    /// and column `c` reads `c + offset`.
+    fn sweep_report(experiments: &[(ExperimentId, &str, f64)], offset: f64) -> RunReport {
+        let figures = experiments.iter().map(|&(experiment, x, x_value)| {
+            let values = (0..crate::grid::metrics(experiment).len()).map(|c| c as f64 + offset);
+            let row = crate::grid::SweepPoint {
+                x: x.to_string(),
+                x_value,
+                values: values.collect(),
+            };
+            let cells = vec![crate::grid::CellOutput::Sweep(vec![row])];
+            let entries = crate::grid::entries(experiment).len();
+            crate::grid::merge(experiment, &vec![cells; entries])
+        });
+        RunReport {
+            figures: figures.collect(),
+            timings: Vec::new(),
+            workers: 1,
+            wall: std::time::Duration::ZERO,
+            merge: std::time::Duration::ZERO,
+        }
     }
 
     #[test]
-    fn pipeline_json_has_both_experiments_and_is_finite() {
-        let cfg = RunConfig {
-            seed: 7,
-            runs: 1,
-            startups: 8,
-            quick: true,
-        };
-        let serial = Executor::new(RunPlan::new(cfg).with_shard("pipeline").with_workers(1)).run();
-        let parallel =
-            Executor::new(RunPlan::new(cfg).with_shard("pipeline").with_workers(2)).run();
-        let json = pipeline_json("quick", 7, &serial, &parallel);
-        assert!(json.contains("\"schema\": \"isolation-bench/pipeline/v1\""));
-        assert!(json.contains("\"slug\": \"pipeline_memcached\""));
-        assert!(json.contains("\"slug\": \"pipeline_mysql\""));
-        assert!(json.contains("\"identical\": true"));
-        assert!(json.contains("\"label\": \"native\""));
-        assert!(json.contains("\"setting\": \"d1 h0.90\""));
-        assert!(json.contains("\"setting\": \"d4 miss-storm\""));
-        assert!(json.contains("\"stage_tax_us\""));
-        assert!(json.contains("\"short_circuit_fraction\""));
-        assert_eq!(find_non_finite(&json), None, "emitted JSON must be finite");
-    }
-
-    #[test]
-    fn cluster_json_has_both_experiments_and_is_finite() {
-        let cfg = RunConfig {
-            seed: 7,
-            runs: 1,
-            startups: 8,
-            quick: true,
-        };
-        let serial = Executor::new(RunPlan::new(cfg).with_shard("cluster_m").with_workers(1)).run();
-        let parallel =
-            Executor::new(RunPlan::new(cfg).with_shard("cluster_m").with_workers(2)).run();
-        let throughput = SweepThroughput {
-            wall_ms: 9.5,
-            events_per_sec: 1.1e6,
-        };
-        let json = cluster_json("quick", 7, &serial, &parallel, &throughput);
-        assert!(json.contains("\"schema\": \"isolation-bench/cluster/v2\""));
+    fn sweep_json_writes_extra_header_fields_in_order_and_points_by_table() {
+        let experiments = [ExperimentId::LoadMysql, ExperimentId::ClusterMemcached];
+        let serial = sweep_report(
+            &[
+                (experiments[0], "0.50", 0.5),
+                (experiments[1], "s1 \"a\"", 0.0),
+            ],
+            1.0,
+        );
+        let extra = [
+            ("r1_matches_plain", "true".to_string()),
+            ("sweep_throughput", "{\"wall_ms\": 9.500}".to_string()),
+        ];
+        let json = sweep_json(
+            "demo/v1",
+            "quick",
+            7,
+            &serial,
+            &serial,
+            &experiments,
+            &extra,
+        );
+        let lines: Vec<&str> = json.lines().collect();
+        assert_eq!(lines[1], "  \"schema\": \"demo/v1\",");
+        assert_eq!(
+            lines[8..12].join("\n"),
+            "  \"identical\": true,\n  \"r1_matches_plain\": true,\n  \
+             \"sweep_throughput\": {\"wall_ms\": 9.500},\n  \"experiments\": ["
+        );
         assert!(json.contains(
-            "\"sweep_throughput\": {\"wall_ms\": 9.500, \"events_per_sec\": 1100000.0},"
+            "{\"fraction\": 0.50, \"p50_us\": 1.000, \"p95_us\": 2.000, \"p99_us\": 3.000, \
+             \"achieved_per_sec\": 4.000}"
         ));
-        assert!(json.contains("\"slug\": \"cluster_memcached\""));
-        assert!(json.contains("\"slug\": \"cluster_mysql\""));
-        assert!(json.contains("\"identical\": true"));
-        assert!(json.contains("\"label\": \"native\""));
-        assert!(json.contains("\"setting\": \"s256\""));
-        assert!(json.contains("\"setting\": \"s16 rebal\""));
-        assert!(json.contains("\"hot_shard_p99_us\""));
-        assert!(json.contains("\"imbalance\""));
-        assert_eq!(find_non_finite(&json), None, "emitted JSON must be finite");
-    }
-
-    #[test]
-    fn cluster_failover_json_has_both_experiments_and_is_finite() {
-        let cfg = RunConfig {
-            seed: 7,
-            runs: 1,
-            startups: 8,
-            quick: true,
-        };
-        let serial = Executor::new(
-            RunPlan::new(cfg)
-                .with_shard("cluster_failover")
-                .with_workers(1),
-        )
-        .run();
-        let parallel = Executor::new(
-            RunPlan::new(cfg)
-                .with_shard("cluster_failover")
-                .with_workers(2),
-        )
-        .run();
-        let throughput = SweepThroughput {
-            wall_ms: 12.25,
-            events_per_sec: 2e6,
-        };
-        let attest = FailoverAttestation {
-            r1_matches_plain: true,
-            scatter_p99_monotone: true,
-            spike_subsides: true,
-        };
-        let json = cluster_failover_json("quick", 7, &serial, &parallel, &throughput, &attest);
-        assert!(json.contains("\"schema\": \"isolation-bench/cluster-failover/v2\""));
-        assert!(json.contains("\"slug\": \"cluster_failover_memcached\""));
-        assert!(json.contains("\"slug\": \"cluster_failover_mysql\""));
-        assert!(json.contains("\"identical\": true"));
-        assert!(json.contains("\"r1_matches_plain\": true"));
-        assert!(json.contains("\"scatter_p99_monotone\": true"));
-        assert!(json.contains("\"spike_subsides\": true"));
         assert!(json.contains(
-            "\"sweep_throughput\": {\"wall_ms\": 12.250, \"events_per_sec\": 2000000.0},"
+            "{\"setting\": \"s1 \\\"a\\\"\", \"p50_us\": 1.000, \"p99_us\": 2.000, \
+             \"hot_shard_p99_us\": 3.000, \"imbalance\": 4.0000, \"achieved_per_sec\": 5.000, \
+             \"drop_fraction\": 6.000000}"
         ));
-        assert!(json.contains("\"label\": \"native\""));
-        assert!(json.contains("\"setting\": \"r1\""));
-        assert!(json.contains("\"setting\": \"r3 k16\""));
-        assert!(json.contains("\"setting\": \"r2 failrec\""));
-        assert!(json.contains("\"scatter_p99_us\""));
-        assert!(json.contains("\"handoffs\""));
-        assert!(json.contains("\"fail_at_us\""));
-        assert!(json.contains("\"post_recover_drop_rate\""));
-        // Fault settings carry a real failure instant; fault-free ones the
-        // -1 sentinel.
-        assert!(json.contains("\"fail_at_us\": -1.000"));
-        assert!(!json.contains("\"fail_at_us\": 0.000"));
-        assert_eq!(find_non_finite(&json), None, "emitted JSON must be finite");
+        let platforms = crate::grid::entries(experiments[0]).len();
+        assert_eq!(json.matches("\"label\": ").count(), 2 * platforms);
+        assert!(json.ends_with("}\n          ]\n        }\n      ]\n    }\n  ]\n}\n"));
+
+        let diverged = sweep_report(&[(experiments[0], "0.50", 0.5)], 1.0);
+        let json = sweep_json("demo/v1", "quick", 7, &serial, &diverged, &experiments, &[]);
+        assert!(json.contains("  \"identical\": false,\n  \"experiments\": [\n"));
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! `run_trial(platform, stream) -> Vec<Point>` that replays the whole
 //! sweep from one derived random stream. [`WorkloadBenchmark`] names that
 //! shape, so the grid dispatches every workload through one generic call
-//! instead of a per-workload match arm, and a new workload plugs into the
-//! harness by implementing one trait.
+//! instead of a per-workload match arm. A new workload plugs into the
+//! harness by implementing the trait and giving its point type a metric
+//! table in `harness::grid`: the x axis and, per metric, the series
+//! label, the bench report key, the decimal places and the reader. The
+//! grid's cells, merge and bench report all go through that table.
 //!
 //! The contract every implementation must honour:
 //!

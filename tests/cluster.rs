@@ -5,6 +5,7 @@
 //! shard's load share to Zipf skew.
 
 mod common;
+mod pins;
 
 use std::sync::OnceLock;
 
@@ -71,6 +72,15 @@ fn cluster_figures_match_the_recorded_digests() {
 }
 
 #[test]
+fn cluster_report_matches_the_committed_artifact() {
+    pins::assert_report_matches(
+        cluster_figures(),
+        &EXPERIMENTS,
+        include_str!("../BENCH_cluster.json"),
+    );
+}
+
+#[test]
 fn sweeps_cover_every_platform_metric_and_routing_point() {
     for fig in cluster_figures() {
         let platforms = platforms_of(fig);
@@ -81,10 +91,10 @@ fn sweeps_cover_every_platform_metric_and_routing_point() {
         );
         assert_eq!(
             fig.series.len(),
-            platforms.len() * grid::CLUSTER_METRICS.len()
+            platforms.len() * grid::metrics(fig.experiment).len()
         );
         for platform in &platforms {
-            for metric in grid::CLUSTER_METRICS {
+            for metric in grid::metrics(fig.experiment) {
                 let s = series(fig, platform, metric);
                 assert!(
                     s.points.len() >= 8,

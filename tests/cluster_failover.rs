@@ -5,6 +5,7 @@
 //! platform × failover metric at every quorum, scatter and kill setting.
 
 mod common;
+mod pins;
 
 use std::sync::OnceLock;
 
@@ -83,6 +84,15 @@ fn failover_figures_match_the_recorded_digests() {
 }
 
 #[test]
+fn failover_report_matches_the_committed_artifact() {
+    pins::assert_report_matches(
+        failover_figures(),
+        &EXPERIMENTS,
+        include_str!("../BENCH_cluster_failover.json"),
+    );
+}
+
+#[test]
 fn sweeps_cover_every_platform_metric_and_setting() {
     for fig in failover_figures() {
         let platforms = platforms_of(fig);
@@ -93,10 +103,10 @@ fn sweeps_cover_every_platform_metric_and_setting() {
         );
         assert_eq!(
             fig.series.len(),
-            platforms.len() * grid::FAILOVER_METRICS.len()
+            platforms.len() * grid::metrics(fig.experiment).len()
         );
         for platform in &platforms {
-            for metric in grid::FAILOVER_METRICS {
+            for metric in grid::metrics(fig.experiment) {
                 let s = series(fig, platform, metric);
                 for label in SETTING_LABELS {
                     assert!(

@@ -3,9 +3,11 @@
 //! figures, and bit-identical results across executor worker counts.
 
 mod common;
+mod pins;
 
 use std::sync::OnceLock;
 
+use isolation_bench::harness::grid;
 use isolation_bench::prelude::*;
 
 fn cfg() -> RunConfig {
@@ -50,13 +52,18 @@ fn load_figures_match_the_recorded_digests() {
 }
 
 #[test]
+fn load_curves_report_matches_the_committed_artifact() {
+    pins::assert_report_matches(
+        load_figures(),
+        &[ExperimentId::LoadMemcached, ExperimentId::LoadMysql],
+        include_str!("../BENCH_load_curves.json"),
+    );
+}
+
+#[test]
 fn load_sweeps_cover_enough_points_and_platforms() {
     for fig in load_figures() {
-        let platforms: Vec<&str> = fig
-            .series
-            .iter()
-            .filter_map(|s| s.label.strip_suffix(" p50 (us)"))
-            .collect();
+        let platforms = grid::platforms_of(fig, grid::LOAD_P50);
         assert!(
             platforms.len() >= 3,
             "{:?} covers only {platforms:?}",
@@ -77,12 +84,7 @@ fn load_sweeps_cover_enough_points_and_platforms() {
 #[test]
 fn percentiles_are_ordered_at_every_offered_load() {
     for fig in load_figures() {
-        let platforms: Vec<String> = fig
-            .series
-            .iter()
-            .filter_map(|s| s.label.strip_suffix(" p50 (us)"))
-            .map(str::to_string)
-            .collect();
+        let platforms = grid::platforms_of(fig, grid::LOAD_P50);
         for platform in &platforms {
             let series = |metric: &str| fig.series_named(&format!("{platform} {metric}")).unwrap();
             let p50 = series("p50 (us)");

@@ -5,6 +5,7 @@
 //! worker counts.
 
 mod common;
+mod pins;
 
 use std::sync::OnceLock;
 
@@ -71,6 +72,15 @@ fn pipeline_figures_match_the_recorded_digests() {
 }
 
 #[test]
+fn pipeline_report_matches_the_committed_artifact() {
+    pins::assert_report_matches(
+        pipeline_figures(),
+        &EXPERIMENTS,
+        include_str!("../BENCH_pipeline.json"),
+    );
+}
+
+#[test]
 fn sweeps_cover_every_platform_metric_and_the_storm_point() {
     for fig in pipeline_figures() {
         let platforms = platforms_of(fig);
@@ -81,10 +91,10 @@ fn sweeps_cover_every_platform_metric_and_the_storm_point() {
         );
         assert_eq!(
             fig.series.len(),
-            platforms.len() * grid::PIPELINE_METRICS.len()
+            platforms.len() * grid::metrics(fig.experiment).len()
         );
         for platform in &platforms {
-            for metric in grid::PIPELINE_METRICS {
+            for metric in grid::metrics(fig.experiment) {
                 let s = series(fig, platform, metric);
                 assert!(
                     s.points.len() >= 8,

@@ -4,6 +4,7 @@
 //! results across executor worker counts.
 
 mod common;
+mod pins;
 
 use std::sync::OnceLock;
 
@@ -67,6 +68,15 @@ fn tenant_figures_match_the_recorded_digests() {
 }
 
 #[test]
+fn tenant_report_matches_the_committed_artifact() {
+    pins::assert_report_matches(
+        tenant_figures(),
+        &EXPERIMENTS,
+        include_str!("../BENCH_tenant_isolation.json"),
+    );
+}
+
+#[test]
 fn sweeps_cover_every_platform_metric_and_reach_overload() {
     for fig in tenant_figures() {
         let platforms = platforms_of(fig);
@@ -77,10 +87,10 @@ fn sweeps_cover_every_platform_metric_and_reach_overload() {
         );
         assert_eq!(
             fig.series.len(),
-            platforms.len() * grid::TENANT_METRICS.len()
+            platforms.len() * grid::metrics(fig.experiment).len()
         );
         for platform in &platforms {
-            for metric in grid::TENANT_METRICS {
+            for metric in grid::metrics(fig.experiment) {
                 let s = series(fig, platform, metric);
                 assert!(
                     s.points.len() >= 5,
