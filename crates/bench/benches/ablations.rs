@@ -1,6 +1,6 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
-//! Kata 9p vs virtio-fs, gVisor ptrace vs KVM, huge pages on/off, and the
-//! host page-cache drop pitfall.
+//! Ablation benches for the platform design choices the evaluation calls
+//! out: Kata 9p vs virtio-fs, gVisor ptrace vs KVM, huge pages on/off, and
+//! the host page-cache drop pitfall.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use platforms::PlatformId;

@@ -29,148 +29,6 @@ pub fn run_all(cfg: &RunConfig) -> Vec<FigureData> {
     ExperimentId::all().iter().map(|e| run(*e, cfg)).collect()
 }
 
-/// Fig. 5: ffmpeg re-encode wall clock per platform.
-pub fn fig05_ffmpeg(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::Fig05Ffmpeg, cfg)
-}
-
-/// Section 3.1: sysbench prime verification events per second.
-pub fn sysbench_prime(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::SysbenchPrime, cfg)
-}
-
-/// Fig. 6: tinymembench latency sweep (one series per platform).
-pub fn fig06_mem_latency(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::Fig06MemLatency, cfg)
-}
-
-/// Fig. 7: tinymembench copy bandwidth (regular and SSE2 series).
-pub fn fig07_mem_bandwidth(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::Fig07MemBandwidth, cfg)
-}
-
-/// Fig. 8: STREAM COPY bandwidth.
-pub fn fig08_stream(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::Fig08Stream, cfg)
-}
-
-/// Fig. 9: fio 128 KiB sequential read/write throughput.
-pub fn fig09_fio_throughput(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::Fig09FioThroughput, cfg)
-}
-
-/// Fig. 10: fio 4 KiB random read latency.
-pub fn fig10_fio_latency(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::Fig10FioLatency, cfg)
-}
-
-/// Fig. 11: iperf3 maximum throughput over 5 runs.
-pub fn fig11_iperf(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::Fig11Iperf, cfg)
-}
-
-/// Fig. 12: netperf 90th-percentile request/response latency.
-pub fn fig12_netperf(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::Fig12Netperf, cfg)
-}
-
-/// Fig. 13: container boot-time CDFs (Docker/gVisor/Kata via the daemon and
-/// via direct OCI invocation, plus LXC).
-pub fn fig13_boot_containers(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::Fig13BootContainers, cfg)
-}
-
-/// Fig. 14: hypervisor boot-time CDFs with the same kernel and rootfs.
-pub fn fig14_boot_hypervisors(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::Fig14BootHypervisors, cfg)
-}
-
-/// Fig. 15: OSv boot-time CDFs under different hypervisors, measured
-/// end-to-end and with the stdout method.
-pub fn fig15_boot_osv(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::Fig15BootOsv, cfg)
-}
-
-/// Fig. 16: Memcached YCSB workload A throughput.
-pub fn fig16_memcached(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::Fig16Memcached, cfg)
-}
-
-/// Fig. 17: MySQL sysbench oltp_read_write thread sweep (one series per
-/// platform).
-pub fn fig17_mysql(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::Fig17Mysql, cfg)
-}
-
-/// Fig. 18: the extended HAP metric (distinct host kernel functions and the
-/// EPSS-weighted score).
-pub fn fig18_hap(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::Fig18Hap, cfg)
-}
-
-/// Beyond the paper: open-loop Memcached throughput-vs-latency curves
-/// (p50/p95/p99 sojourn time and achieved throughput per platform, swept
-/// over offered-load fractions).
-pub fn load_memcached(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::LoadMemcached, cfg)
-}
-
-/// Beyond the paper: open-loop MySQL throughput-vs-latency curves.
-pub fn load_mysql(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::LoadMysql, cfg)
-}
-
-/// Beyond the paper: Memcached multi-tenant co-location — per-platform
-/// victim/aggressor percentiles, drop and SLO-violation rates, and
-/// isolation indices over an aggressor offered-load sweep.
-pub fn tenant_isolation_memcached(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::TenantIsolationMemcached, cfg)
-}
-
-/// Beyond the paper: MySQL multi-tenant co-location.
-pub fn tenant_isolation_mysql(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::TenantIsolationMysql, cfg)
-}
-
-/// Beyond the paper: Memcached behind a staged middleware pipeline —
-/// per-platform sojourn percentiles, per-request stage tax, and
-/// short-circuit / cache-hit / drop fractions over a chain-depth and
-/// auth-cache hit-rate sweep (including the cache-miss storm).
-pub fn pipeline_memcached(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::PipelineMemcached, cfg)
-}
-
-/// Beyond the paper: MySQL behind a staged middleware pipeline.
-pub fn pipeline_mysql(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::PipelineMysql, cfg)
-}
-
-/// Beyond the paper: a Memcached sharded cluster — per-platform
-/// cluster-wide sojourn percentiles, the hottest shard's tail, the
-/// steady-phase load imbalance, and achieved/drop behaviour over a
-/// shard-count, Zipf-skew and rebalancing-policy sweep.
-pub fn cluster_memcached(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::ClusterMemcached, cfg)
-}
-
-/// Beyond the paper: a MySQL sharded cluster.
-pub fn cluster_mysql(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::ClusterMysql, cfg)
-}
-
-/// Beyond the paper: the Memcached replication/failover cluster —
-/// per-platform sojourn percentiles, the scatter-gather tail,
-/// sloppy-quorum hand-offs and failure-phase drop rates over an
-/// R/W-quorum, fan-out and kill/recover sweep.
-pub fn cluster_failover_memcached(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::ClusterFailoverMemcached, cfg)
-}
-
-/// Beyond the paper: the MySQL replication/failover cluster.
-pub fn cluster_failover_mysql(cfg: &RunConfig) -> FigureData {
-    run(ExperimentId::ClusterFailoverMysql, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,27 +41,27 @@ mod tests {
 
     #[test]
     fn bar_figures_cover_the_paper_platform_set() {
-        let fig = fig05_ffmpeg(&cfg());
+        let fig = run(ExperimentId::Fig05Ffmpeg, &cfg());
         assert_eq!(fig.series[0].points.len(), PlatformId::paper_set().len());
-        let iperf = fig11_iperf(&cfg());
+        let iperf = run(ExperimentId::Fig11Iperf, &cfg());
         assert_eq!(iperf.series[0].points.len(), PlatformId::paper_set().len());
     }
 
     #[test]
     fn fio_figures_exclude_the_right_platforms() {
-        let fig = fig09_fio_throughput(&cfg());
+        let fig = run(ExperimentId::Fig09FioThroughput, &cfg());
         let read = fig.series_named("read (MiB/s)").unwrap();
         assert!(read.mean_of("firecracker").is_none());
         assert!(read.mean_of("osv").is_none());
         assert!(read.mean_of("qemu").is_some());
-        let lat = fig10_fio_latency(&cfg());
+        let lat = run(ExperimentId::Fig10FioLatency, &cfg());
         assert!(lat.series[0].mean_of("gvisor").is_none());
         assert!(lat.series[0].mean_of("kata-virtiofs").is_some());
     }
 
     #[test]
     fn boot_cdfs_have_monotone_percentiles() {
-        let fig = fig14_boot_hypervisors(&cfg());
+        let fig = run(ExperimentId::Fig14BootHypervisors, &cfg());
         for series in &fig.series {
             let mut last = 0.0;
             for p in &series.points {
@@ -215,7 +73,7 @@ mod tests {
 
     #[test]
     fn mysql_sweep_has_one_series_per_platform() {
-        let fig = fig17_mysql(&cfg());
+        let fig = run(ExperimentId::Fig17Mysql, &cfg());
         assert_eq!(fig.series.len(), PlatformId::paper_set().len());
         for s in &fig.series {
             assert_eq!(s.points.len(), OltpBenchmark::quick().thread_counts.len());
@@ -224,7 +82,7 @@ mod tests {
 
     #[test]
     fn hap_figure_has_both_metrics() {
-        let fig = fig18_hap(&cfg());
+        let fig = run(ExperimentId::Fig18Hap, &cfg());
         assert_eq!(fig.series.len(), 2);
         assert_eq!(fig.series[0].points.len(), PlatformId::paper_set().len());
     }

@@ -5,9 +5,9 @@
 //! priority queue of timestamped events. That queue was once a binary
 //! heap, whose `O(log n)` push/pop dominated wall-clock once millions of
 //! requests were in flight; [`EventQueue`] is now a **hierarchical timing
-//! wheel**: [`LEVELS`] coarse-to-fine wheels of
-//! [`SLOTS`] slots each over raw nanosecond ticks, with an overflow level
-//! beyond the wheel horizon falling back to a sorted spill heap. Push is
+//! wheel**: eight (`LEVELS`) coarse-to-fine wheels of 64 (`SLOTS`) slots
+//! each over raw nanosecond ticks, with an overflow level beyond the
+//! wheel horizon falling back to a sorted spill heap. Push is
 //! `O(1)`, and popping drains a **whole wheel slot per clock advance** —
 //! every event sharing the next tick comes out in one batch — instead of
 //! one heap pop per event.

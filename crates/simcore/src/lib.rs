@@ -59,7 +59,7 @@ pub use dist::Distribution;
 pub use error::SimError;
 pub use events::{CoreCounters, EventQueue, ReferenceHeap};
 pub use obs::{ObsConfig, Recorder, Span, SpanKind};
-pub use resource::{Bandwidth, QueueModel, TokenBucket};
+pub use resource::{Bandwidth, TokenBucket};
 pub use rng::{SimRng, Zipf};
 pub use stats::{Cdf, Histogram, RunningStats, Summary};
 pub use time::Nanos;

@@ -5,8 +5,6 @@
 //! * [`TokenBucket`] / [`Bandwidth`] — a byte-per-second capacity that turns
 //!   a transfer size into a transfer duration, optionally with a per-request
 //!   fixed overhead (used for NICs, NVMe devices and virtio queues).
-//! * [`QueueModel`] — an M/M/1-style waiting-time estimator used to model
-//!   latency inflation as a device approaches saturation.
 //! * [`CompletionTimer`] — a batched completion queue for service-slot
 //!   pools: completions share coalesced scheduler wake-ups and drain a
 //!   whole timing-wheel slot per clock advance instead of costing one
@@ -153,50 +151,6 @@ impl TokenBucket {
         let elapsed = (now - self.last_update).as_secs_f64();
         self.tokens = (self.tokens + elapsed * self.rate.bytes_per_sec()).min(self.burst_bytes);
         self.last_update = now;
-    }
-}
-
-/// An M/M/1-style queueing model for latency inflation under load.
-///
-/// The device simulations use this to capture the "standard deviation grows
-/// as the platform approaches its throughput ceiling" effect visible in the
-/// paper's I/O and network figures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QueueModel {
-    /// Mean service time of a single request.
-    pub service_time: Nanos,
-}
-
-impl QueueModel {
-    /// Creates a queue model with the given per-request service time.
-    pub fn new(service_time: Nanos) -> Self {
-        QueueModel { service_time }
-    }
-
-    /// The maximum sustainable request rate (requests per second).
-    pub fn capacity_per_sec(&self) -> f64 {
-        let s = self.service_time.as_secs_f64();
-        if s <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / s
-        }
-    }
-
-    /// Utilization (`rho`) at the offered request rate, clamped to `[0, 1)`.
-    pub fn utilization(&self, offered_per_sec: f64) -> f64 {
-        let cap = self.capacity_per_sec();
-        if !cap.is_finite() || cap <= 0.0 {
-            return 0.0;
-        }
-        (offered_per_sec / cap).clamp(0.0, 0.999)
-    }
-
-    /// Expected sojourn time (waiting + service) at the offered rate using
-    /// the M/M/1 formula `W = S / (1 - rho)`.
-    pub fn sojourn_time(&self, offered_per_sec: f64) -> Nanos {
-        let rho = self.utilization(offered_per_sec);
-        self.service_time.scale(1.0 / (1.0 - rho))
     }
 }
 
@@ -397,19 +351,6 @@ mod tests {
     #[test]
     fn token_bucket_rejects_zero_burst() {
         assert!(TokenBucket::new(Bandwidth::from_bytes_per_sec(1.0), 0).is_err());
-    }
-
-    #[test]
-    fn queue_model_latency_inflates_near_saturation() {
-        let q = QueueModel::new(Nanos::from_micros(100));
-        assert!((q.capacity_per_sec() - 10_000.0).abs() < 1e-6);
-        let idle = q.sojourn_time(100.0);
-        let busy = q.sojourn_time(9_000.0);
-        assert!(busy > idle);
-        assert!(busy.as_micros_f64() > 900.0, "busy = {busy}");
-        // Offered load beyond capacity clamps instead of going negative.
-        let overloaded = q.sojourn_time(50_000.0);
-        assert!(overloaded > busy);
     }
 
     #[test]

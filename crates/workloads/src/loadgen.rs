@@ -18,23 +18,24 @@
 //! own service time from the profile's log-normal distribution around
 //! that mean ([`ServiceProfile::service_distribution`]), so the reported
 //! tails reflect service-time variance as well as queueing. The slot pool
-//! and bounded admission queue are the shared [`crate::slots`] core, which
-//! the multi-tenant [`crate::tenancy`] subsystem builds on too.
+//! and bounded admission queue are the shared [`crate::slots`] core.
 //!
-//! Each sweep point runs as the **zero-stage [`crate::pipeline`]**: the
-//! pipeline's typed-event engine with an empty middleware chain, which
-//! adds no stage cost, so the offered rate, the pool's mean cost and the
-//! probe window are this module's own. Arrivals are pre-sampled in
-//! bounded chunks so the pending-event count stays small even for very
-//! large request counts. Within one trial the arrival and service
-//! streams are **common random numbers** across the sweep points —
-//! the same unit-rate arrival gaps (scaled by the offered rate) and the
-//! same service-time sequence — so latency curves are monotone in offered
-//! load by coupling, not just in expectation; every stream derives from
-//! the cell's own random stream, keeping results bit-identical across any
-//! parallel execution schedule. The sampled backend is likewise populated
-//! once per trial and reused by every sweep point, which leaves the
-//! figures unchanged (see [`crate::slots`]).
+//! Each sweep point runs as the **zero-stage [`crate::pipeline`]**: one
+//! client class on the open-loop engine that the pipeline and the
+//! multi-tenant [`crate::tenancy`] windows share, behind an empty
+//! middleware chain that adds no stage cost, so the offered rate, the
+//! pool's mean cost and the probe window are this module's own. The
+//! class's counted Poisson source pre-samples arrivals in bounded chunks
+//! so the pending-event count stays small even for very large request
+//! counts. Within one trial the arrival and service streams are **common
+//! random numbers** across the sweep points — the same unit-rate arrival
+//! gaps (scaled by the offered rate) and the same service-time sequence —
+//! so latency curves are monotone in offered load by coupling, not just
+//! in expectation; every stream derives from the cell's own random
+//! stream, keeping results bit-identical across any parallel execution
+//! schedule. The sampled backend is likewise populated once per trial and
+//! reused by every sweep point, which leaves the figures unchanged (see
+//! [`crate::slots`]).
 //!
 //! [`YcsbBenchmark::per_op_service_time`]: crate::ycsb::YcsbBenchmark::per_op_service_time
 //! [`OltpBenchmark::per_txn_service_time`]: crate::sysbench_oltp::OltpBenchmark::per_txn_service_time

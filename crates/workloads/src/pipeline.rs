@@ -21,13 +21,20 @@
 //! the response path. The slot is occupied for the full composed time,
 //! so middleware cost feeds back into queueing exactly like backend cost.
 //!
-//! This module also owns the open-loop request engine: each sweep point
-//! drains one [`EventQueue`] of typed events (`Generate` a chunk of
-//! arrivals, `Arrive`, `Drain` the batched completion timer, `Probe` the
-//! in-flight depth). [`crate::loadgen`] runs on it as the zero-stage
-//! chain, which charges no stage cost and draws no stage stream. A trial
-//! populates its sampled backend once and lends it to every sweep point
-//! (see [`crate::slots`]); a single-point entry point builds its own.
+//! This module also owns the one open-loop request engine, which the
+//! load, pipeline and tenancy runs share. A run drains one [`EventQueue`]
+//! of typed events (`Generate` a chunk of one class's arrivals, `Arrive`,
+//! `Drain` the batched completion timer, `Probe` the in-flight depth)
+//! over N client classes that share one [`SlotPool`] under FIFO or DRR.
+//! A class is data: its own arrival source, service profile and stream,
+//! connections, trace lane, accounting and borrowed sampled backend. The
+//! load and pipeline sweeps run one class named `pool` on a counted
+//! Poisson source; [`crate::tenancy`] runs one class per tenant on its
+//! windowed arrival process. Loadgen and tenancy use the empty chain,
+//! which charges no stage cost and draws no stage stream. A trial
+//! populates each sampled backend once and lends it to every sweep point
+//! or window (see [`crate::slots`]); a single-point entry point builds
+//! its own.
 //!
 //! Determinism contract: per-stage cost/cache/short-circuit draws come
 //! from per-stage streams that are consumed identically for **every**
@@ -50,6 +57,7 @@ use crate::slots::{
     backend_profile, Admission, BackendState, ClassConfig, ConnState, SlotPolicy, SlotPool,
 };
 pub use crate::slots::{LoadBackend, ServiceProfile};
+use crate::tenancy::ArrivalGen;
 
 /// Label of the middleware-stage stream, split from the cell stream only
 /// when some sweep point has a non-empty chain — a zero-depth sweep must
@@ -61,13 +69,16 @@ const STAGE_STREAM: &str = "stages";
 /// first split it, so the load figures stay byte-identical.
 const MISC_STREAM: &str = "loadgen";
 
-/// Arrivals are pre-sampled and enqueued in chunks of this size, bounding
-/// the event queue's pending count regardless of the sweep size. Shared
-/// with [`crate::cluster`]'s router.
+/// A counted arrival source pre-samples and enqueues its arrivals in
+/// chunks of this size, bounding the event queue's pending count
+/// regardless of the sweep size. Shared with [`crate::cluster`]'s router.
 pub(crate) const ARRIVAL_CHUNK: u64 = 512;
 
-/// In-flight probes per sweep point, spread evenly over the expected
-/// arrival window.
+/// Chunk size of a windowed arrival source.
+const WINDOWED_CHUNK: usize = 256;
+
+/// In-flight probes per pipeline sweep point, spread evenly over the
+/// expected arrival window.
 const PROBES: u32 = 64;
 
 fn validated_us(what: &str, us: f64) -> Result<Nanos, SimError> {
@@ -692,18 +703,38 @@ impl PipelineBenchmark {
                 .collect(),
             None => Vec::new(),
         };
+        let slots = ClassConfig {
+            weight: 1,
+            queue_capacity: self.queue_capacity,
+            mean_cost: profile.service_time + chain.expected_cost(),
+        };
+        let per_sec = offered_per_sec.max(1.0);
+        let window = Nanos::from_secs_f64(self.requests_per_point as f64 / per_sec);
+        let arrivals = ArrivalSource::Counted {
+            rng: arrival_rng,
+            per_sec,
+            remaining: self.requests_per_point as u64,
+        };
+        let class = ClientClass::new(
+            "pool",
+            arrivals,
+            slots,
+            *profile,
+            service_rng,
+            self.clients,
+            backend,
+        );
         let mut sim = PipelineSim::new(
-            self,
-            profile,
+            vec![class],
+            profile.servers,
+            SlotPolicy::FifoArrival,
             chain,
             stage_rngs,
-            offered_per_sec,
-            arrival_rng,
-            service_rng,
             misc_rng.split(MISC_STREAM),
-            backend,
+            self.op_sample_every,
+            (PROBES, window / u64::from(PROBES)),
             obs,
-        );
+        )?;
         let end = sim.run();
         let obs = sim.obs.take();
         Ok((sim.into_point(setting, offered_per_sec, end), obs))
@@ -822,56 +853,175 @@ pub struct PipelinePoint {
     pub min_slack_us: f64,
 }
 
-/// A request waiting in the admission queue or in service.
+/// A request waiting in the admission queue or in service. The `u16`
+/// class index keeps it at 32 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Request {
-    /// Deterministic arrival index, the identity trace sampling keys on.
+    /// Deterministic arrival index across all classes, the identity trace
+    /// sampling keys on.
     id: u64,
     arrived: Nanos,
-    conn: u32,
     stage_cost: Nanos,
+    conn: u32,
+    class: u16,
     cut: bool,
 }
 
-/// Typed events of one open-loop sweep point: the event queue's pop
-/// order alone drives the state machine.
+const _: () = assert!(std::mem::size_of::<Request>() == 32);
+
+/// Typed events of one open-loop run: the event queue's pop order alone
+/// drives the state machine.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// Sample and push the next chunk of arrivals.
-    Generate,
-    /// One open-loop arrival.
-    Arrive,
-    /// Completion-timer wake.
+    /// Sample and push the next chunk of `class`'s arrivals.
+    Generate { class: u16 },
+    /// One arrival of `class`.
+    Arrive { class: u16 },
+    /// Completion-timer wake of the shared pool.
     Drain,
     /// Fixed-cadence in-flight probe; `remaining` counts this one.
     Probe { remaining: u32 },
 }
 
-/// The discrete-event state of one open-loop sweep point: Poisson
-/// arrivals, bounded admission, the middleware chain spliced into
-/// dispatch, and batched completions, against the sampled backend it
-/// borrows from its trial. The load sweep is its zero-stage chain.
-struct PipelineSim<'a> {
-    arrival_rng: SimRng,
-    service_rng: SimRng,
-    misc_rng: SimRng,
-    stage_rngs: Vec<SimRng>,
+/// Where one client class's arrivals come from: the two arrival clocks
+/// the recorded figures were taken with.
+pub(crate) enum ArrivalSource {
+    /// A fixed number of Poisson arrivals (the load and pipeline sweeps):
+    /// each unit-rate gap is scaled by `per_sec` and rounded to whole
+    /// nanoseconds before it is added, chunks hold [`ARRIVAL_CHUNK`]
+    /// arrivals, and no generation follows the last chunk.
+    Counted {
+        rng: SimRng,
+        per_sec: f64,
+        remaining: u64,
+    },
+    /// A tenant's [`ArrivalGen`] on an f64-seconds clock: chunks hold
+    /// [`WINDOWED_CHUNK`] arrivals, every full chunk pushes the next
+    /// generation, and the source stops at its first arrival past
+    /// `window_secs`.
+    Windowed {
+        gen: ArrivalGen,
+        clock_secs: f64,
+        window_secs: f64,
+    },
+}
+
+impl ArrivalSource {
+    /// Pushes the next chunk of `class`'s arrivals, then the generation
+    /// of the chunk after it (FIFO among equal timestamps, so the next
+    /// chunk continues from this one's clock).
+    fn generate(&mut self, class: u16, now: Nanos, queue: &mut EventQueue<Ev>) {
+        match self {
+            ArrivalSource::Counted {
+                rng,
+                per_sec,
+                remaining,
+            } => {
+                let n = (*remaining).min(ARRIVAL_CHUNK);
+                *remaining -= n;
+                let mut offset = Nanos::ZERO;
+                for _ in 0..n {
+                    // Unit-rate exponential gaps scaled by the offered
+                    // rate: the same arrival stream compresses uniformly
+                    // as load grows.
+                    offset += Nanos::from_secs_f64(rng.exponential(1.0) / *per_sec);
+                    queue.push(now + offset, Ev::Arrive { class });
+                }
+                if *remaining > 0 {
+                    queue.push(now + offset, Ev::Generate { class });
+                }
+            }
+            ArrivalSource::Windowed {
+                gen,
+                clock_secs,
+                window_secs,
+            } => {
+                for _ in 0..WINDOWED_CHUNK {
+                    *clock_secs += gen.next_gap();
+                    if *clock_secs > *window_secs {
+                        return;
+                    }
+                    queue.push(Nanos::from_secs_f64(*clock_secs), Ev::Arrive { class });
+                }
+                queue.push(Nanos::from_secs_f64(*clock_secs), Ev::Generate { class });
+            }
+        }
+    }
+}
+
+/// One client class of an open-loop run: a connection population with
+/// its own arrival source, slot-pool class, service profile and stream,
+/// trace lane and accounting, driving the sampled backend it borrows
+/// from its trial.
+pub(crate) struct ClientClass<'a> {
+    name: &'a str,
+    arrivals: ArrivalSource,
+    slots: ClassConfig,
     profile: ServiceProfile,
-    chain: MiddlewareChain,
-    pool: SlotPool<Request>,
-    offered_per_sec: f64,
-    remaining_arrivals: u64,
+    service_rng: SimRng,
+    pub(crate) backend: &'a mut BackendState,
     conns: Vec<ConnState>,
-    latencies_us: Vec<f64>,
-    completed: u64,
+    lane: u32,
+    pub(crate) latencies_us: Vec<f64>,
+    pub(crate) completed: u64,
     short_circuited: u64,
-    dropped: u64,
-    peak_in_flight: usize,
-    backend: &'a mut BackendState,
+    pub(crate) dropped: u64,
+}
+
+impl<'a> ClientClass<'a> {
+    /// A class named `name` (its trace lane) spreading its arrivals over
+    /// `clients` connections.
+    pub(crate) fn new(
+        name: &'a str,
+        arrivals: ArrivalSource,
+        slots: ClassConfig,
+        profile: ServiceProfile,
+        service_rng: SimRng,
+        clients: usize,
+        backend: &'a mut BackendState,
+    ) -> Self {
+        let expected = match &arrivals {
+            ArrivalSource::Counted { remaining, .. } => *remaining as usize,
+            ArrivalSource::Windowed { .. } => 0,
+        };
+        ClientClass {
+            name,
+            arrivals,
+            slots,
+            profile,
+            service_rng,
+            backend,
+            conns: vec![ConnState::default(); clients.max(1)],
+            lane: 0,
+            latencies_us: Vec::with_capacity(expected),
+            completed: 0,
+            short_circuited: 0,
+            dropped: 0,
+        }
+    }
+
+    /// Requests the class issued.
+    pub(crate) fn issued(&self) -> u64 {
+        self.conns.iter().map(|c| c.issued).sum()
+    }
+}
+
+/// The open-loop request engine of the load, pipeline and tenancy runs:
+/// its client classes share one slot pool, the middleware chain is
+/// spliced into dispatch, and completions drain through the batched
+/// timer.
+pub(crate) struct PipelineSim<'a> {
+    pub(crate) classes: Vec<ClientClass<'a>>,
+    pool: SlotPool<Request>,
+    chain: MiddlewareChain,
+    stage_rngs: Vec<SimRng>,
+    misc_rng: SimRng,
     op_sample_every: u64,
     admitted: u64,
-    in_flight_probe: RunningStats,
+    probes: u32,
     probe_period: Nanos,
+    in_flight_probe: RunningStats,
+    peak_in_flight: usize,
     stage_cost_ns_sum: u128,
     depth_sum: u64,
     cache_hits: u64,
@@ -883,71 +1033,67 @@ struct PipelineSim<'a> {
     /// Arrival indices double as trace-sampling identities.
     next_request: u64,
     /// `None` is the zero-cost untraced path.
-    obs: Option<Recorder>,
-    obs_pool_lane: u32,
+    pub(crate) obs: Option<Recorder>,
     obs_stage_lanes: Vec<u32>,
     visit_buf: Vec<StageVisit>,
 }
 
 impl<'a> PipelineSim<'a> {
+    /// An engine over `classes` sharing `servers` slots under `policy`,
+    /// with `probes` in-flight probes `probe_period` apart. Tenancy
+    /// reports no in-flight depth and takes none: a probe is an event,
+    /// which its pinned timeline's core counters would count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] when the slot pool is invalid
+    /// (see [`SlotPool::new`]) or there are more classes than a `u16`
+    /// indexes.
     #[allow(clippy::too_many_arguments)]
-    fn new(
-        bench: &PipelineBenchmark,
-        profile: &ServiceProfile,
+    pub(crate) fn new(
+        mut classes: Vec<ClientClass<'a>>,
+        servers: usize,
+        policy: SlotPolicy,
         chain: MiddlewareChain,
         stage_rngs: Vec<SimRng>,
-        offered_per_sec: f64,
-        arrival_rng: SimRng,
-        service_rng: SimRng,
         misc_rng: SimRng,
-        backend: &'a mut BackendState,
+        op_sample_every: u64,
+        (probes, probe_period): (u32, Nanos),
         mut obs: Option<Recorder>,
-    ) -> Self {
-        // Lane 0 is the admission/slot pool; each stage gets its own
-        // lane, indexed so repeated stage kinds stay distinguishable.
-        let obs_pool_lane = obs.as_mut().map_or(0, |o| o.lane("pool"));
-        let obs_stage_lanes = match obs.as_mut() {
-            Some(o) => chain
+    ) -> Result<Self, SimError> {
+        if u16::try_from(classes.len()).is_err() {
+            return Err(SimError::InvalidConfig(format!(
+                "an open-loop run takes at most {} client classes",
+                u16::MAX
+            )));
+        }
+        let pool = SlotPool::new(servers, policy, classes.iter().map(|c| c.slots).collect())?;
+        // The class lanes come first, in class order; then one lane per
+        // stage, indexed so repeated stage kinds stay distinguishable.
+        let mut obs_stage_lanes = Vec::new();
+        if let Some(o) = obs.as_mut() {
+            for class in &mut classes {
+                class.lane = o.lane(class.name);
+            }
+            obs_stage_lanes = chain
                 .stages
                 .iter()
                 .enumerate()
                 .map(|(i, s)| o.lane(&format!("s{i}:{}", s.name)))
-                .collect(),
-            None => Vec::new(),
-        };
-        let pool = SlotPool::new(
-            profile.servers,
-            SlotPolicy::FifoArrival,
-            vec![ClassConfig {
-                weight: 1,
-                queue_capacity: bench.queue_capacity,
-                mean_cost: profile.service_time + chain.expected_cost(),
-            }],
-        )
-        .expect("a validated service profile yields a valid single-class pool");
-        let offered_per_sec = offered_per_sec.max(1.0);
-        let window = Nanos::from_secs_f64(bench.requests_per_point as f64 / offered_per_sec);
-        PipelineSim {
-            arrival_rng,
-            service_rng,
-            misc_rng,
-            stage_rngs,
-            profile: *profile,
-            chain,
+                .collect();
+        }
+        Ok(PipelineSim {
+            classes,
             pool,
-            offered_per_sec,
-            remaining_arrivals: bench.requests_per_point as u64,
-            conns: vec![ConnState::default(); bench.clients.max(1)],
-            latencies_us: Vec::with_capacity(bench.requests_per_point),
-            completed: 0,
-            short_circuited: 0,
-            dropped: 0,
-            peak_in_flight: 0,
-            backend,
-            op_sample_every: bench.op_sample_every.max(1),
+            chain,
+            stage_rngs,
+            misc_rng,
+            op_sample_every: op_sample_every.max(1),
             admitted: 0,
+            probes,
+            probe_period,
             in_flight_probe: RunningStats::new(),
-            probe_period: window / u64::from(PROBES),
+            peak_in_flight: 0,
             stage_cost_ns_sum: 0,
             depth_sum: 0,
             cache_hits: 0,
@@ -958,23 +1104,33 @@ impl<'a> PipelineSim<'a> {
             dispatch_buf: Vec::new(),
             next_request: 0,
             obs,
-            obs_pool_lane,
             obs_stage_lanes,
             visit_buf: Vec::new(),
-        }
+        })
     }
 
-    /// Drains the point's events: the arrival source at time zero, then
-    /// the first in-flight probe one period in. Returns the virtual time
-    /// of the last event.
-    fn run(&mut self) -> Nanos {
+    /// Drains the run's events: every class's arrival source at time
+    /// zero in class order, then the first in-flight probe one period in.
+    /// Returns the virtual time of the last event.
+    pub(crate) fn run(&mut self) -> Nanos {
         let mut queue = EventQueue::new();
-        queue.push(Nanos::ZERO, Ev::Generate);
-        queue.push(self.probe_period, Ev::Probe { remaining: PROBES });
+        for class in 0..self.classes.len() as u16 {
+            queue.push(Nanos::ZERO, Ev::Generate { class });
+        }
+        if self.probes > 0 {
+            let first = Ev::Probe {
+                remaining: self.probes,
+            };
+            queue.push(self.probe_period, first);
+        }
         while let Some((now, ev)) = queue.pop() {
             match ev {
-                Ev::Generate => self.generate(now, &mut queue),
-                Ev::Arrive => self.arrive(now, &mut queue),
+                Ev::Generate { class } => {
+                    self.classes[usize::from(class)]
+                        .arrivals
+                        .generate(class, now, &mut queue);
+                }
+                Ev::Arrive { class } => self.arrive(now, class, &mut queue),
                 Ev::Drain => self.drain_completions(now, &mut queue),
                 Ev::Probe { remaining } => {
                     self.in_flight_probe.record(self.pool.in_flight() as f64);
@@ -988,82 +1144,59 @@ impl<'a> PipelineSim<'a> {
             }
         }
         if let Some(obs) = self.obs.as_mut() {
-            // The wheel profile of one sweep point: the point's own queue
-            // plus the batched completion timer's.
+            // The wheel profile of the run: its own queue plus the
+            // batched completion timer's.
             obs.set_core_counters(queue.counters().merged(self.completions.counters()));
         }
         queue.frontier()
     }
 
-    /// Samples the next chunk of Poisson interarrival gaps and pushes one
-    /// arrival per gap; pushes the next chunk's generation after the
-    /// chunk's last arrival while arrivals remain.
-    fn generate(&mut self, now: Nanos, queue: &mut EventQueue<Ev>) {
-        let n = self.remaining_arrivals.min(ARRIVAL_CHUNK);
-        if n == 0 {
-            return;
-        }
-        self.remaining_arrivals -= n;
-        let mut offset = Nanos::ZERO;
-        for _ in 0..n {
-            // Unit-rate exponential gaps scaled by the offered rate: the
-            // same arrival stream compresses uniformly as load grows.
-            offset +=
-                Nanos::from_secs_f64(self.arrival_rng.exponential(1.0) / self.offered_per_sec);
-            queue.push(now + offset, Ev::Arrive);
-        }
-        if self.remaining_arrivals > 0 {
-            // Pushed after the chunk's last arrival (FIFO among equal
-            // timestamps), so the next chunk continues from its clock.
-            queue.push(now + offset, Ev::Generate);
-        }
-    }
-
-    /// One open-loop arrival: attribute it to a connection, run the
-    /// sampled real-backend operation, then admit, enqueue or drop.
-    fn arrive(&mut self, now: Nanos, queue: &mut EventQueue<Ev>) {
-        let conn = self.misc_rng.index(self.conns.len()) as u32;
-        self.conns[conn as usize].issued += 1;
+    /// One open-loop arrival of `class`: attribute it to a connection,
+    /// then admit (running the sampled backend operation), enqueue or
+    /// drop it at the shared pool.
+    fn arrive(&mut self, now: Nanos, class: u16, queue: &mut EventQueue<Ev>) {
+        let c = usize::from(class);
+        let state = &mut self.classes[c];
+        let conn = self.misc_rng.index(state.conns.len()) as u32;
+        state.conns[conn as usize].issued += 1;
+        let lane = state.lane;
         let request = Request {
             id: self.next_request,
             arrived: now,
-            conn,
             stage_cost: Nanos::ZERO,
+            conn,
+            class,
             cut: false,
         };
         self.next_request += 1;
         if let Some(obs) = self.obs.as_mut() {
-            obs.count_arrival(self.obs_pool_lane, request.arrived);
+            obs.count_arrival(lane, now);
         }
-        match self.pool.offer(0, request.arrived, request) {
+        match self.pool.offer(c, now, request) {
             Admission::Dispatched => {
-                self.admit();
-                self.schedule_completion(now, request, queue);
+                self.admit(c);
+                self.dispatch(now, request, queue);
             }
-            Admission::Queued => self.admit(),
+            Admission::Queued => self.admit(c),
             Admission::Dropped => {
-                self.conns[conn as usize].dropped += 1;
-                self.dropped += 1;
+                let state = &mut self.classes[c];
+                state.conns[conn as usize].dropped += 1;
+                state.dropped += 1;
                 if let Some(obs) = self.obs.as_mut() {
-                    obs.count_drop(self.obs_pool_lane, request.arrived);
+                    obs.count_drop(lane, now);
                 }
             }
         }
         self.peak_in_flight = self.peak_in_flight.max(self.pool.in_flight());
         if let Some(obs) = self.obs.as_mut() {
-            obs.gauge(
-                self.obs_pool_lane,
-                request.arrived,
-                self.pool.queued_total(),
-                self.pool.busy(),
-            );
+            obs.gauge(lane, now, self.pool.queued(c), self.pool.busy());
         }
     }
 
-    fn admit(&mut self) {
+    fn admit(&mut self, class: usize) {
         self.admitted += 1;
         if self.admitted % self.op_sample_every == 0 {
-            self.backend.execute(&mut self.misc_rng);
+            self.classes[class].backend.execute(&mut self.misc_rng);
         }
     }
 
@@ -1074,13 +1207,10 @@ impl<'a> PipelineSim<'a> {
     /// The backend service time is sampled unconditionally — even for
     /// requests a stage short-circuits — so the `service` stream stays
     /// aligned across chain depths request for request.
-    fn schedule_completion(
-        &mut self,
-        now: Nanos,
-        mut request: Request,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let backend = self.profile.sample_service_time(&mut self.service_rng);
+    fn dispatch(&mut self, now: Nanos, mut request: Request, queue: &mut EventQueue<Ev>) {
+        let class = &mut self.classes[usize::from(request.class)];
+        let backend = class.profile.sample_service_time(&mut class.service_rng);
+        let lane = class.lane;
         let t = match self.obs.is_some() {
             // Traced run: collect the per-stage detail. `traverse`
             // delegates to `traverse_with`, so the draw order is the
@@ -1094,7 +1224,7 @@ impl<'a> PipelineSim<'a> {
             false => self.chain.traverse(&mut self.stage_rngs),
         };
         if self.obs.is_some() {
-            self.record_dispatch(now, &request, backend, t.short_circuit.is_some());
+            self.record_dispatch(now, &request, lane, backend, t.short_circuit.is_some());
         }
         self.stage_cost_ns_sum += u128::from(t.stage_cost.as_nanos());
         self.depth_sum += t.stages_traversed as u64;
@@ -1119,7 +1249,14 @@ impl<'a> PipelineSim<'a> {
     /// chain order (cache access charged inside), the backend slot
     /// service unless short-circuited, then the out-phases in reverse
     /// order. The spans tile `[arrived, dispatch + service]` exactly.
-    fn record_dispatch(&mut self, now: Nanos, request: &Request, backend: Nanos, cut: bool) {
+    fn record_dispatch(
+        &mut self,
+        now: Nanos,
+        request: &Request,
+        lane: u32,
+        backend: Nanos,
+        cut: bool,
+    ) {
         let visits = std::mem::take(&mut self.visit_buf);
         if let Some(obs) = self.obs.as_mut() {
             for v in &visits {
@@ -1131,25 +1268,25 @@ impl<'a> PipelineSim<'a> {
                 obs.span(
                     SpanKind::AdmissionWait,
                     request.id,
-                    self.obs_pool_lane,
+                    lane,
                     request.arrived,
                     now,
                 );
                 let mut cursor = now;
                 for v in &visits {
-                    let lane = self.obs_stage_lanes[v.stage];
+                    let stage_lane = self.obs_stage_lanes[v.stage];
                     let in_end = cursor + v.in_cost + v.cache_cost;
-                    obs.span(SpanKind::StageIn, request.id, lane, cursor, in_end);
+                    obs.span(SpanKind::StageIn, request.id, stage_lane, cursor, in_end);
                     if let Some(hit) = v.cache_hit {
                         let kind = if hit {
                             SpanKind::CacheHit
                         } else {
                             SpanKind::CacheMiss
                         };
-                        obs.instant(kind, request.id, lane, cursor + v.in_cost);
+                        obs.instant(kind, request.id, stage_lane, cursor + v.in_cost);
                     }
                     if v.short_circuited {
-                        obs.instant(SpanKind::ShortCircuit, request.id, lane, in_end);
+                        obs.instant(SpanKind::ShortCircuit, request.id, stage_lane, in_end);
                     }
                     cursor = in_end;
                 }
@@ -1157,7 +1294,7 @@ impl<'a> PipelineSim<'a> {
                     obs.span(
                         SpanKind::SlotService,
                         request.id,
-                        self.obs_pool_lane,
+                        lane,
                         cursor,
                         cursor + backend,
                     );
@@ -1165,11 +1302,10 @@ impl<'a> PipelineSim<'a> {
                 }
                 for v in visits.iter().rev() {
                     if v.out_cost > Nanos::ZERO {
-                        let lane = self.obs_stage_lanes[v.stage];
                         obs.span(
                             SpanKind::StageOut,
                             request.id,
-                            lane,
+                            self.obs_stage_lanes[v.stage],
                             cursor,
                             cursor + v.out_cost,
                         );
@@ -1191,42 +1327,51 @@ impl<'a> PipelineSim<'a> {
         }
         for &(at, request) in &due {
             debug_assert_eq!(at, now, "completions drain exactly at their tick");
+            let class = &mut self.classes[usize::from(request.class)];
             let sojourn = now - request.arrived;
-            self.latencies_us.push(sojourn.as_micros_f64());
+            class.latencies_us.push(sojourn.as_micros_f64());
             let slack = i128::from(sojourn.as_nanos()) - i128::from(request.stage_cost.as_nanos());
             self.min_slack_ns = self.min_slack_ns.min(slack);
-            self.conns[request.conn as usize].completed += 1;
+            class.conns[request.conn as usize].completed += 1;
             if request.cut {
-                self.short_circuited += 1;
+                class.short_circuited += 1;
             } else {
-                self.completed += 1;
+                class.completed += 1;
             }
             if let Some(obs) = self.obs.as_mut() {
-                obs.count_completion(self.obs_pool_lane, now);
+                obs.count_completion(class.lane, now);
             }
         }
         let mut dispatched = std::mem::take(&mut self.dispatch_buf);
-        self.pool
-            .finish_batch(due.iter().map(|_| 0), &mut dispatched);
+        self.pool.finish_batch(
+            due.iter().map(|&(_, request)| usize::from(request.class)),
+            &mut dispatched,
+        );
         due.clear();
         self.drain_buf = due;
         for (_, _, next) in dispatched.drain(..) {
-            self.schedule_completion(now, next, queue);
+            self.dispatch(now, next, queue);
         }
         self.dispatch_buf = dispatched;
     }
 
+    /// The pipeline point of a single-class run.
     fn into_point(
         self,
         setting: &PipelineSetting,
         offered_per_sec: f64,
         end: Nanos,
     ) -> PipelinePoint {
-        let issued: u64 = self.conns.iter().map(|c| c.issued).sum();
-        let responded = self.completed + self.short_circuited;
-        debug_assert_eq!(issued, responded + self.dropped);
-        debug_assert_eq!(self.pool.counters(0).dropped, self.dropped);
-        let cdf = Cdf::from_samples(self.latencies_us)
+        let class = self
+            .classes
+            .into_iter()
+            .next()
+            .expect("a pipeline point runs one class");
+        let issued = class.issued();
+        let responded = class.completed + class.short_circuited;
+        debug_assert_eq!(issued, responded + class.dropped);
+        debug_assert_eq!(self.pool.counters(0).dropped, class.dropped);
+        let cdf = Cdf::from_samples(class.latencies_us)
             .expect("a sweep point always completes at least one request");
         let duration = end.as_secs_f64().max(f64::MIN_POSITIVE);
         let denom = responded.max(1) as f64;
@@ -1237,19 +1382,19 @@ impl<'a> PipelineSim<'a> {
             hit_rate: setting.hit_rate,
             planned_hit_rate: setting.planned_hit_rate,
             offered_per_sec,
-            achieved_per_sec: self.completed as f64 / duration,
+            achieved_per_sec: class.completed as f64 / duration,
             p50_us: cdf.percentile(50.0),
             p95_us: cdf.percentile(95.0),
             p99_us: cdf.percentile(99.0),
             mean_us: cdf.mean(),
             stage_tax_us: self.stage_cost_ns_sum as f64 / denom / 1e3,
             mean_depth: self.depth_sum as f64 / denom,
-            short_circuit_fraction: self.short_circuited as f64 / denom,
+            short_circuit_fraction: class.short_circuited as f64 / denom,
             cache_hit_fraction: self.cache_hits as f64 / accesses,
-            completed: self.completed,
-            short_circuited: self.short_circuited,
-            dropped: self.dropped,
-            drop_fraction: self.dropped as f64 / issued.max(1) as f64,
+            completed: class.completed,
+            short_circuited: class.short_circuited,
+            dropped: class.dropped,
+            drop_fraction: class.dropped as f64 / issued.max(1) as f64,
             peak_in_flight: self.peak_in_flight,
             mean_in_flight: self.in_flight_probe.mean(),
             min_slack_us: if self.min_slack_ns == i128::MAX {
@@ -1553,29 +1698,47 @@ mod tests {
         let profile = bench.service_profile(&platform).unwrap();
         let offered = profile.capacity_per_sec() * 0.8;
         let mut rng = SimRng::seed_from(84);
-        let arrival = rng.split("arrivals");
-        let service = rng.split("service");
+        let arrivals = ArrivalSource::Counted {
+            rng: rng.split("arrivals"),
+            per_sec: offered,
+            remaining: bench.requests_per_point as u64,
+        };
+        let slots = ClassConfig {
+            weight: 1,
+            queue_capacity: bench.queue_capacity,
+            mean_cost: profile.service_time,
+        };
         let mut backend = BackendState::build(bench.backend);
+        let class = ClientClass::new(
+            "pool",
+            arrivals,
+            slots,
+            profile,
+            rng.split("service"),
+            bench.clients,
+            &mut backend,
+        );
         let mut sim = PipelineSim::new(
-            &bench,
-            &profile,
+            vec![class],
+            profile.servers,
+            SlotPolicy::FifoArrival,
             MiddlewareChain::empty(),
             Vec::new(),
-            offered,
-            arrival,
-            service,
             rng.split("m"),
-            &mut backend,
+            bench.op_sample_every,
+            (0, Nanos::ZERO),
             None,
-        );
+        )
+        .unwrap();
         sim.run();
-        let issued: u64 = sim.conns.iter().map(|c| c.issued).sum();
-        let completed: u64 = sim.conns.iter().map(|c| c.completed).sum();
-        let dropped: u64 = sim.conns.iter().map(|c| c.dropped).sum();
+        let conns = &sim.classes[0].conns;
+        let issued: u64 = conns.iter().map(|c| c.issued).sum();
+        let completed: u64 = conns.iter().map(|c| c.completed).sum();
+        let dropped: u64 = conns.iter().map(|c| c.dropped).sum();
         assert_eq!(issued, bench.requests_per_point as u64);
         assert_eq!(issued, completed + dropped);
         assert!(
-            sim.conns.iter().filter(|c| c.issued > 0).count() > bench.clients / 2,
+            conns.iter().filter(|c| c.issued > 0).count() > bench.clients / 2,
             "arrivals must spread over the connection population"
         );
     }

@@ -1,11 +1,12 @@
 //! The shared service-slot core of the open-loop subsystems.
 //!
-//! The single-population request engine ([`crate::pipeline`], which the
-//! [`crate::loadgen`] sweep runs as its zero-stage chain), the
-//! multi-tenant co-location subsystem ([`crate::tenancy`]) and the
+//! The open-loop request engine in [`crate::pipeline`] and the
 //! [`crate::cluster`] shards drive a platform's **derated service-slot
-//! pool** through bounded admission queues. This module is the one
-//! implementation they share:
+//! pool** through bounded admission queues. The engine gives each of its
+//! client classes one class of the pool: the single class of a
+//! [`crate::loadgen`] or pipeline sweep point, or one per tenant in a
+//! [`crate::tenancy`] window. This module is the one implementation they
+//! share:
 //!
 //! * [`ServiceProfile`] — the derated per-slot service-time model of one
 //!   backend on one platform, with a log-normal per-request service-time
@@ -14,17 +15,16 @@
 //!   a degenerate platform profile (zero or non-finite derated service
 //!   time) returns a [`SimError`] instead of an infinite capacity.
 //! * [`SlotPool`] — a fixed pool of service slots fed by one bounded FIFO
-//!   admission queue per class (tenant), scheduled either in global
-//!   arrival order ([`SlotPolicy::FifoArrival`]) or by weighted
-//!   deficit-round-robin over the classes ([`SlotPolicy::WeightedDrr`]).
-//! * [`BackendState`] — the sampled real-backend execution (kvstore /
+//!   admission queue per class, scheduled either in global arrival order
+//!   ([`SlotPolicy::FifoArrival`]) or by weighted deficit-round-robin
+//!   over the classes ([`SlotPolicy::WeightedDrr`]).
+//! * `BackendState` — the sampled real-backend execution (kvstore /
 //!   relstore) that keeps the simulated load honest against the actual
 //!   data structures. Like the paper's YCSB load phase and sysbench
 //!   prepare, each trial populates it once and every sweep point or
 //!   tenancy window of the trial runs against it; the sampled
-//!   operations never change what a point reports of it (see
-//!   [`BackendState`]).
-//! * [`ConnState`] — the per-connection issued/completed/dropped
+//!   operations never change what a point reports of it.
+//! * `ConnState` — the per-connection issued/completed/dropped
 //!   accounting of a client population.
 
 use std::collections::VecDeque;

@@ -33,21 +33,24 @@
 //! backend is populated once per trial and carried through the solo
 //! window and every co-located window (see [`crate::slots`]).
 //!
-//! Each window drains one [`EventQueue`] of typed events: every tenant's
-//! `Generate` pushes its next chunk of `Arrive` events, and `Drain` wakes
-//! the completion timer the tenants share.
+//! Tenants are data for the one open-loop engine in [`crate::pipeline`]:
+//! a window runs one client class per tenant, in tenant order, behind the
+//! empty middleware chain. Each class carries its tenant's arrival
+//! process on an f64-seconds clock, service profile and stream,
+//! connections, trace lane and backend, and the window's policy
+//! schedules the slot pool they share. A tenant offered zero load issues
+//! no requests.
 
 use platforms::Platform;
 use simcore::dist::Distribution;
 use simcore::error::SimError;
-use simcore::obs::{Recorder, SpanKind};
-use simcore::resource::CompletionTimer;
+use simcore::obs::Recorder;
 use simcore::stats::Cdf;
-use simcore::{EventQueue, Nanos, SimRng};
+use simcore::{Nanos, SimRng};
 
+use crate::pipeline::{ArrivalSource, ClientClass, MiddlewareChain, PipelineSim};
 use crate::slots::{
-    backend_profile, Admission, BackendState, ClassConfig, ConnState, LoadBackend, ServiceProfile,
-    SlotPolicy, SlotPool, StoreSnapshot,
+    backend_profile, BackendState, ClassConfig, LoadBackend, ServiceProfile, SlotPolicy,
 };
 
 /// The arrival process of one tenant.
@@ -82,9 +85,9 @@ impl ArrivalProcess {
                     "tenant {tenant}: on-off duty cycle {duty_cycle} must lie in (0, 1)"
                 )));
             }
-            if burst_arrivals.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+            if !(*burst_arrivals > 0.0 && burst_arrivals.is_finite()) {
                 return Err(SimError::InvalidConfig(format!(
-                    "tenant {tenant}: burst length {burst_arrivals} must be positive"
+                    "tenant {tenant}: burst length {burst_arrivals} must be positive and finite"
                 )));
             }
         }
@@ -100,7 +103,7 @@ impl ArrivalProcess {
 /// scaled clock** — the common-random-numbers property the sweep's
 /// monotonicity relies on.
 #[derive(Debug, Clone)]
-struct ArrivalGen {
+pub(crate) struct ArrivalGen {
     process: ArrivalProcess,
     rate: f64,
     rng: SimRng,
@@ -118,8 +121,10 @@ impl ArrivalGen {
         }
     }
 
-    /// The next interarrival gap in seconds.
-    fn next_gap(&mut self) -> f64 {
+    /// The next interarrival gap in seconds; infinite for an on–off
+    /// source too slow for finite phases (zero offered load), which never
+    /// arrives.
+    pub(crate) fn next_gap(&mut self) -> f64 {
         match self.process {
             ArrivalProcess::Poisson => self.rng.exponential(1.0) / self.rate,
             ArrivalProcess::OnOff {
@@ -129,6 +134,12 @@ impl ArrivalGen {
                 let on_rate = self.rate / duty_cycle;
                 let mean_on = burst_arrivals / on_rate;
                 let mean_off = mean_on * (1.0 - duty_cycle) / duty_cycle;
+                // Non-finite phases make both phase draws 0, so the loop
+                // below would never advance.
+                let finite = |mean: f64| mean.is_finite() && mean > 0.0;
+                if !(finite(mean_on) && finite(mean_off)) {
+                    return f64::INFINITY;
+                }
                 let mut gap = 0.0;
                 loop {
                     if self.on_remaining <= 0.0 {
@@ -503,7 +514,7 @@ impl TenancyBenchmark {
         streams: &[TenantStreams],
         misc_rng: SimRng,
         backends: &mut [BackendState],
-        mut obs: Option<Recorder>,
+        obs: Option<Recorder>,
     ) -> Result<(Vec<TenantPoint>, Option<Recorder>), SimError> {
         if tenants.is_empty() {
             return Err(SimError::InvalidConfig(
@@ -528,88 +539,56 @@ impl TenancyBenchmark {
         }
         let window_secs = self.victim_requests.max(1) as f64 / anchor_rate;
 
+        debug_assert_eq!(backends.len(), tenants.len(), "one backend per tenant");
         let classes = tenants
             .iter()
             .zip(&profiles)
-            .map(|(t, p)| ClassConfig {
-                weight: t.weight,
-                queue_capacity: t.queue_capacity,
-                mean_cost: p.service_time,
-            })
-            .collect();
-        let pool = SlotPool::new(self.servers, policy, classes)?;
-
-        let runtime = tenants
-            .iter()
-            .zip(&profiles)
             .zip(streams)
-            .map(|((spec, profile), streams)| {
+            .zip(backends.iter_mut())
+            .map(|(((spec, profile), streams), backend)| {
                 let rate = profile.capacity_per_sec() * spec.offered_fraction;
-                TenantRt {
-                    spec: spec.clone(),
-                    profile: *profile,
+                let arrivals = ArrivalSource::Windowed {
                     gen: ArrivalGen::new(spec.arrivals, rate, streams.arrival.clone()),
-                    service_rng: streams.service.clone(),
-                    offered_per_sec: rate,
                     clock_secs: 0.0,
                     window_secs,
-                    conns: vec![ConnState::default(); spec.clients.max(1)],
-                    latencies_us: Vec::new(),
-                    issued: 0,
-                    completed: 0,
-                    dropped: 0,
-                }
+                };
+                let slots = ClassConfig {
+                    weight: spec.weight,
+                    queue_capacity: spec.queue_capacity,
+                    mean_cost: profile.service_time,
+                };
+                ClientClass::new(
+                    &spec.name,
+                    arrivals,
+                    slots,
+                    *profile,
+                    streams.service.clone(),
+                    spec.clients,
+                    backend,
+                )
             })
-            .collect::<Vec<_>>();
-
-        // One trace lane per tenant, registered in input order.
-        let obs_lanes = match obs.as_mut() {
-            Some(o) => tenants.iter().map(|t| o.lane(&t.name)).collect(),
-            None => Vec::new(),
-        };
-        debug_assert_eq!(backends.len(), tenants.len(), "one backend per tenant");
-        let mut sim = TenantSim {
-            pool,
-            backends,
-            tenants: runtime,
+            .collect();
+        let mut sim = PipelineSim::new(
+            classes,
+            self.servers,
+            policy,
+            MiddlewareChain::empty(),
+            Vec::new(),
             misc_rng,
-            op_sample_every: self.op_sample_every.max(1),
-            admitted: 0,
-            completions: CompletionTimer::new(),
-            drain_buf: Vec::new(),
-            dispatch_buf: Vec::new(),
-            next_request: 0,
+            self.op_sample_every,
+            (0, Nanos::ZERO),
             obs,
-            obs_lanes,
-        };
-        let mut queue = EventQueue::new();
-        for tenant in 0..tenants.len() as u32 {
-            queue.push(Nanos::ZERO, Ev::Generate { tenant });
-        }
-        while let Some((now, ev)) = queue.pop() {
-            match ev {
-                Ev::Generate { tenant } => sim.generate(tenant, &mut queue),
-                Ev::Arrive { tenant } => sim.arrive(now, tenant as usize, &mut queue),
-                Ev::Drain => sim.drain_completions(now, &mut queue),
-            }
-        }
-        if let Some(obs) = sim.obs.as_mut() {
-            // The wheel profile of the window: the window's own queue plus
-            // the batched completion timer's.
-            obs.set_core_counters(queue.counters().merged(sim.completions.counters()));
-        }
+        )?;
+        let end = sim.run();
         let obs = sim.obs.take();
-        let end = queue.frontier();
-        let stores: Vec<StoreSnapshot> =
-            sim.backends.iter().map(BackendState::store_stats).collect();
-        Ok((
-            sim.tenants
-                .into_iter()
-                .zip(stores)
-                .map(|(t, store)| t.into_point(end, store))
-                .collect(),
-            obs,
-        ))
+        let points = sim
+            .classes
+            .into_iter()
+            .zip(tenants)
+            .zip(&profiles)
+            .map(|((class, spec), profile)| TenantPoint::new(spec, profile, class, end))
+            .collect();
+        Ok((points, obs))
     }
 }
 
@@ -638,58 +617,20 @@ impl TenantStreams {
     }
 }
 
-/// A request in the admission queue or in service.
-#[derive(Debug, Clone, Copy)]
-struct Req {
-    /// Deterministic arrival index (across all tenants, in handler
-    /// order), the identity trace sampling keys on.
-    id: u64,
-    arrived: Nanos,
-    tenant: u32,
-    conn: u32,
-}
-
-/// Arrival events are pre-scheduled in chunks of this size per tenant,
-/// bounding the pending-event count.
-const ARRIVAL_CHUNK: usize = 256;
-
-/// Typed events of one co-located window: the event queue's pop order
-/// alone drives the state machine.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// Sample and push the next chunk of `tenant`'s arrivals.
-    Generate { tenant: u32 },
-    /// One arrival of `tenant`.
-    Arrive { tenant: u32 },
-    /// Completion-timer wake of the shared pool.
-    Drain,
-}
-
-/// Runtime state of one tenant inside the simulation.
-struct TenantRt {
-    spec: TenantSpec,
-    profile: ServiceProfile,
-    gen: ArrivalGen,
-    service_rng: SimRng,
-    offered_per_sec: f64,
-    /// The tenant's arrival clock in seconds (monotone across chunks).
-    clock_secs: f64,
-    window_secs: f64,
-    conns: Vec<ConnState>,
-    latencies_us: Vec<f64>,
-    issued: u64,
-    completed: u64,
-    dropped: u64,
-}
-
-impl TenantRt {
-    fn into_point(self, end: Nanos, store: StoreSnapshot) -> TenantPoint {
+impl TenantPoint {
+    /// Folds one tenant's class of a window that ended at `end`.
+    fn new(
+        spec: &TenantSpec,
+        profile: &ServiceProfile,
+        class: ClientClass<'_>,
+        end: Nanos,
+    ) -> Self {
         let duration = end.as_secs_f64().max(f64::MIN_POSITIVE);
-        let slo_us = self.profile.service_time.as_micros_f64() * self.spec.slo_service_multiple;
-        let issued: u64 = self.conns.iter().map(|c| c.issued).sum();
-        debug_assert_eq!(issued, self.issued);
-        debug_assert_eq!(issued, self.completed + self.dropped);
-        let (p50, p95, p99, mean, violation) = match Cdf::from_samples(self.latencies_us) {
+        let slo_us = profile.service_time.as_micros_f64() * spec.slo_service_multiple;
+        let issued = class.issued();
+        debug_assert_eq!(issued, class.completed + class.dropped);
+        let store = class.backend.store_stats();
+        let (p50, p95, p99, mean, violation) = match Cdf::from_samples(class.latencies_us) {
             Ok(cdf) => (
                 cdf.percentile(50.0),
                 cdf.percentile(95.0),
@@ -700,18 +641,18 @@ impl TenantRt {
             Err(_) => (0.0, 0.0, 0.0, 0.0, 0.0),
         };
         TenantPoint {
-            offered_fraction: self.spec.offered_fraction,
-            offered_per_sec: self.offered_per_sec,
-            achieved_per_sec: self.completed as f64 / duration,
+            offered_fraction: spec.offered_fraction,
+            offered_per_sec: profile.capacity_per_sec() * spec.offered_fraction,
+            achieved_per_sec: class.completed as f64 / duration,
             p50_us: p50,
             p95_us: p95,
             p99_us: p99,
             mean_us: mean,
             issued,
-            completed: self.completed,
-            dropped: self.dropped,
+            completed: class.completed,
+            dropped: class.dropped,
             drop_rate: if issued > 0 {
-                self.dropped as f64 / issued as f64
+                class.dropped as f64 / issued as f64
             } else {
                 0.0
             },
@@ -721,146 +662,6 @@ impl TenantRt {
             store_evictions: store.evictions,
             store_lock_waits: store.lock_waits,
         }
-    }
-}
-
-/// The discrete-event state of one co-located window, borrowing each
-/// tenant's sampled backend from its trial.
-struct TenantSim<'a> {
-    pool: SlotPool<Req>,
-    tenants: Vec<TenantRt>,
-    backends: &'a mut [BackendState],
-    misc_rng: SimRng,
-    op_sample_every: u64,
-    admitted: u64,
-    /// Batched completion drain shared by every tenant: coalesced wakes
-    /// drain a whole timing-wheel slot of completions per clock advance.
-    completions: CompletionTimer<Req>,
-    drain_buf: Vec<(Nanos, Req)>,
-    dispatch_buf: Vec<(usize, Nanos, Req)>,
-    /// Arrival indices double as trace-sampling identities.
-    next_request: u64,
-    /// `None` is the zero-cost untraced path.
-    obs: Option<Recorder>,
-    /// One lane per tenant, in tenant order.
-    obs_lanes: Vec<u32>,
-}
-
-impl TenantSim<'_> {
-    /// Pushes the next chunk of one tenant's arrivals; pushes its next
-    /// generation at the chunk's last arrival while the window is open.
-    fn generate(&mut self, tenant: u32, queue: &mut EventQueue<Ev>) {
-        let t = &mut self.tenants[tenant as usize];
-        let mut last_at = None;
-        for _ in 0..ARRIVAL_CHUNK {
-            t.clock_secs += t.gen.next_gap();
-            if t.clock_secs > t.window_secs {
-                return;
-            }
-            let at = Nanos::from_secs_f64(t.clock_secs);
-            queue.push(at, Ev::Arrive { tenant });
-            last_at = Some(at);
-        }
-        if let Some(at) = last_at {
-            queue.push(at, Ev::Generate { tenant });
-        }
-    }
-
-    /// One arrival: attribute it to a connection, then dispatch, queue or
-    /// drop at the shared pool.
-    fn arrive(&mut self, now: Nanos, tenant: usize, queue: &mut EventQueue<Ev>) {
-        let conn = self.misc_rng.index(self.tenants[tenant].conns.len()) as u32;
-        let t = &mut self.tenants[tenant];
-        t.issued += 1;
-        t.conns[conn as usize].issued += 1;
-        let req = Req {
-            id: self.next_request,
-            arrived: now,
-            tenant: tenant as u32,
-            conn,
-        };
-        self.next_request += 1;
-        if let Some(obs) = self.obs.as_mut() {
-            obs.count_arrival(self.obs_lanes[tenant], now);
-        }
-        match self.pool.offer(tenant, now, req) {
-            Admission::Dispatched => {
-                self.admit(tenant);
-                self.start_service(now, req, queue);
-            }
-            Admission::Queued => self.admit(tenant),
-            Admission::Dropped => {
-                let t = &mut self.tenants[tenant];
-                t.dropped += 1;
-                t.conns[conn as usize].dropped += 1;
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.count_drop(self.obs_lanes[tenant], now);
-                }
-            }
-        }
-        if let Some(obs) = self.obs.as_mut() {
-            obs.gauge(
-                self.obs_lanes[tenant],
-                now,
-                self.pool.queued(tenant),
-                self.pool.busy(),
-            );
-        }
-    }
-
-    /// Samples the dispatched request's service time from its tenant's
-    /// stream and registers its completion with the batched timer, arming
-    /// a scheduler wake only when it became the earliest pending one.
-    fn start_service(&mut self, now: Nanos, req: Req, queue: &mut EventQueue<Ev>) {
-        let t = &mut self.tenants[req.tenant as usize];
-        let service = t.profile.sample_service_time(&mut t.service_rng);
-        if let Some(obs) = self.obs.as_mut() {
-            let lane = self.obs_lanes[req.tenant as usize];
-            obs.span(SpanKind::AdmissionWait, req.id, lane, req.arrived, now);
-            obs.span(SpanKind::SlotService, req.id, lane, now, now + service);
-        }
-        if let Some(wake) = self.completions.schedule(now + service, req) {
-            queue.push(wake, Ev::Drain);
-        }
-    }
-
-    /// Sampled real-backend execution per admitted request.
-    fn admit(&mut self, tenant: usize) {
-        self.admitted += 1;
-        if self.admitted % self.op_sample_every == 0 {
-            self.backends[tenant].execute(&mut self.misc_rng);
-        }
-    }
-
-    /// One completion wake: drains every due completion across the
-    /// tenants, records their sojourn times, folds the whole batch into
-    /// the shared pool, and starts service on the scheduler's next picks.
-    fn drain_completions(&mut self, now: Nanos, queue: &mut EventQueue<Ev>) {
-        let mut due = std::mem::take(&mut self.drain_buf);
-        if let Some(wake) = self.completions.wake(now, &mut due) {
-            queue.push(wake, Ev::Drain);
-        }
-        for &(at, req) in &due {
-            debug_assert_eq!(at, now, "completions drain exactly at their tick");
-            let t = &mut self.tenants[req.tenant as usize];
-            t.latencies_us.push((now - req.arrived).as_micros_f64());
-            t.completed += 1;
-            t.conns[req.conn as usize].completed += 1;
-            if let Some(obs) = self.obs.as_mut() {
-                obs.count_completion(self.obs_lanes[req.tenant as usize], now);
-            }
-        }
-        let mut dispatched = std::mem::take(&mut self.dispatch_buf);
-        self.pool.finish_batch(
-            due.iter().map(|&(_, req)| req.tenant as usize),
-            &mut dispatched,
-        );
-        due.clear();
-        self.drain_buf = due;
-        for (_, _, next) in dispatched.drain(..) {
-            self.start_service(now, next, queue);
-        }
-        self.dispatch_buf = dispatched;
     }
 }
 
@@ -1077,6 +878,30 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_rate_aggressor_issues_nothing() {
+        // Zero offered load overflows the on-off phase means to infinity;
+        // the source must then never arrive rather than spin forever.
+        let process = ArrivalProcess::OnOff {
+            duty_cycle: 0.3,
+            burst_arrivals: 64.0,
+        };
+        let mut gen = ArrivalGen::new(process, 0.0, SimRng::seed_from(44));
+        assert_eq!(gen.next_gap(), f64::INFINITY);
+        let bench = TenancyBenchmark {
+            aggressor_fractions: vec![0.0, 0.5],
+            ..tiny(LoadBackend::Memcached)
+        };
+        let points = bench
+            .run_trial(&PlatformId::Native.build(), &mut SimRng::seed_from(45))
+            .unwrap();
+        let (idle, busy) = (&points[0].aggressor, &points[1].aggressor);
+        assert_eq!((idle.issued, idle.completed, idle.dropped), (0, 0, 0));
+        assert_eq!(idle.drop_rate, 0.0);
+        assert!(busy.issued > 0);
+        assert!(points[0].victim.completed > 0);
+    }
+
+    #[test]
     fn invalid_tenant_parameters_error_loudly() {
         let platform = PlatformId::Native.build();
         let mut bench = tiny(LoadBackend::Memcached);
@@ -1087,6 +912,15 @@ mod tests {
         assert!(bench
             .run_trial(&platform, &mut SimRng::seed_from(39))
             .is_err());
+        let mut bench = tiny(LoadBackend::Memcached);
+        bench.aggressor.arrivals = ArrivalProcess::OnOff {
+            duty_cycle: 0.3,
+            burst_arrivals: f64::INFINITY,
+        };
+        assert!(matches!(
+            bench.run_trial(&platform, &mut SimRng::seed_from(39)),
+            Err(SimError::InvalidConfig(_))
+        ));
         let mut bench = tiny(LoadBackend::Memcached);
         bench.servers = 0;
         assert!(bench

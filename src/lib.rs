@@ -8,8 +8,7 @@
 //! extended Horizontal Attack Profile metric.
 //!
 //! This crate is a facade re-exporting the workspace members; see the
-//! README for the architecture overview and `DESIGN.md`/`EXPERIMENTS.md`
-//! for the per-figure reproduction index.
+//! README for the architecture overview.
 //!
 //! ```
 //! use isolation_bench::prelude::*;

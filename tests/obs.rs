@@ -54,12 +54,14 @@ fn fnv1a(text: &str) -> u64 {
 fn traced_artifacts_match_the_recorded_digests() {
     // Figure digests do not see the event schedule, but the timeline's
     // `core` block (pushes, pops, slot drains, cascades) does: these pin
-    // each open-loop engine's push order, not only its measurements.
+    // the push order of the open-loop engine's three uses and of the
+    // cluster's engine, not only their measurements.
     // Recorded at seed 2021 in quick mode, as (chrome, timeline).
-    const RECORDED: [(&str, u64, u64); 3] = [
+    const RECORDED: [(&str, u64, u64); 4] = [
         ("loadgen", 0xf8df_c2a2_ee7b_f203, 0x401c_864f_091c_6bac),
         ("tenancy", 0xe774_c852_9e3b_2ede, 0xcf4d_b689_4412_8e87),
         ("pipeline", 0xd265_c343_6a43_d51e, 0x51f0_aec4_f5bb_1aa3),
+        ("cluster", 0x0c02_8df1_0536_cdcb, 0x900d_bab2_5748_1cc5),
     ];
     for (target, chrome, timeline) in RECORDED {
         let run = traced_run(target, true, SEED).unwrap();

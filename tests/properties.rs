@@ -11,7 +11,8 @@ use isolation_bench::simcore::{rng, Bandwidth, EventQueue, Nanos, ReferenceHeap,
 use isolation_bench::workloads::pipeline::BASELINE_HIT_RATE;
 use isolation_bench::workloads::slots::{ClassConfig, SlotPolicy, SlotPool};
 use isolation_bench::workloads::{
-    LoadBackend, MiddlewareChain, PipelineBenchmark, PipelineSetting, Stage,
+    ArrivalProcess, LoadBackend, MiddlewareChain, PipelineBenchmark, PipelineSetting, Stage,
+    TenancyBenchmark, TenantSpec,
 };
 
 proptest! {
@@ -364,6 +365,63 @@ proptest! {
             prop_assert_eq!(point.stage_tax_us, 0.0);
         }
         prop_assert!(point.p50_us.is_finite() && point.p99_us.is_finite());
+    }
+
+    #[test]
+    fn tenancy_conserves_requests_for_any_tenant_set(
+        specs in prop::collection::vec(
+            ((any::<bool>(), any::<bool>(), 0u32..4), (0.0f64..3.0, 0u64..8, 0usize..64)),
+            1..5,
+        ),
+        shape in (0.05f64..0.95, 1.0f64..128.0),
+        servers in 1usize..8,
+        fifo in any::<bool>(),
+        seed in 0u64..u64::MAX,
+    ) {
+        // Arbitrary co-located tenant sets, idle tenants and invalid
+        // weights included: a run either refuses the configuration or
+        // accounts for every request of every tenant with ordered,
+        // finite percentiles and rates that are probabilities.
+        let (duty_cycle, burst_arrivals) = shape;
+        let tenants: Vec<TenantSpec> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &((on_off, mysql, idle), (fraction, weight, queue_capacity)))| TenantSpec {
+                name: format!("t{i}"),
+                backend: if mysql { LoadBackend::Mysql } else { LoadBackend::Memcached },
+                arrivals: if on_off {
+                    ArrivalProcess::OnOff { duty_cycle, burst_arrivals }
+                } else {
+                    ArrivalProcess::Poisson
+                },
+                clients: 16,
+                offered_fraction: if idle == 0 { 0.0 } else { fraction },
+                weight,
+                queue_capacity,
+                slo_service_multiple: 4.0,
+            })
+            .collect();
+        let bench = TenancyBenchmark {
+            servers,
+            victim_requests: 120,
+            ..TenancyBenchmark::quick(LoadBackend::Memcached)
+        };
+        let policy = if fifo { SlotPolicy::FifoArrival } else { SlotPolicy::WeightedDrr };
+        let platform = PlatformId::Docker.build();
+        if let Ok(points) =
+            bench.run_colocated(&platform, &tenants, policy, &mut SimRng::seed_from(seed))
+        {
+            prop_assert_eq!(points.len(), tenants.len());
+            for p in &points {
+                prop_assert_eq!(p.issued, p.completed + p.dropped, "{:?}", p);
+                prop_assert!(p.p50_us <= p.p95_us && p.p95_us <= p.p99_us, "{:?}", p);
+                prop_assert!((0.0..=1.0).contains(&p.drop_rate), "{:?}", p);
+                prop_assert!((0.0..=1.0).contains(&p.slo_violation), "{:?}", p);
+                for v in [p.offered_per_sec, p.achieved_per_sec, p.p99_us, p.mean_us, p.slo_us] {
+                    prop_assert!(v.is_finite(), "{:?}", p);
+                }
+            }
+        }
     }
 
     #[test]
