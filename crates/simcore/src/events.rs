@@ -20,8 +20,9 @@
 //! Ordering is exactly the reference heap's: timestamp first, insertion
 //! sequence second (FIFO among equal timestamps). The pre-wheel
 //! implementation is retained as [`ReferenceHeap`] — the ordering oracle
-//! for the property tests and the baseline the `event_loop` microbench
-//! measures the wheel against.
+//! for the property tests, the baseline the `event_loop` microbench
+//! measures the wheel against, and the heap behind
+//! [`CompletionTimer`](crate::resource::CompletionTimer).
 //!
 //! **Past-timestamp semantics** (shared by the wheel and the reference
 //! heap): pushing an event before the queue's pop frontier clamps the
@@ -52,11 +53,14 @@ struct Entry<T> {
 }
 
 /// Lifetime operation counters of one event core — the timing wheel's
-/// own telemetry, surfaced by [`EventQueue::counters`].
+/// own telemetry, surfaced by [`EventQueue::counters`], and a completion
+/// timer's, surfaced by
+/// [`CompletionTimer::counters`](crate::resource::CompletionTimer::counters).
 ///
 /// `pushes` and `pops` count the logical event traffic, while
 /// `slot_drains`, `cascades` and `spill_promotions` describe the wheel
-/// work that traffic cost.
+/// work that traffic cost. A completion timer drains its heap one tick at
+/// a time, so it reports slot drains but never cascades or promotes.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CoreCounters {
     /// Entries scheduled into the core.
@@ -73,7 +77,7 @@ pub struct CoreCounters {
 
 impl CoreCounters {
     /// Component-wise sum of two counter snapshots (used to fold a
-    /// simulation's event queue with its completion timers' queues).
+    /// simulation's event queue with its completion timers' counters).
     pub fn merged(self, other: CoreCounters) -> CoreCounters {
         CoreCounters {
             pushes: self.pushes + other.pushes,
@@ -366,7 +370,9 @@ impl<T> std::fmt::Debug for EventQueue<T> {
 /// ordering, FIFO among equal timestamps, past pushes clamped to the pop
 /// frontier — with `O(log n)` push/pop. It stays in the tree as the
 /// ordering oracle for the wheel's property tests and as the baseline the
-/// `event_loop` microbench measures the wheel's speedup against.
+/// `event_loop` microbench measures the wheel's speedup against. It also
+/// backs [`CompletionTimer`](crate::resource::CompletionTimer), whose few
+/// pending completions do not pay for a wheel's slot table.
 #[derive(Debug)]
 pub struct ReferenceHeap<T> {
     heap: BinaryHeap<QueueEntry<T>>,

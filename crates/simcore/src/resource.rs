@@ -5,10 +5,10 @@
 //! * [`TokenBucket`] / [`Bandwidth`] — a byte-per-second capacity that turns
 //!   a transfer size into a transfer duration, optionally with a per-request
 //!   fixed overhead (used for NICs, NVMe devices and virtio queues).
-//! * [`CompletionTimer`] — a batched completion queue for service-slot
-//!   pools: completions share coalesced scheduler wake-ups and drain a
-//!   whole timing-wheel slot per clock advance instead of costing one
-//!   scheduled event each.
+//! * [`CompletionTimer`] — a batched completion timer for service-slot
+//!   pools: completions share coalesced scheduler wake-ups and each wake
+//!   drains everything due at once instead of costing one scheduled
+//!   event each.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -16,7 +16,7 @@ use std::collections::BinaryHeap;
 use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
-use crate::events::EventQueue;
+use crate::events::{CoreCounters, ReferenceHeap};
 use crate::time::Nanos;
 
 /// A bandwidth expressed in bytes per second.
@@ -154,14 +154,19 @@ impl TokenBucket {
     }
 }
 
-/// A batched completion queue for service-slot pools.
+/// A batched completion timer for service-slot pools.
 ///
 /// A slot-pool simulation could push one event per in-service request to
-/// fire its completion. The timer replaces that with a single
-/// timestamp-ordered [`EventQueue`] of completions (the timing wheel) plus
+/// fire its completion. The timer replaces that with one `(timestamp,
+/// seq)` min-heap of pending completions (a [`ReferenceHeap`]) plus
 /// **coalesced wake-ups**: the caller keeps at most one scheduler event
 /// armed per distinct completion time, and each wake drains *every*
-/// completion due in that wheel slot at once.
+/// completion due by then at once.
+///
+/// The pending set is bounded by the pool's slots (one completion per
+/// request in service, a handful per pool), so a heap holds it in a few
+/// cache lines; a timing wheel's slot table would cost far more to build
+/// and walk than the heap's `O(log slots)` push and pop.
 ///
 /// Protocol:
 /// * [`CompletionTimer::schedule`] registers a completion. When it returns
@@ -180,40 +185,45 @@ impl TokenBucket {
 /// worker counts.
 #[derive(Debug)]
 pub struct CompletionTimer<T> {
-    queue: EventQueue<T>,
+    heap: ReferenceHeap<T>,
     /// The earliest outstanding wake-up, `<=` every pending completion
-    /// whenever the queue is non-empty.
+    /// whenever the heap is non-empty.
     armed: Option<Nanos>,
     /// Every wake-up time handed to the caller and not yet fired; lets a
     /// re-arm reuse a still-outstanding wake instead of scheduling a
     /// duplicate.
     outstanding: BinaryHeap<Reverse<Nanos>>,
+    counters: CoreCounters,
 }
 
 impl<T> CompletionTimer<T> {
     /// Creates an empty timer.
     pub fn new() -> Self {
         CompletionTimer {
-            queue: EventQueue::new(),
+            heap: ReferenceHeap::new(),
             armed: None,
             outstanding: BinaryHeap::new(),
+            counters: CoreCounters::default(),
         }
     }
 
     /// Number of pending completions.
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.heap.len()
     }
 
-    /// Snapshot of the underlying timing wheel's operation counters —
-    /// the completion queue's share of the event-core telemetry.
-    pub fn counters(&self) -> crate::events::CoreCounters {
-        self.queue.counters()
+    /// Snapshot of the timer's lifetime operation counters, in the event
+    /// core's terms: `pushes` counts scheduled completions, `pops`
+    /// drained ones, and `slot_drains` one per distinct completion tick a
+    /// wake drained. `cascades` and `spill_promotions` stay zero, since
+    /// the heap does neither.
+    pub fn counters(&self) -> CoreCounters {
+        self.counters
     }
 
     /// Whether no completions are pending.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.heap.is_empty()
     }
 
     /// Registers a completion at `at`. Returns `Some(at)` when the caller
@@ -221,10 +231,11 @@ impl<T> CompletionTimer<T> {
     /// earlier than every outstanding wake — and `None` when an armed
     /// wake already covers it.
     pub fn schedule(&mut self, at: Nanos, item: T) -> Option<Nanos> {
-        // The queue clamps timestamps behind its pop frontier; mirror the
+        // The heap clamps timestamps behind its pop frontier; mirror the
         // clamp so the armed wake matches the time the item will drain at.
-        let at = at.max(self.queue.frontier());
-        self.queue.push(at, item);
+        let at = at.max(self.heap.frontier());
+        self.heap.push(at, item);
+        self.counters.pushes += 1;
         if !self.armed.is_some_and(|armed| at >= armed) {
             self.armed = Some(at);
             self.outstanding.push(Reverse(at));
@@ -246,8 +257,8 @@ impl<T> CompletionTimer<T> {
     /// time is recognised by [`CompletionTimer::wake`]'s stale check), so
     /// abandoning the old wake-ups is safe.
     pub fn into_pending(mut self) -> Vec<(Nanos, T)> {
-        let mut pending = Vec::with_capacity(self.queue.len());
-        while let Some((at, item)) = self.queue.pop() {
+        let mut pending = Vec::with_capacity(self.heap.len());
+        while let Some((at, item)) = self.heap.pop() {
             pending.push((at, item));
         }
         pending
@@ -255,8 +266,8 @@ impl<T> CompletionTimer<T> {
 
     /// Handles one wake-up firing at virtual time `now`: drains every
     /// completion due at or before `now` into `due` (in `(timestamp,
-    /// seq)` order — one whole wheel slot per distinct tick) and returns
-    /// the next wake-up the caller must arm, if any.
+    /// seq)` order, one slot drain per distinct tick) and returns the
+    /// next wake-up the caller must arm, if any.
     ///
     /// A stale firing (its work already drained by an earlier re-arm)
     /// drains nothing and arms nothing.
@@ -270,11 +281,17 @@ impl<T> CompletionTimer<T> {
             // wake covers it: this firing is stale.
             return None;
         }
-        while self.queue.peek_time().is_some_and(|t| t <= now) {
-            let (at, item) = self.queue.pop().expect("peeked completion pops");
+        let mut tick = None;
+        while self.heap.peek_time().is_some_and(|t| t <= now) {
+            let (at, item) = self.heap.pop().expect("peeked completion pops");
+            if tick != Some(at) {
+                tick = Some(at);
+                self.counters.slot_drains += 1;
+            }
+            self.counters.pops += 1;
             due.push((at, item));
         }
-        match self.queue.peek_time() {
+        match self.heap.peek_time() {
             None => {
                 self.armed = None;
                 None
@@ -417,6 +434,48 @@ mod tests {
         assert_eq!(timer.schedule(c, 3), Some(c));
         assert_eq!(timer.wake(c, &mut due), None);
         assert_eq!(due, vec![(c, 3)]);
+    }
+
+    #[test]
+    fn a_stale_firing_keeps_the_armed_wake_while_older_wakes_are_queued() {
+        // Three completions scheduled latest first arm three wakes; the
+        // clock is already at 10us, so all three fire at 10us.
+        let mut timer: CompletionTimer<u8> = CompletionTimer::new();
+        for (i, us) in [7u64, 5, 3].into_iter().enumerate() {
+            let at = Nanos::from_micros(us);
+            assert_eq!(timer.schedule(at, i as u8), Some(at));
+        }
+        let now = Nanos::from_micros(10);
+        let mut due = Vec::new();
+        assert_eq!(timer.wake(now, &mut due), None);
+        assert_eq!(due.len(), 3, "the first firing drains all three");
+        let late = Nanos::from_micros(20);
+        assert_eq!(timer.schedule(late, 3), Some(late));
+        // The wake armed for 5us fires stale; 7us is still queued, but
+        // the armed wake stays at 20us, so an earlier completion re-arms.
+        due.clear();
+        assert_eq!(timer.wake(now, &mut due), None);
+        assert!(due.is_empty());
+        let mid = Nanos::from_micros(12);
+        assert_eq!(timer.schedule(mid, 4), Some(mid));
+    }
+
+    #[test]
+    fn counters_record_one_slot_drain_per_tick_per_wake() {
+        let mut timer: CompletionTimer<u8> = CompletionTimer::new();
+        let (a, b) = (Nanos::from_micros(4), Nanos::from_micros(6));
+        timer.schedule(a, 1);
+        timer.schedule(a, 2);
+        timer.schedule(b, 3);
+        let mut due = Vec::new();
+        // One wake past both ticks drains two slots.
+        timer.wake(b, &mut due);
+        // A completion clamped to the frontier drains that tick again.
+        assert_eq!(timer.schedule(a, 4), Some(b));
+        timer.wake(b, &mut due);
+        let c = timer.counters();
+        assert_eq!((c.pushes, c.pops, c.slot_drains), (4, 4, 3));
+        assert_eq!((c.cascades, c.spill_promotions), (0, 0));
     }
 
     #[test]

@@ -522,10 +522,11 @@ impl ClusterBenchmark {
     /// (the same three named splits taken in the same order), and the
     /// recorder consumes no draws, so the traced point is equal to the
     /// corresponding untraced sweep point. The timeline carries the
-    /// point's event-core counters: the event queue's merged with every
-    /// shard's completion timer's, in shard order (a shard the fault
-    /// plan kills restarts with a fresh timer, so its counts begin at
-    /// the kill).
+    /// point's event-core counters: the event queue's wheel counters
+    /// merged with every shard's completion-timer counters, in shard
+    /// order. A timer is heap-backed, so it adds pushes, pops and slot
+    /// drains but no cascades. A shard the fault plan kills restarts
+    /// with a fresh timer, so its counts begin at the kill.
     ///
     /// # Errors
     ///
@@ -622,8 +623,8 @@ impl ClusterBenchmark {
             sim.handle(now, ev, &mut queue, &mut st);
         }
         if let Some(obs) = sim.obs.as_mut() {
-            // The wheel profile of one sweep point: the cluster's event
-            // queue plus every shard's batched completion timer.
+            // The event-core profile of one sweep point: the cluster's
+            // event queue plus every shard's batched completion timer.
             let counters = sim
                 .shards
                 .iter()
@@ -1419,9 +1420,18 @@ impl<'a> ClusterSim<'a> {
         offered_per_sec: f64,
         end: Nanos,
     ) -> ClusterPoint {
+        let label = setting.label();
         let issued = self.next_arrival;
-        debug_assert_eq!(issued, self.completed + self.dropped);
-        debug_assert_eq!(issued, self.issued_by_phase.iter().sum::<u64>());
+        assert_eq!(
+            issued,
+            self.completed + self.dropped,
+            "{label}: issued = completed + dropped"
+        );
+        assert_eq!(
+            issued,
+            self.issued_by_phase.iter().sum::<u64>(),
+            "{label}: issued = sum of issued_by_phase"
+        );
         let phase_rate = |phase: usize| {
             if self.issued_by_phase[phase] == 0 {
                 0.0
@@ -1468,7 +1478,7 @@ impl<'a> ClusterSim<'a> {
                     evictions: acc.evictions + s.evictions,
                 });
         ClusterPoint {
-            label: setting.label(),
+            label,
             shards: setting.shards,
             zipf_theta: setting.zipf_theta,
             offered_per_sec,

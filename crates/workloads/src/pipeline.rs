@@ -1144,8 +1144,8 @@ impl<'a> PipelineSim<'a> {
             }
         }
         if let Some(obs) = self.obs.as_mut() {
-            // The wheel profile of the run: its own queue plus the
-            // batched completion timer's.
+            // The event-core profile of the run: its own event queue plus
+            // the batched completion timer.
             obs.set_core_counters(queue.counters().merged(self.completions.counters()));
         }
         queue.frontier()
@@ -1317,9 +1317,9 @@ impl<'a> PipelineSim<'a> {
         self.visit_buf = visits;
     }
 
-    /// One completion wake: drains every completion due in this wheel
-    /// slot, records sojourn times and the middleware-cost slack, folds
-    /// the batch into the pool, and dispatches the pulled queue heads.
+    /// One completion wake: drains every completion due at `now`, records
+    /// sojourn times and the middleware-cost slack, folds the batch into
+    /// the pool, and dispatches the pulled queue heads.
     fn drain_completions(&mut self, now: Nanos, queue: &mut EventQueue<Ev>) {
         let mut due = std::mem::take(&mut self.drain_buf);
         if let Some(wake) = self.completions.wake(now, &mut due) {
@@ -1369,15 +1369,24 @@ impl<'a> PipelineSim<'a> {
             .expect("a pipeline point runs one class");
         let issued = class.issued();
         let responded = class.completed + class.short_circuited;
-        debug_assert_eq!(issued, responded + class.dropped);
-        debug_assert_eq!(self.pool.counters(0).dropped, class.dropped);
+        let label = setting.label();
+        assert_eq!(
+            issued,
+            responded + class.dropped,
+            "{label}: issued = responded + dropped"
+        );
+        assert_eq!(
+            self.pool.counters(0).dropped,
+            class.dropped,
+            "{label}: pool drops = class drops"
+        );
         let cdf = Cdf::from_samples(class.latencies_us)
             .expect("a sweep point always completes at least one request");
         let duration = end.as_secs_f64().max(f64::MIN_POSITIVE);
         let denom = responded.max(1) as f64;
         let accesses = (self.cache_hits + self.cache_misses).max(1) as f64;
         PipelinePoint {
-            label: setting.label(),
+            label,
             depth: setting.depth,
             hit_rate: setting.hit_rate,
             planned_hit_rate: setting.planned_hit_rate,

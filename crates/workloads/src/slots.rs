@@ -429,12 +429,11 @@ impl<T> SlotPool<T> {
     /// `classes`, in order — and appends every newly dispatched request the
     /// freed slots pulled from the queues to `dispatched`.
     ///
-    /// This is the slot-pool half of the batched completion drain: a
-    /// timing-wheel slot's worth of completions (everything due at one
-    /// clock advance, see [`simcore::resource::CompletionTimer`]) is
-    /// folded into the pool in one call, producing exactly the dispatch
-    /// sequence the equivalent per-completion [`SlotPool::finish`] calls
-    /// would.
+    /// This is the slot-pool half of the batched completion drain: one
+    /// wake's worth of completions (everything due at one clock advance,
+    /// see [`simcore::resource::CompletionTimer`]) is folded into the
+    /// pool in one call, producing exactly the dispatch sequence the
+    /// equivalent per-completion [`SlotPool::finish`] calls would.
     ///
     /// # Panics
     ///

@@ -628,7 +628,13 @@ impl TenantPoint {
         let duration = end.as_secs_f64().max(f64::MIN_POSITIVE);
         let slo_us = profile.service_time.as_micros_f64() * spec.slo_service_multiple;
         let issued = class.issued();
-        debug_assert_eq!(issued, class.completed + class.dropped);
+        assert_eq!(
+            issued,
+            class.completed + class.dropped,
+            "{} at {}: issued = completed + dropped",
+            spec.name,
+            spec.offered_fraction
+        );
         let store = class.backend.store_stats();
         let (p50, p95, p99, mean, violation) = match Cdf::from_samples(class.latencies_us) {
             Ok(cdf) => (

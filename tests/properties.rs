@@ -1,11 +1,15 @@
 //! Property-based tests over the core data structures and invariants.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 
 use isolation_bench::harness::{grid, ExperimentId};
 use isolation_bench::kvstore::{Store, StoreConfig};
 use isolation_bench::platforms::PlatformId;
 use isolation_bench::relstore::{Database, Row};
+use isolation_bench::simcore::resource::CompletionTimer;
 use isolation_bench::simcore::stats::{Cdf, RunningStats};
 use isolation_bench::simcore::{rng, Bandwidth, EventQueue, Nanos, ReferenceHeap, SimRng};
 use isolation_bench::workloads::pipeline::BASELINE_HIT_RATE;
@@ -14,6 +18,73 @@ use isolation_bench::workloads::{
     ArrivalProcess, LoadBackend, MiddlewareChain, PipelineBenchmark, PipelineSetting, Stage,
     TenancyBenchmark, TenantSpec,
 };
+
+/// The completion timer as it stood on a timing-wheel `EventQueue`: the
+/// oracle the heap-backed [`CompletionTimer`] must match call for call,
+/// down to its push, pop and slot-drain counts.
+struct WheelTimer<T> {
+    queue: EventQueue<T>,
+    armed: Option<Nanos>,
+    outstanding: BinaryHeap<Reverse<Nanos>>,
+}
+
+impl<T> WheelTimer<T> {
+    fn new() -> Self {
+        WheelTimer {
+            queue: EventQueue::new(),
+            armed: None,
+            outstanding: BinaryHeap::new(),
+        }
+    }
+
+    fn schedule(&mut self, at: Nanos, item: T) -> Option<Nanos> {
+        let at = at.max(self.queue.frontier());
+        self.queue.push(at, item);
+        if !self.armed.is_some_and(|armed| at >= armed) {
+            self.armed = Some(at);
+            self.outstanding.push(Reverse(at));
+            return Some(at);
+        }
+        None
+    }
+
+    fn into_pending(mut self) -> Vec<(Nanos, T)> {
+        let mut pending = Vec::new();
+        while let Some(entry) = self.queue.pop() {
+            pending.push(entry);
+        }
+        pending
+    }
+
+    fn wake(&mut self, now: Nanos, due: &mut Vec<(Nanos, T)>) -> Option<Nanos> {
+        if self.outstanding.peek().is_some_and(|Reverse(w)| *w <= now) {
+            self.outstanding.pop();
+        }
+        if self.armed.is_some_and(|armed| armed > now) {
+            return None;
+        }
+        while self.queue.peek_time().is_some_and(|t| t <= now) {
+            due.push(self.queue.pop().expect("peeked completion pops"));
+        }
+        match self.queue.peek_time() {
+            None => {
+                self.armed = None;
+                None
+            }
+            Some(next) => {
+                if let Some(&Reverse(w)) = self.outstanding.peek() {
+                    if w <= next {
+                        self.armed = Some(w);
+                        return None;
+                    }
+                }
+                self.armed = Some(next);
+                self.outstanding.push(Reverse(next));
+                Some(next)
+            }
+        }
+    }
+}
 
 proptest! {
     #[test]
@@ -187,6 +258,79 @@ proptest! {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn heap_completion_timer_matches_the_wheel_backed_oracle(
+        ops in prop::collection::vec((0u32..8, 0u64..48), 1..300),
+    ) {
+        // The caller's side of the protocol: every wake either timer asks
+        // for goes on one event queue and fires earliest first, at no
+        // earlier than the clock. Completions land a few ticks past the
+        // clock, so equal stamps recur, or behind it, exercising the
+        // frontier clamp. Redundant wakes fire stale, a duplicate firing
+        // at the clock is stale too, and a pool death surrenders every
+        // pending completion and carries on with fresh timers while the
+        // dead timers' wakes still fire.
+        let mut heap = CompletionTimer::new();
+        let mut wheel = WheelTimer::new();
+        let mut wakes = BinaryHeap::new();
+        let mut now = Nanos::ZERO;
+        let (mut due_heap, mut due_wheel) = (Vec::new(), Vec::new());
+        let mut fire = |at: Nanos,
+                        heap: &mut CompletionTimer<usize>,
+                        wheel: &mut WheelTimer<usize>,
+                        wakes: &mut BinaryHeap<Reverse<Nanos>>| {
+            due_heap.clear();
+            due_wheel.clear();
+            let next = heap.wake(at, &mut due_heap);
+            assert_eq!(next, wheel.wake(at, &mut due_wheel), "wake at {at:?}");
+            assert_eq!(due_heap, due_wheel, "due batch at {at:?}");
+            wakes.extend(next.map(Reverse));
+        };
+        for (tag, &(op, raw)) in ops.iter().enumerate() {
+            match op {
+                0..=4 => {
+                    let at = if op == 4 {
+                        now.saturating_sub(Nanos::from_nanos(raw))
+                    } else {
+                        now + Nanos::from_nanos(raw % 16)
+                    };
+                    let armed = heap.schedule(at, tag);
+                    prop_assert_eq!(armed, wheel.schedule(at, tag));
+                    wakes.extend(armed.map(Reverse));
+                }
+                5 | 6 => {
+                    if let Some(Reverse(at)) = wakes.pop() {
+                        now = now.max(at);
+                        fire(now, &mut heap, &mut wheel, &mut wakes);
+                    }
+                }
+                _ if raw % 4 != 0 => fire(now, &mut heap, &mut wheel, &mut wakes),
+                _ => {
+                    let surrendered = std::mem::take(&mut heap).into_pending();
+                    let oracle = std::mem::replace(&mut wheel, WheelTimer::new()).into_pending();
+                    prop_assert_eq!(surrendered, oracle);
+                }
+            }
+            prop_assert_eq!(heap.len(), wheel.queue.len());
+            let (h, w) = (heap.counters(), wheel.queue.counters());
+            prop_assert_eq!(
+                (h.pushes, h.pops, h.slot_drains),
+                (w.pushes, w.pops, w.slot_drains)
+            );
+            prop_assert_eq!((h.cascades, h.spill_promotions), (0, 0));
+        }
+        while let Some(Reverse(at)) = wakes.pop() {
+            now = now.max(at);
+            fire(now, &mut heap, &mut wheel, &mut wakes);
+        }
+        prop_assert!(heap.is_empty() && wheel.queue.is_empty());
+        let (h, w) = (heap.counters(), wheel.queue.counters());
+        prop_assert_eq!(
+            (h.pushes, h.pops, h.slot_drains),
+            (w.pushes, w.pops, w.slot_drains)
+        );
     }
 
     #[test]
