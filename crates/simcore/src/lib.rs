@@ -8,8 +8,10 @@
 //! * [`time`] — a nanosecond-precision virtual time type ([`Nanos`]) used as
 //!   the unit of simulated latency and duration everywhere in the workspace.
 //! * [`rng`] — a seeded, splittable random number generator ([`SimRng`]) so
-//!   that every experiment is reproducible from a single seed, and a Zipf
-//!   rank sampler ([`Zipf`]) built once per key-space size and skew.
+//!   that every experiment is reproducible from a single seed, a Zipf
+//!   rank sampler ([`Zipf`]) built once per key-space size and skew, and
+//!   a stream read by index ([`Replay`]) that draws a trial's common
+//!   random numbers once for all of its sweep points.
 //! * [`dist`] — parametric latency/cost distributions ([`Distribution`]).
 //! * [`stats`] — running statistics, percentiles, histograms and empirical
 //!   CDFs used by the benchmark harness to summarize repeated runs.
@@ -60,7 +62,7 @@ pub use error::SimError;
 pub use events::{CoreCounters, EventQueue, ReferenceHeap};
 pub use obs::{ObsConfig, Recorder, Span, SpanKind};
 pub use resource::{Bandwidth, TokenBucket};
-pub use rng::{SimRng, Zipf};
+pub use rng::{Replay, SimRng, Zipf};
 pub use stats::{Cdf, Histogram, RunningStats, Summary};
 pub use time::Nanos;
 

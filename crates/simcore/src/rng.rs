@@ -306,6 +306,74 @@ fn zeta(n: usize, theta: f64) -> f64 {
     (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
 }
 
+/// A random stream read by index: the values already drawn from it, and
+/// the stream that yields the rest.
+///
+/// The sweeps couple their points by common random numbers: every point
+/// consumes the same sample sequence. A trial holds one `Replay` per
+/// shared stream and each point reads value `i` with [`Replay::get`]
+/// where it would take the `i`-th draw of its own clone of the stream, so
+/// each sample is drawn once per trial however many points read it.
+/// Value `i` is the `i`-th draw whatever order the indices are read in,
+/// provided every call samples with the same `draw`.
+///
+/// # Example
+///
+/// ```
+/// use simcore::{Replay, SimRng};
+///
+/// let mut gaps = Replay::new(SimRng::seed_from(7));
+/// let third = gaps.get(2, |rng| rng.exponential(1.0));
+/// let first = gaps.get(0, |rng| rng.exponential(1.0));
+/// let mut clone = SimRng::seed_from(7);
+/// assert_eq!(first, clone.exponential(1.0));
+/// clone.exponential(1.0);
+/// assert_eq!(third, clone.exponential(1.0));
+/// assert_eq!(gaps.len(), 3);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Replay<T> {
+    rng: SimRng,
+    values: Vec<T>,
+}
+
+impl<T: Copy> Replay<T> {
+    /// A table over `rng` with nothing drawn yet.
+    pub fn new(rng: SimRng) -> Self {
+        Replay::with_capacity(rng, 0)
+    }
+
+    /// A table over `rng` with room for `capacity` values before it
+    /// reallocates.
+    pub fn with_capacity(rng: SimRng, capacity: usize) -> Self {
+        Replay {
+            rng,
+            values: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Value `i` of the stream. Values up to `i` not drawn yet are drawn
+    /// first, in order, with `draw`.
+    #[inline]
+    pub fn get(&mut self, i: usize, mut draw: impl FnMut(&mut SimRng) -> T) -> T {
+        while self.values.len() <= i {
+            let value = draw(&mut self.rng);
+            self.values.push(value);
+        }
+        self.values[i]
+    }
+
+    /// Number of values drawn so far.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Whether nothing has been drawn yet.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,18 +49,21 @@
 //! utilization-comparable with the plain ones.
 //!
 //! Determinism contract: the arrival, service and key streams are split
-//! once per trial and cloned per sweep point (common random numbers, the
-//! `loadgen` discipline), the service stream is consumed in the event
-//! queue's pop order, and each arrival's key costs exactly two draws
+//! once per trial (common random numbers, the `loadgen` discipline). The
+//! trial draws the arrival gaps and the service times once and every
+//! sweep point reads them by index: arrival `i` reads gap `i`, and the
+//! `i`-th dispatch in the event queue's pop order, across all shards,
+//! reads service time `i`. The key stream, whose draws are cheap, is
+//! cloned per point, and each arrival's key costs exactly two draws
 //! whatever the outcome, so sweep points stay coupled and figures are
 //! bit-identical for any executor worker count. The quorum settings
 //! extend the contract without disturbing it: the request-class and
 //! fault streams are two *additional* named splits taken after the
-//! original three (split derivation is label-keyed, so the legacy
-//! streams are unchanged), a quorum arrival costs exactly one class
-//! draw on top of the two key draws whatever its class, and a setting
-//! with `R = W = K = 1` and no fault replays the plain single-shard
-//! routing bit for bit.
+//! original three and cloned per point (split derivation is label-keyed,
+//! so the legacy streams are unchanged), a quorum arrival costs exactly
+//! one class draw on top of the two key draws whatever its class, and a
+//! setting with `R = W = K = 1` and no fault replays the plain
+//! single-shard routing bit for bit.
 
 use kvstore::{Shard, ShardStats};
 use platforms::Platform;
@@ -72,7 +75,9 @@ use simcore::{CoreCounters, EventQueue, Nanos, SimRng, Zipf};
 
 use crate::format_key;
 use crate::pipeline::ARRIVAL_CHUNK;
-use crate::slots::{backend_profile, Admission, ClassConfig, SlotPolicy, SlotPool};
+use crate::slots::{
+    backend_profile, Admission, ClassConfig, ServiceTimes, SlotPolicy, SlotPool, UnitGaps,
+};
 pub use crate::slots::{LoadBackend, ServiceProfile};
 
 /// Baseline Zipf skew of the shard-count sweep (the `s` in Zipf(s)).
@@ -474,9 +479,9 @@ impl ClusterBenchmark {
     /// Runs the whole cluster sweep once and returns one
     /// [`ClusterPoint`] per configured setting.
     ///
-    /// This is the unit the parallel executor shards on. The arrival,
-    /// service and key streams are common random numbers across the
-    /// sweep points.
+    /// This is the unit the parallel executor shards on. The arrival
+    /// gaps, service times, key walk, request-class walk and fault draws
+    /// are common random numbers across the sweep points.
     ///
     /// # Errors
     ///
@@ -487,46 +492,43 @@ impl ClusterBenchmark {
         platform: &Platform,
         rng: &mut SimRng,
     ) -> Result<Vec<ClusterPoint>, SimError> {
+        self.sweep_trial(platform, rng).map(|(points, _)| points)
+    }
+
+    /// [`ClusterBenchmark::run_trial`], returning the trial's draw tables
+    /// with its points.
+    fn sweep_trial(
+        &self,
+        platform: &Platform,
+        rng: &mut SimRng,
+    ) -> Result<(Vec<ClusterPoint>, ClusterDraws), SimError> {
         self.validate()?;
         let profile = self.service_profile(platform)?;
-        // Common random numbers: every sweep point replays the same
-        // unit-rate arrival gaps, backend service sequence, key walk,
-        // request-class walk and fault draws. The class and fault splits
-        // came later; taking them *after* the original three keeps the
-        // legacy streams bit-identical (split derivation is label-keyed
-        // but advances the parent generator).
-        let arrival = rng.split("arrivals");
-        let service = rng.split("service");
-        let keys = rng.split("keys");
-        let classes = rng.split("classes");
-        let faults = rng.split("faults");
-        self.sweep
+        let mut draws = ClusterDraws::split(profile, self.requests_per_point, rng);
+        let points = self
+            .sweep
             .iter()
             .map(|setting| {
-                let streams = ClusterState {
-                    arrival_rng: arrival.clone(),
-                    service_rng: service.clone(),
-                    key_rng: keys.clone(),
-                    class_rng: classes.clone(),
-                };
-                self.run_setting(&profile, setting, streams, faults.clone(), None)
+                self.run_setting(setting, &mut draws, None)
                     .map(|(point, _)| point)
             })
-            .collect()
+            .collect::<Result<_, _>>()?;
+        Ok((points, draws))
     }
 
     /// Runs one sweep point with the span recorder attached and returns
     /// the measured point together with the recorder, ready for export.
     ///
     /// The stream discipline matches [`ClusterBenchmark::run_trial`]
-    /// (the same three named splits taken in the same order), and the
-    /// recorder consumes no draws, so the traced point is equal to the
-    /// corresponding untraced sweep point. The timeline carries the
-    /// point's event-core counters: the event queue's wheel counters
-    /// merged with every shard's completion-timer counters, in shard
-    /// order. A timer is heap-backed, so it adds pushes, pops and slot
-    /// drains but no cascades. A shard the fault plan kills restarts
-    /// with a fresh timer, so its counts begin at the kill.
+    /// (the same five named splits taken in the same order: arrivals,
+    /// service, keys, classes, faults), and the point draws its own
+    /// tables. The recorder consumes no draws, so the traced point is
+    /// equal to the corresponding untraced sweep point. The timeline
+    /// carries the point's event-core counters: the event queue's wheel
+    /// counters merged with every shard's completion-timer counters, in
+    /// shard order. A timer is heap-backed, so it adds pushes, pops and
+    /// slot drains but no cascades. A shard the fault plan kills
+    /// restarts with a fresh timer, so its counts begin at the kill.
     ///
     /// # Errors
     ///
@@ -542,14 +544,8 @@ impl ClusterBenchmark {
         self.validate()?;
         Self::validate_setting(setting)?;
         let profile = self.service_profile(platform)?;
-        let streams = ClusterState {
-            arrival_rng: rng.split("arrivals"),
-            service_rng: rng.split("service"),
-            key_rng: rng.split("keys"),
-            class_rng: rng.split("classes"),
-        };
-        let faults = rng.split("faults");
-        let (point, obs) = self.run_setting(&profile, setting, streams, faults, Some(recorder))?;
+        let mut draws = ClusterDraws::split(profile, self.requests_per_point, rng);
+        let (point, obs) = self.run_setting(setting, &mut draws, Some(recorder))?;
         Ok((point, obs.expect("the traced run returns its recorder")))
     }
 
@@ -571,21 +567,29 @@ impl ClusterBenchmark {
         sf + (1.0 - sf) * (wf * setting.write_quorum as f64 + (1.0 - wf) * read_quorum)
     }
 
-    /// Runs one sweep point on one typed-event queue.
+    /// Runs one sweep point on its trial's `draws`, on one typed-event
+    /// queue.
     fn run_setting(
         &self,
-        profile: &ServiceProfile,
         setting: &ClusterSetting,
-        mut st: ClusterState,
-        mut fault_rng: SimRng,
+        draws: &mut ClusterDraws,
         obs: Option<Recorder>,
     ) -> Result<(ClusterPoint, Option<Recorder>), SimError> {
+        let profile = *draws.service.profile();
+        let mut fault_rng = draws.faults.clone();
+        let mut st = ClusterState {
+            gaps: &mut draws.gaps,
+            service: &mut draws.service,
+            dispatched: 0,
+            key_rng: draws.keys.clone(),
+            class_rng: draws.classes.clone(),
+        };
         let shards = setting.shards;
         let capacity_per_shard = profile.servers as f64 / profile.service_time.as_secs_f64();
         let offered_per_sec = (capacity_per_shard * shards as f64 * self.offered_fraction
             / self.expected_work(setting))
         .max(1.0);
-        let mut sim = ClusterSim::new(self, profile, setting, offered_per_sec, obs)?;
+        let mut sim = ClusterSim::new(self, &profile, setting, offered_per_sec, obs)?;
         let mut queue: EventQueue<Ev> = EventQueue::new();
         // Kick off the batched arrival source and the in-flight probes.
         queue.push(Nanos::ZERO, Ev::Generate);
@@ -594,8 +598,8 @@ impl ClusterBenchmark {
         let probe_period = Nanos::from_secs_f64(window_secs / f64::from(probes));
         queue.push(probe_period, Ev::Probe { remaining: probes });
         // Seed-derived fault injection: the victim shard and the jitter
-        // of the failure instant come from the per-trial fault stream
-        // (cloned per point), and the instants are pure virtual times.
+        // of the failure instant come from the point's clone of the
+        // trial's fault stream, and the instants are pure virtual times.
         if setting.fault != FaultPlan::None {
             let victim = fault_rng.index(shards);
             let jitter = fault_rng.uniform01();
@@ -772,10 +776,46 @@ struct Parent {
     class: ReqClass,
 }
 
-/// The per-trial random streams, cloned per sweep point.
-struct ClusterState {
-    arrival_rng: SimRng,
-    service_rng: SimRng,
+/// The random streams of one cluster trial, split off the cell stream in
+/// the order the figures were recorded with: arrivals, service, keys,
+/// classes, faults. The class and fault splits came later; taking them
+/// *after* the original three keeps the legacy streams bit-identical
+/// (split derivation is label-keyed but advances the parent generator).
+/// The arrival gaps and service times are drawn once per trial and read
+/// by index at every point; the key, class and fault streams, whose draws
+/// are cheap, are cloned per point.
+#[derive(Debug)]
+struct ClusterDraws {
+    gaps: UnitGaps,
+    service: ServiceTimes,
+    keys: SimRng,
+    classes: SimRng,
+    faults: SimRng,
+}
+
+impl ClusterDraws {
+    /// Splits the trial's streams off `rng`, sizing the gap table for
+    /// the `requests` arrivals every point generates.
+    fn split(profile: ServiceProfile, requests: usize, rng: &mut SimRng) -> Self {
+        ClusterDraws {
+            gaps: UnitGaps::new(rng.split("arrivals"), requests),
+            service: ServiceTimes::new(profile, rng.split("service"), requests),
+            keys: rng.split("keys"),
+            classes: rng.split("classes"),
+            faults: rng.split("faults"),
+        }
+    }
+}
+
+/// One point's view of its trial's streams: the shared arrival-gap and
+/// service-time tables, read by arrival index and by cluster-wide
+/// dispatch index (the service sequence spans all shards, in event pop
+/// order), and the point's own clones of the key and class streams.
+struct ClusterState<'t> {
+    gaps: &'t mut UnitGaps,
+    service: &'t mut ServiceTimes,
+    /// Dispatches so far, all shards: the next service-time index.
+    dispatched: usize,
     key_rng: SimRng,
     class_rng: SimRng,
 }
@@ -993,7 +1033,13 @@ impl<'a> ClusterSim<'a> {
         }
     }
 
-    fn handle(&mut self, now: Nanos, ev: Ev, queue: &mut EventQueue<Ev>, st: &mut ClusterState) {
+    fn handle(
+        &mut self,
+        now: Nanos,
+        ev: Ev,
+        queue: &mut EventQueue<Ev>,
+        st: &mut ClusterState<'_>,
+    ) {
         self.events += 1;
         match ev {
             Ev::Generate => self.generate(now, queue, st),
@@ -1110,7 +1156,7 @@ impl<'a> ClusterSim<'a> {
     /// routes each arrival's key, and pushes one `Arrive` per gap for
     /// the target shard; reschedules itself after the chunk's last
     /// arrival while arrivals remain.
-    fn generate(&mut self, now: Nanos, queue: &mut EventQueue<Ev>, st: &mut ClusterState) {
+    fn generate(&mut self, now: Nanos, queue: &mut EventQueue<Ev>, st: &mut ClusterState<'_>) {
         let n = self.remaining_arrivals.min(ARRIVAL_CHUNK);
         if n == 0 {
             return;
@@ -1119,8 +1165,8 @@ impl<'a> ClusterSim<'a> {
         let mut offset = Nanos::ZERO;
         let quorum = !self.setting.is_plain();
         for _ in 0..n {
-            offset += Nanos::from_secs_f64(st.arrival_rng.exponential(1.0) / self.offered_per_sec);
             let idx = self.next_arrival;
+            offset += Nanos::from_secs_f64(st.gaps.get(idx as usize) / self.offered_per_sec);
             self.next_arrival += 1;
             let key = self.draw_key(idx, &mut st.key_rng);
             if quorum {
@@ -1169,7 +1215,7 @@ impl<'a> ClusterSim<'a> {
         idx: u64,
         key: u32,
         queue: &mut EventQueue<Ev>,
-        st: &mut ClusterState,
+        st: &mut ClusterState<'_>,
     ) {
         let u = st.class_rng.uniform01();
         let sf = self.bench.scatter_fraction;
@@ -1255,7 +1301,7 @@ impl<'a> ClusterSim<'a> {
         id: u64,
         key: u32,
         queue: &mut EventQueue<Ev>,
-        st: &mut ClusterState,
+        st: &mut ClusterState<'_>,
     ) {
         self.shards[shard].arrivals += 1;
         let req = Req {
@@ -1293,25 +1339,23 @@ impl<'a> ClusterSim<'a> {
         }
     }
 
-    /// Dispatch on a shard: sample the backend service time (from the
-    /// shared stream, in event order), run the sampled store operation
-    /// against the shard's cache, and register the completion with the
-    /// shard's batched timer.
+    /// Dispatch on a shard: read the backend service time (the trial's
+    /// next by cluster-wide dispatch index, in event order), run the
+    /// sampled store operation against the shard's cache, and register
+    /// the completion with the shard's batched timer.
     fn dispatch(
         &mut self,
         now: Nanos,
         shard: usize,
         req: Req,
         queue: &mut EventQueue<Ev>,
-        st: &mut ClusterState,
+        st: &mut ClusterState<'_>,
     ) {
-        let mut service = self
-            .profile
-            .sample_service_time(&mut st.service_rng)
-            .max(Nanos::from_nanos(1));
+        let mut service = st.service.get(st.dispatched);
+        st.dispatched += 1;
         // A scatter sub is one of K partial queries over one partition:
         // it costs a 1/K slice of the sampled operation (the sample is
-        // drawn either way, keeping the service stream aligned).
+        // read either way, keeping dispatch i on service time i).
         if !self.setting.is_plain() && self.parents[req.id as usize].class == ReqClass::Scatter {
             let slice = service.as_nanos() / self.setting.fanout as u64;
             service = Nanos::from_nanos(slice.max(1));
@@ -1362,7 +1406,7 @@ impl<'a> ClusterSim<'a> {
         now: Nanos,
         shard: usize,
         queue: &mut EventQueue<Ev>,
-        st: &mut ClusterState,
+        st: &mut ClusterState<'_>,
     ) {
         let mut due = std::mem::take(&mut self.drain_buf);
         if let Some(wake) = self.shards[shard].completions.wake(now, &mut due) {
@@ -1762,6 +1806,31 @@ mod tests {
                 bench.run_trial(&platform, &mut rng).is_err(),
                 "must reject {bench:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_quick_trial_draws_each_arrival_gap_and_service_time_once() {
+        // The regression guard of the draw tables: every point reads the
+        // trial's gaps and service times by index, so the gap table holds
+        // exactly one point's arrivals and, on the plain sweep, the
+        // service table exactly the busiest point's dispatches (a plain
+        // point dispatches each admitted request once, and every one
+        // completes).
+        let platform = PlatformId::Docker.build();
+        for backend in [LoadBackend::Memcached, LoadBackend::Mysql] {
+            let bench = ClusterBenchmark::quick(backend);
+            let (points, draws) = bench
+                .sweep_trial(&platform, &mut SimRng::seed_from(2021))
+                .unwrap();
+            assert_eq!(draws.gaps.len(), bench.requests_per_point);
+            let busiest = points.iter().map(|p| p.completed).max().unwrap();
+            assert_eq!(draws.service.len() as u64, busiest);
+            let failover = ClusterBenchmark::failover_quick(backend);
+            let (_, draws) = failover
+                .sweep_trial(&platform, &mut SimRng::seed_from(2021))
+                .unwrap();
+            assert_eq!(draws.gaps.len(), failover.requests_per_point);
         }
     }
 

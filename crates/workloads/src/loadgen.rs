@@ -29,12 +29,13 @@
 //! so the pending-event count stays small even for very large request
 //! counts. Within one trial the arrival and service streams are **common
 //! random numbers** across the sweep points — the same unit-rate arrival
-//! gaps (scaled by the offered rate) and the same service-time sequence —
-//! so latency curves are monotone in offered load by coupling, not just
-//! in expectation; every stream derives from the cell's own random
-//! stream, keeping results bit-identical across any parallel execution
-//! schedule. The sampled backend is likewise populated once per trial and
-//! reused by every sweep point, which leaves the figures unchanged (see
+//! gaps (scaled by the offered rate) and the same service-time sequence,
+//! drawn once per trial and read by index at every point — so latency
+//! curves are monotone in offered load by coupling, not just in
+//! expectation; every stream derives from the cell's own random stream,
+//! keeping results bit-identical across any parallel execution schedule.
+//! The sampled backend is likewise populated once per trial and reused by
+//! every sweep point, which leaves the figures unchanged (see
 //! [`crate::slots`]).
 //!
 //! [`YcsbBenchmark::per_op_service_time`]: crate::ycsb::YcsbBenchmark::per_op_service_time
@@ -46,7 +47,7 @@ use simcore::error::SimError;
 use simcore::obs::Recorder;
 use simcore::SimRng;
 
-use crate::pipeline::{PipelineBenchmark, PipelineSetting};
+use crate::pipeline::{PipelineBenchmark, PipelineSetting, TrialDraws};
 use crate::slots::{backend_profile, BackendState};
 pub use crate::slots::{LoadBackend, ServiceProfile};
 
@@ -132,14 +133,10 @@ impl LoadgenBenchmark {
         fraction: f64,
         rng: &mut SimRng,
     ) -> Result<LoadPoint, SimError> {
-        let profile = self.service_profile(platform)?;
-        let arrival = rng.split("arrivals");
-        let service = rng.split("service");
-        self.run_point_with_profile(
-            &profile,
+        let mut draws = self.draws(platform, rng)?;
+        self.run_point_with(
             fraction,
-            arrival,
-            service,
+            &mut draws,
             rng,
             &mut BackendState::build(self.backend),
             None,
@@ -169,14 +166,10 @@ impl LoadgenBenchmark {
         rng: &mut SimRng,
         recorder: Recorder,
     ) -> Result<(LoadPoint, Recorder), SimError> {
-        let profile = self.service_profile(platform)?;
-        let arrival = rng.split("arrivals");
-        let service = rng.split("service");
-        let (point, obs) = self.run_point_with_profile(
-            &profile,
+        let mut draws = self.draws(platform, rng)?;
+        let (point, obs) = self.run_point_with(
             fraction,
-            arrival,
-            service,
+            &mut draws,
             rng,
             &mut BackendState::build(self.backend),
             Some(recorder),
@@ -184,27 +177,31 @@ impl LoadgenBenchmark {
         Ok((point, obs.expect("the recorder threads through the run")))
     }
 
-    /// Runs one sweep point against an already-computed service profile
-    /// (the profile is load-independent, so a sweep computes it once).
+    /// Splits a trial's arrival and service draw tables off the cell
+    /// stream. The service profile is load-independent, so one table of
+    /// service times serves every fraction of a sweep.
+    fn draws(&self, platform: &Platform, rng: &mut SimRng) -> Result<TrialDraws, SimError> {
+        let profile = self.service_profile(platform)?;
+        Ok(TrialDraws::split(profile, self.requests_per_point, rng))
+    }
+
+    /// Runs one sweep point on its trial's `draws`.
     ///
-    /// `arrival_rng` samples unit-rate interarrival gaps (scaled by the
-    /// offered rate) and `service_rng` the per-request service times;
-    /// passing the same streams at every fraction of a sweep yields the
-    /// common-random-numbers coupling the monotonicity of the curves
-    /// relies on. `misc_rng` covers the timing-irrelevant draws
-    /// (connection attribution, sampled operations on `backend`).
+    /// Arrival `i` reads unit-rate gap `i` (scaled by the offered rate)
+    /// and dispatch `i` reads service time `i`; reading the same tables
+    /// at every fraction of a sweep yields the common-random-numbers
+    /// coupling the monotonicity of the curves relies on. `misc_rng`
+    /// covers the timing-irrelevant draws (connection attribution,
+    /// sampled operations on `backend`).
     ///
     /// The point is the zero-stage pipeline at `fraction` of the
     /// chain-inclusive capacity, which for the empty chain is
     /// [`ServiceProfile::capacity_per_sec`]. The stage-cost fields the
     /// pipeline defaults to are never read by an empty chain.
-    #[allow(clippy::too_many_arguments)]
-    fn run_point_with_profile(
+    fn run_point_with(
         &self,
-        profile: &ServiceProfile,
         fraction: f64,
-        arrival_rng: SimRng,
-        service_rng: SimRng,
+        draws: &mut TrialDraws,
         misc_rng: &mut SimRng,
         backend: &mut BackendState,
         obs: Option<Recorder>,
@@ -217,16 +214,8 @@ impl LoadgenBenchmark {
             op_sample_every: self.op_sample_every,
             ..PipelineBenchmark::new(self.backend)
         };
-        let (p, obs) = zero_stage.run_setting(
-            profile,
-            &PipelineSetting::new(0, 0.0),
-            arrival_rng,
-            service_rng,
-            None,
-            misc_rng,
-            backend,
-            obs,
-        )?;
+        let (p, obs) =
+            zero_stage.run_setting(&PipelineSetting::new(0, 0.0), draws, misc_rng, backend, obs)?;
         let point = LoadPoint {
             offered_fraction: fraction,
             offered_per_sec: p.offered_per_sec,
@@ -260,25 +249,16 @@ impl LoadgenBenchmark {
         platform: &Platform,
         rng: &mut SimRng,
     ) -> Result<Vec<LoadPoint>, SimError> {
-        let profile = self.service_profile(platform)?;
-        // Common random numbers: every sweep point replays the same
-        // unit-rate arrival gaps and the same service-time sequence.
-        let arrival = rng.split("arrivals");
-        let service = rng.split("service");
+        // Common random numbers: the trial draws the unit-rate arrival
+        // gaps and the service-time sequence once, and every sweep point
+        // reads them by index.
+        let mut draws = self.draws(platform, rng)?;
         let mut backend = BackendState::build(self.backend);
         self.load_points
             .iter()
             .map(|&fraction| {
-                self.run_point_with_profile(
-                    &profile,
-                    fraction,
-                    arrival.clone(),
-                    service.clone(),
-                    rng,
-                    &mut backend,
-                    None,
-                )
-                .map(|(point, _)| point)
+                self.run_point_with(fraction, &mut draws, rng, &mut backend, None)
+                    .map(|(point, _)| point)
             })
             .collect()
     }

@@ -36,25 +36,31 @@
 //! or window (see [`crate::slots`]); a single-point entry point builds
 //! its own.
 //!
-//! Determinism contract: per-stage cost/cache/short-circuit draws come
-//! from per-stage streams that are consumed identically for **every**
-//! dispatched request regardless of upstream outcomes, and the
-//! arrival/service streams reuse the `loadgen` labels. Two consequences
-//! the test battery pins down: sweep points are coupled by common random
-//! numbers (monotone curves by coupling, not just in expectation), and a
-//! zero-depth sweep consumes the cell stream exactly like the
-//! [`crate::loadgen`] sweep, so the two agree **bit for bit** — the
-//! degenerate-chain regression contract.
+//! Determinism contract: each stage draws one record per dispatched
+//! request from its own stream (in-phase cost, cache uniform,
+//! short-circuit outcome, out-phase cost) whatever happened upstream, so
+//! a point's `i`-th dispatch meets record `i` of every stage it enters.
+//! The trial draws these records, the arrival gaps and the service times
+//! once, and every sweep point reads them by index; the arrival/service
+//! streams reuse the `loadgen` labels. Two consequences the test battery
+//! pins down: sweep points are coupled by common random numbers (monotone
+//! curves by coupling, not just in expectation), and a zero-depth sweep
+//! consumes the cell stream exactly like the [`crate::loadgen`] sweep, so
+//! the two agree **bit for bit** — the degenerate-chain regression
+//! contract. No point depends on which points read the tables before it:
+//! a depth-1 point fills only stage 0's table, and a deeper point reads
+//! the other stages from the start of their own streams.
 
 use platforms::Platform;
 use simcore::error::SimError;
 use simcore::obs::{Recorder, SpanKind};
 use simcore::resource::CompletionTimer;
 use simcore::stats::{Cdf, RunningStats};
-use simcore::{EventQueue, Nanos, SimRng};
+use simcore::{EventQueue, Nanos, Replay, SimRng};
 
 use crate::slots::{
-    backend_profile, Admission, BackendState, ClassConfig, ConnState, SlotPolicy, SlotPool,
+    backend_profile, Admission, BackendState, ClassConfig, ConnState, ServiceTimes, SlotPolicy,
+    SlotPool, UnitGaps,
 };
 pub use crate::slots::{LoadBackend, ServiceProfile};
 use crate::tenancy::ArrivalGen;
@@ -139,19 +145,93 @@ impl StageCost {
     }
 }
 
-/// A warmable stage cache (e.g. a session store): hits and misses charge
-/// different latencies, and the hit rate ramps linearly from cold (0) to
-/// the configured target over the first `warm_after` accesses.
+/// Hit and miss latencies of a stage's cache (e.g. a session store).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CacheCosts {
+    hit: Nanos,
+    miss: Nanos,
+}
+
+/// The draw parameters of one stage: its phase costs, its cache if it
+/// has one, and its short-circuit rate. They fix what the stage draws for
+/// a request; a trial owns them once per stage in its [`StageTable`].
 #[derive(Debug, Clone, PartialEq)]
-struct StageCache {
-    hit_cost: Nanos,
-    miss_cost: Nanos,
+struct StageSpec {
+    in_cost: StageCost,
+    out_cost: Option<StageCost>,
+    short_circuit: f64,
+    cache: Option<CacheCosts>,
+}
+
+/// One request's draws at one stage, in stream order: the in-phase cost,
+/// the uniform a cache access compares with the hit rate (0 without a
+/// cache), whether the stage short-circuits, and the out-phase cost.
+#[derive(Debug, Clone, Copy)]
+struct StageDraw {
+    in_cost: Nanos,
+    cache_u: f64,
+    fires: bool,
+    out_cost: Nanos,
+}
+
+impl StageSpec {
+    /// Draws one request's record. The draw count depends only on the
+    /// spec, never on outcomes — the stream-alignment contract.
+    fn draw(&self, rng: &mut SimRng) -> StageDraw {
+        let in_cost = self.in_cost.sample(rng);
+        let cache_u = if self.cache.is_some() {
+            rng.uniform01()
+        } else {
+            0.0
+        };
+        let fires = self.short_circuit > 0.0 && rng.chance(self.short_circuit);
+        let out_cost = self
+            .out_cost
+            .as_ref()
+            .map_or(Nanos::ZERO, |c| c.sample(rng));
+        StageDraw {
+            in_cost,
+            cache_u,
+            fires,
+            out_cost,
+        }
+    }
+
+    /// Mean per-request cost of the stage (in + expected cache + out)
+    /// with its cache, if any, at `hit_rate`.
+    fn expected_cost_secs(&self, hit_rate: f64) -> f64 {
+        let mut total = self.in_cost.mean.as_secs_f64();
+        if let Some(out) = &self.out_cost {
+            total += out.mean.as_secs_f64();
+        }
+        if let Some(cache) = &self.cache {
+            total +=
+                hit_rate * cache.hit.as_secs_f64() + (1.0 - hit_rate) * cache.miss.as_secs_f64();
+        }
+        total
+    }
+}
+
+/// The per-point state of a stage's cache: the target hit rate, which
+/// the hit rate ramps to linearly from cold (0) over the first
+/// `warm_after` accesses, and the accesses so far. A traversal reads it
+/// only when the stage's spec has a cache.
+#[derive(Debug, Clone, PartialEq)]
+struct CacheState {
     hit_rate: f64,
     warm_after: u64,
     accesses: u64,
 }
 
-impl StageCache {
+impl CacheState {
+    fn new(hit_rate: f64, warm_after: u64) -> Self {
+        CacheState {
+            hit_rate,
+            warm_after,
+            accesses: 0,
+        }
+    }
+
     fn effective_hit_rate(&self) -> f64 {
         if self.warm_after == 0 {
             return self.hit_rate;
@@ -168,10 +248,8 @@ impl StageCache {
 pub struct Stage {
     /// Stage name, for debugging and study output.
     pub name: String,
-    in_cost: StageCost,
-    out_cost: Option<StageCost>,
-    short_circuit: f64,
-    cache: Option<StageCache>,
+    spec: StageSpec,
+    cache: CacheState,
 }
 
 impl Stage {
@@ -186,10 +264,13 @@ impl Stage {
     pub fn try_new(name: &str, in_us: f64, sigma: f64) -> Result<Self, SimError> {
         Ok(Stage {
             name: name.to_string(),
-            in_cost: StageCost::try_from_us("stage in-phase", in_us, sigma)?,
-            out_cost: None,
-            short_circuit: 0.0,
-            cache: None,
+            spec: StageSpec {
+                in_cost: StageCost::try_from_us("stage in-phase", in_us, sigma)?,
+                out_cost: None,
+                short_circuit: 0.0,
+                cache: None,
+            },
+            cache: CacheState::new(0.0, 0),
         })
     }
 
@@ -200,7 +281,7 @@ impl Stage {
     /// Returns [`SimError::InvalidConfig`] for a non-finite or negative
     /// cost or sigma.
     pub fn with_out_phase(mut self, out_us: f64, sigma: f64) -> Result<Self, SimError> {
-        self.out_cost = Some(StageCost::try_from_us("stage out-phase", out_us, sigma)?);
+        self.spec.out_cost = Some(StageCost::try_from_us("stage out-phase", out_us, sigma)?);
         Ok(self)
     }
 
@@ -214,7 +295,7 @@ impl Stage {
     /// Returns [`SimError::InvalidConfig`] unless `rate` is a probability
     /// in `[0, 1]`.
     pub fn with_short_circuit(mut self, rate: f64) -> Result<Self, SimError> {
-        self.short_circuit = validated_rate("stage short-circuit rate", rate)?;
+        self.spec.short_circuit = validated_rate("stage short-circuit rate", rate)?;
         Ok(self)
     }
 
@@ -235,28 +316,12 @@ impl Stage {
         hit_rate: f64,
         warm_after: u64,
     ) -> Result<Self, SimError> {
-        self.cache = Some(StageCache {
-            hit_cost: validated_us("cache hit cost", hit_us)?,
-            miss_cost: validated_us("cache miss cost", miss_us)?,
-            hit_rate: validated_rate("cache hit rate", hit_rate)?,
-            warm_after,
-            accesses: 0,
+        self.spec.cache = Some(CacheCosts {
+            hit: validated_us("cache hit cost", hit_us)?,
+            miss: validated_us("cache miss cost", miss_us)?,
         });
+        self.cache = CacheState::new(validated_rate("cache hit rate", hit_rate)?, warm_after);
         Ok(self)
-    }
-
-    /// Mean per-request cost of the stage (in + expected cache + out),
-    /// using the cache's warm target hit rate.
-    fn expected_cost_secs(&self) -> f64 {
-        let mut total = self.in_cost.mean.as_secs_f64();
-        if let Some(out) = &self.out_cost {
-            total += out.mean.as_secs_f64();
-        }
-        if let Some(cache) = &self.cache {
-            total += cache.hit_rate * cache.hit_cost.as_secs_f64()
-                + (1.0 - cache.hit_rate) * cache.miss_cost.as_secs_f64();
-        }
-        total
     }
 }
 
@@ -328,7 +393,12 @@ impl MiddlewareChain {
     /// ignoring warmup and short-circuits — the planning figure the sweep
     /// uses to normalize offered load to chain-inclusive capacity.
     pub fn expected_cost(&self) -> Nanos {
-        Nanos::from_secs_f64(self.stages.iter().map(Stage::expected_cost_secs).sum())
+        Nanos::from_secs_f64(
+            self.stages
+                .iter()
+                .map(|s| s.spec.expected_cost_secs(s.cache.hit_rate))
+                .sum(),
+        )
     }
 
     /// Traverses the chain for one request, drawing from one stream per
@@ -360,64 +430,161 @@ impl MiddlewareChain {
             self.stages.len(),
             "one stage stream per stage"
         );
-        let mut cut = None;
-        let mut cost = Nanos::ZERO;
-        let mut traversed = 0usize;
-        let (mut hits, mut misses) = (0u32, 0u32);
+        let mut walk = Walk::default();
         for (i, (stage, rng)) in self
             .stages
             .iter_mut()
             .zip(stage_rngs.iter_mut())
             .enumerate()
         {
-            let entered = cut.is_none();
-            let in_cost = stage.in_cost.sample(rng);
-            let mut cache_cost = Nanos::ZERO;
-            let mut cache_hit = None;
-            if let Some(cache) = &mut stage.cache {
-                let draw = rng.uniform01();
-                if entered {
-                    let hit = draw < cache.effective_hit_rate();
-                    cache.accesses += 1;
-                    cache_hit = Some(hit);
-                    if hit {
-                        hits += 1;
-                        cache_cost = cache.hit_cost;
-                    } else {
-                        misses += 1;
-                        cache_cost = cache.miss_cost;
-                    }
-                }
-            }
-            let fired = stage.short_circuit > 0.0 && rng.chance(stage.short_circuit);
-            let out_cost = stage
-                .out_cost
-                .as_ref()
-                .map(|c| c.sample(rng))
-                .unwrap_or(Nanos::ZERO);
-            if entered {
-                traversed += 1;
-                cost += in_cost + cache_cost + out_cost;
-                if fired {
-                    cut = Some(i);
-                }
-                visit(StageVisit {
-                    stage: i,
-                    in_cost,
-                    cache_hit,
-                    cache_cost,
-                    short_circuited: fired,
-                    out_cost,
-                });
+            let draw = stage.spec.draw(rng);
+            if let Some(v) = walk.enter(i, &stage.spec, &mut stage.cache, draw) {
+                visit(v);
             }
         }
+        walk.finish()
+    }
+}
+
+/// One request's walk down a chain: folds each stage's draw into the
+/// charged cost and the counts, entering every stage up to and including
+/// the first that short-circuits.
+#[derive(Debug, Default)]
+struct Walk {
+    cost: Nanos,
+    traversed: usize,
+    cut: Option<usize>,
+    hits: u32,
+    misses: u32,
+}
+
+impl Walk {
+    /// Applies stage `i`'s draw to the walk and to the point's state of
+    /// the stage's cache. Returns the visit when the request enters the
+    /// stage; past a short-circuit it does not, and the stage neither
+    /// charges, warms its cache, nor counts a hit or miss.
+    fn enter(
+        &mut self,
+        i: usize,
+        spec: &StageSpec,
+        cache: &mut CacheState,
+        draw: StageDraw,
+    ) -> Option<StageVisit> {
+        if self.cut.is_some() {
+            return None;
+        }
+        let mut cache_cost = Nanos::ZERO;
+        let mut cache_hit = None;
+        if let Some(costs) = spec.cache {
+            let hit = draw.cache_u < cache.effective_hit_rate();
+            cache.accesses += 1;
+            cache_hit = Some(hit);
+            if hit {
+                self.hits += 1;
+                cache_cost = costs.hit;
+            } else {
+                self.misses += 1;
+                cache_cost = costs.miss;
+            }
+        }
+        self.traversed += 1;
+        self.cost += draw.in_cost + cache_cost + draw.out_cost;
+        if draw.fires {
+            self.cut = Some(i);
+        }
+        Some(StageVisit {
+            stage: i,
+            in_cost: draw.in_cost,
+            cache_hit,
+            cache_cost,
+            short_circuited: draw.fires,
+            out_cost: draw.out_cost,
+        })
+    }
+
+    fn finish(self) -> Traversal {
         Traversal {
-            stage_cost: cost,
-            stages_traversed: traversed,
-            short_circuit: cut,
-            cache_hits: hits,
-            cache_misses: misses,
+            stage_cost: self.cost,
+            stages_traversed: self.traversed,
+            short_circuit: self.cut,
+            cache_hits: self.hits,
+            cache_misses: self.misses,
         }
+    }
+}
+
+/// One stage of a trial's chain: its name and draw parameters, and its
+/// per-request draws read by dispatch index. Every point whose chain
+/// reaches the stage reads the same records, so the stage's stream is
+/// drawn once per trial.
+#[derive(Debug)]
+pub(crate) struct StageTable {
+    name: String,
+    spec: StageSpec,
+    draws: Replay<StageDraw>,
+}
+
+impl StageTable {
+    /// The record of dispatch `i`.
+    fn draw(&mut self, i: usize) -> StageDraw {
+        let spec = &self.spec;
+        self.draws.get(i, |rng| spec.draw(rng))
+    }
+}
+
+/// Mean per-request cost of the chain over `tables` with every cache at
+/// `hit_rate` — the figure [`MiddlewareChain::expected_cost`] gives for
+/// the same stages.
+fn expected_cost(tables: &[StageTable], hit_rate: f64) -> Nanos {
+    Nanos::from_secs_f64(
+        tables
+            .iter()
+            .map(|t| t.spec.expected_cost_secs(hit_rate))
+            .sum(),
+    )
+}
+
+/// One point's chain: the first `depth` stage tables of its trial and the
+/// point's own state of each stage's cache. The tables own every draw
+/// parameter, so a point can only read records drawn with its stages'
+/// parameters; what it brings is its hit rate and warm-up.
+pub(crate) struct PointChain<'t> {
+    tables: &'t mut [StageTable],
+    caches: Vec<CacheState>,
+}
+
+impl<'t> PointChain<'t> {
+    /// The zero-stage chain: requests pass straight to the backend.
+    pub(crate) fn empty() -> Self {
+        PointChain {
+            tables: &mut [],
+            caches: Vec::new(),
+        }
+    }
+
+    /// A chain over `tables` whose caches warm to `hit_rate` over
+    /// `warm_after` accesses.
+    fn new(tables: &'t mut [StageTable], hit_rate: f64, warm_after: u64) -> Self {
+        let caches = vec![CacheState::new(hit_rate, warm_after); tables.len()];
+        PointChain { tables, caches }
+    }
+
+    /// Traverses the chain for dispatch `index`: each entered stage reads
+    /// its record `index` and applies it to the point's cache state. A
+    /// stage past a short-circuit is not entered, so its record is not
+    /// read; the next dispatch still reads record `index + 1`.
+    fn traverse(&mut self, index: usize, mut visit: impl FnMut(StageVisit)) -> Traversal {
+        let mut walk = Walk::default();
+        for (i, (table, cache)) in self.tables.iter_mut().zip(&mut self.caches).enumerate() {
+            if walk.cut.is_some() {
+                break;
+            }
+            let draw = table.draw(index);
+            if let Some(v) = walk.enter(i, &table.spec, cache, draw) {
+                visit(v);
+            }
+        }
+        walk.finish()
     }
 }
 
@@ -617,12 +784,12 @@ impl PipelineBenchmark {
     /// Runs the whole depth/hit-rate sweep once and returns one
     /// [`PipelinePoint`] per configured setting.
     ///
-    /// This is the unit the parallel executor shards on. The arrival and
-    /// service streams are common random numbers across the sweep points
-    /// (the `loadgen` discipline), the per-stage streams are derived so
-    /// that two depths share the streams of their common stage prefix,
-    /// and the sampled backend is populated once and reused by every
-    /// point.
+    /// This is the unit the parallel executor shards on. The arrival
+    /// gaps, service times and per-stage draws are common random numbers
+    /// across the sweep points (the `loadgen` discipline): the trial
+    /// draws each once and every point reads it by index, so two depths
+    /// share the draws of their common stage prefix. The sampled backend
+    /// is likewise populated once and reused by every point.
     ///
     /// # Errors
     ///
@@ -635,49 +802,75 @@ impl PipelineBenchmark {
         platform: &Platform,
         rng: &mut SimRng,
     ) -> Result<Vec<PipelinePoint>, SimError> {
-        let profile = self.service_profile(platform)?;
-        // Common random numbers: every sweep point replays the same
-        // unit-rate arrival gaps and the same backend service sequence.
-        let arrival = rng.split("arrivals");
-        let service = rng.split("service");
-        // The stage stream only exists when some point has a non-empty
-        // chain: splitting advances the parent stream, and a zero-depth
-        // sweep must consume the cell stream exactly like `loadgen`.
-        let stage_root = if self.sweep.iter().any(|s| s.depth > 0) {
-            Some(rng.split(STAGE_STREAM))
-        } else {
-            None
-        };
-        let mut backend = BackendState::build(self.backend);
-        self.sweep
-            .iter()
-            .map(|setting| {
-                self.run_setting(
-                    &profile,
-                    setting,
-                    arrival.clone(),
-                    service.clone(),
-                    stage_root.clone(),
-                    rng,
-                    &mut backend,
-                    None,
-                )
-                .map(|(point, _)| point)
-            })
-            .collect()
+        self.sweep_trial(platform, rng).map(|(points, _)| points)
     }
 
-    /// Runs one sweep point against `backend`. `misc_rng` is the cell
-    /// stream the timing-irrelevant draws are split from, one split per
-    /// point — the same discipline as the `loadgen` sweep.
-    #[allow(clippy::too_many_arguments)]
+    /// [`PipelineBenchmark::run_trial`], returning the trial's draw tables
+    /// with its points.
+    fn sweep_trial(
+        &self,
+        platform: &Platform,
+        rng: &mut SimRng,
+    ) -> Result<(Vec<PipelinePoint>, TrialDraws), SimError> {
+        let profile = self.service_profile(platform)?;
+        let depth = self.sweep.iter().map(|s| s.depth).max().unwrap_or(0);
+        let mut draws = self.draws(profile, depth, rng)?;
+        let mut backend = BackendState::build(self.backend);
+        let points = self
+            .sweep
+            .iter()
+            .map(|setting| {
+                self.run_setting(setting, &mut draws, rng, &mut backend, None)
+                    .map(|(point, _)| point)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok((points, draws))
+    }
+
+    /// Splits the draw tables of a trial whose deepest chain has `depth`
+    /// stages off the cell stream: the arrival and service streams, then
+    /// the stage stream only when `depth > 0` — splitting advances the
+    /// parent stream, and a zero-depth sweep must consume the cell stream
+    /// exactly like `loadgen`.
+    fn draws(
+        &self,
+        profile: ServiceProfile,
+        depth: usize,
+        rng: &mut SimRng,
+    ) -> Result<TrialDraws, SimError> {
+        let mut draws = TrialDraws::split(profile, self.requests_per_point, rng);
+        if depth > 0 {
+            // The deepest chain defines every stage; a shallower point
+            // runs a prefix of it. The hit rate it is built at is no draw
+            // parameter: each point brings its own.
+            let chain = self.chain_for(&profile, depth, BASELINE_HIT_RATE)?;
+            let mut root = rng.split(STAGE_STREAM);
+            // One stream per stage, derived in stage order.
+            draws.stages = chain
+                .stages
+                .into_iter()
+                .enumerate()
+                .map(|(i, stage)| StageTable {
+                    name: stage.name,
+                    spec: stage.spec,
+                    draws: Replay::with_capacity(
+                        root.split(&format!("s{i}")),
+                        self.requests_per_point,
+                    ),
+                })
+                .collect();
+        }
+        Ok(draws)
+    }
+
+    /// Runs one sweep point on its trial's `draws` against `backend`.
+    /// `misc_rng` is the cell stream the timing-irrelevant draws are
+    /// split from, one split per point — the same discipline as the
+    /// `loadgen` sweep.
     pub(crate) fn run_setting(
         &self,
-        profile: &ServiceProfile,
         setting: &PipelineSetting,
-        arrival_rng: SimRng,
-        service_rng: SimRng,
-        stage_root: Option<SimRng>,
+        draws: &mut TrialDraws,
         misc_rng: &mut SimRng,
         backend: &mut BackendState,
         obs: Option<Recorder>,
@@ -687,49 +880,42 @@ impl PipelineBenchmark {
                 "an open-loop sweep needs at least one request per point".into(),
             ));
         }
-        let chain = self.chain_for(profile, setting.depth, setting.hit_rate)?;
-        let planned = self.chain_for(profile, setting.depth, setting.planned_hit_rate)?;
+        let TrialDraws {
+            gaps,
+            service,
+            stages,
+        } = draws;
+        let profile = *service.profile();
+        let tables = &mut stages[..setting.depth];
+        if tables.iter().any(|t| t.spec.cache.is_some()) {
+            validated_rate("cache hit rate", setting.hit_rate)?;
+            validated_rate("cache hit rate", setting.planned_hit_rate)?;
+        }
         // Chain-inclusive capacity at the planned hit rate: the sweep
         // holds utilization constant across depths, so the miss-storm
         // point (planned warm, actually cold) lands above saturation.
-        let per_request = profile.service_time + planned.expected_cost();
+        let per_request = profile.service_time + expected_cost(tables, setting.planned_hit_rate);
         let capacity_per_sec = profile.servers as f64 / per_request.as_secs_f64();
         let offered_per_sec = capacity_per_sec * self.offered_fraction.max(0.0);
-        // One stream per stage, derived in stage order: depths d and d+1
-        // share the streams of stages 0..d, coupling the depth sweep.
-        let stage_rngs: Vec<SimRng> = match stage_root {
-            Some(mut root) => (0..chain.depth())
-                .map(|i| root.split(&format!("s{i}")))
-                .collect(),
-            None => Vec::new(),
-        };
         let slots = ClassConfig {
             weight: 1,
             queue_capacity: self.queue_capacity,
-            mean_cost: profile.service_time + chain.expected_cost(),
+            mean_cost: profile.service_time + expected_cost(tables, setting.hit_rate),
         };
         let per_sec = offered_per_sec.max(1.0);
         let window = Nanos::from_secs_f64(self.requests_per_point as f64 / per_sec);
         let arrivals = ArrivalSource::Counted {
-            rng: arrival_rng,
+            gaps,
+            next: 0,
             per_sec,
             remaining: self.requests_per_point as u64,
         };
-        let class = ClientClass::new(
-            "pool",
-            arrivals,
-            slots,
-            *profile,
-            service_rng,
-            self.clients,
-            backend,
-        );
+        let class = ClientClass::new("pool", arrivals, slots, service, self.clients, backend);
         let mut sim = PipelineSim::new(
             vec![class],
             profile.servers,
             SlotPolicy::FifoArrival,
-            chain,
-            stage_rngs,
+            PointChain::new(tables, setting.hit_rate, self.cache_warm_after),
             misc_rng.split(MISC_STREAM),
             self.op_sample_every,
             (PROBES, window / u64::from(PROBES)),
@@ -748,7 +934,8 @@ impl PipelineBenchmark {
     /// Tracing is observation only — the recorder consumes no random
     /// draws, so the returned [`PipelinePoint`] is bit-identical to the
     /// same setting inside an untraced [`PipelineBenchmark::run_trial`]
-    /// of the same streams. The single setting populates its own backend.
+    /// of the same streams. The single setting draws its own tables and
+    /// populates its own backend.
     ///
     /// # Errors
     ///
@@ -761,24 +948,41 @@ impl PipelineBenchmark {
         recorder: Recorder,
     ) -> Result<(PipelinePoint, Recorder), SimError> {
         let profile = self.service_profile(platform)?;
-        let arrival = rng.split("arrivals");
-        let service = rng.split("service");
-        let stage_root = if setting.depth > 0 {
-            Some(rng.split(STAGE_STREAM))
-        } else {
-            None
-        };
+        let mut draws = self.draws(profile, setting.depth, rng)?;
         let (point, obs) = self.run_setting(
-            &profile,
             setting,
-            arrival,
-            service,
-            stage_root,
+            &mut draws,
             rng,
             &mut BackendState::build(self.backend),
             Some(recorder),
         )?;
         Ok((point, obs.expect("the recorder threads through the run")))
+    }
+}
+
+/// The common random numbers of one open-loop trial, drawn once and read
+/// by index at every sweep point: arrival `i` reads gap `i`, the class's
+/// `i`-th dispatch reads service time `i`, and the chain's `i`-th
+/// dispatch reads record `i` of each stage it enters. Each point still
+/// divides the gaps by its own rate and runs its own caches, so its
+/// figures are those of a private copy of the streams.
+#[derive(Debug)]
+pub(crate) struct TrialDraws {
+    gaps: UnitGaps,
+    service: ServiceTimes,
+    stages: Vec<StageTable>,
+}
+
+impl TrialDraws {
+    /// Splits the arrival and service streams off the cell stream, in
+    /// that order, with room for `requests` arrivals and dispatches; the
+    /// chain has no stages.
+    pub(crate) fn split(profile: ServiceProfile, requests: usize, rng: &mut SimRng) -> Self {
+        TrialDraws {
+            gaps: UnitGaps::new(rng.split("arrivals"), requests),
+            service: ServiceTimes::new(profile, rng.split("service"), requests),
+            stages: Vec::new(),
+        }
     }
 }
 
@@ -885,13 +1089,15 @@ enum Ev {
 
 /// Where one client class's arrivals come from: the two arrival clocks
 /// the recorded figures were taken with.
-pub(crate) enum ArrivalSource {
+pub(crate) enum ArrivalSource<'a> {
     /// A fixed number of Poisson arrivals (the load and pipeline sweeps):
-    /// each unit-rate gap is scaled by `per_sec` and rounded to whole
-    /// nanoseconds before it is added, chunks hold [`ARRIVAL_CHUNK`]
-    /// arrivals, and no generation follows the last chunk.
+    /// arrival `next` reads the trial's unit-rate gap `next`, scales it by
+    /// `per_sec` and rounds it to whole nanoseconds before it is added;
+    /// chunks hold [`ARRIVAL_CHUNK`] arrivals, and no generation follows
+    /// the last chunk.
     Counted {
-        rng: SimRng,
+        gaps: &'a mut UnitGaps,
+        next: usize,
         per_sec: f64,
         remaining: u64,
     },
@@ -900,20 +1106,21 @@ pub(crate) enum ArrivalSource {
     /// generation, and the source stops at its first arrival past
     /// `window_secs`.
     Windowed {
-        gen: ArrivalGen,
+        gen: ArrivalGen<'a>,
         clock_secs: f64,
         window_secs: f64,
     },
 }
 
-impl ArrivalSource {
+impl ArrivalSource<'_> {
     /// Pushes the next chunk of `class`'s arrivals, then the generation
     /// of the chunk after it (FIFO among equal timestamps, so the next
     /// chunk continues from this one's clock).
     fn generate(&mut self, class: u16, now: Nanos, queue: &mut EventQueue<Ev>) {
         match self {
             ArrivalSource::Counted {
-                rng,
+                gaps,
+                next,
                 per_sec,
                 remaining,
             } => {
@@ -924,7 +1131,8 @@ impl ArrivalSource {
                     // Unit-rate exponential gaps scaled by the offered
                     // rate: the same arrival stream compresses uniformly
                     // as load grows.
-                    offset += Nanos::from_secs_f64(rng.exponential(1.0) / *per_sec);
+                    offset += Nanos::from_secs_f64(gaps.get(*next) / *per_sec);
+                    *next += 1;
                     queue.push(now + offset, Ev::Arrive { class });
                 }
                 if *remaining > 0 {
@@ -950,15 +1158,16 @@ impl ArrivalSource {
 }
 
 /// One client class of an open-loop run: a connection population with
-/// its own arrival source, slot-pool class, service profile and stream,
-/// trace lane and accounting, driving the sampled backend it borrows
-/// from its trial.
+/// its own arrival source, slot-pool class, service times, trace lane
+/// and accounting, driving the sampled backend it borrows from its
+/// trial. Its `i`-th dispatch reads service time `i` of the trial's
+/// table.
 pub(crate) struct ClientClass<'a> {
     name: &'a str,
-    arrivals: ArrivalSource,
+    arrivals: ArrivalSource<'a>,
     slots: ClassConfig,
-    profile: ServiceProfile,
-    service_rng: SimRng,
+    service: &'a mut ServiceTimes,
+    dispatched: usize,
     pub(crate) backend: &'a mut BackendState,
     conns: Vec<ConnState>,
     lane: u32,
@@ -973,10 +1182,9 @@ impl<'a> ClientClass<'a> {
     /// `clients` connections.
     pub(crate) fn new(
         name: &'a str,
-        arrivals: ArrivalSource,
+        arrivals: ArrivalSource<'a>,
         slots: ClassConfig,
-        profile: ServiceProfile,
-        service_rng: SimRng,
+        service: &'a mut ServiceTimes,
         clients: usize,
         backend: &'a mut BackendState,
     ) -> Self {
@@ -988,8 +1196,8 @@ impl<'a> ClientClass<'a> {
             name,
             arrivals,
             slots,
-            profile,
-            service_rng,
+            service,
+            dispatched: 0,
             backend,
             conns: vec![ConnState::default(); clients.max(1)],
             lane: 0,
@@ -1013,8 +1221,9 @@ impl<'a> ClientClass<'a> {
 pub(crate) struct PipelineSim<'a> {
     pub(crate) classes: Vec<ClientClass<'a>>,
     pool: SlotPool<Request>,
-    chain: MiddlewareChain,
-    stage_rngs: Vec<SimRng>,
+    chain: PointChain<'a>,
+    /// Dispatches so far, all classes: the stage record index.
+    dispatched: usize,
     misc_rng: SimRng,
     op_sample_every: u64,
     admitted: u64,
@@ -1054,8 +1263,7 @@ impl<'a> PipelineSim<'a> {
         mut classes: Vec<ClientClass<'a>>,
         servers: usize,
         policy: SlotPolicy,
-        chain: MiddlewareChain,
-        stage_rngs: Vec<SimRng>,
+        chain: PointChain<'a>,
         misc_rng: SimRng,
         op_sample_every: u64,
         (probes, probe_period): (u32, Nanos),
@@ -1076,17 +1284,17 @@ impl<'a> PipelineSim<'a> {
                 class.lane = o.lane(class.name);
             }
             obs_stage_lanes = chain
-                .stages
+                .tables
                 .iter()
                 .enumerate()
-                .map(|(i, s)| o.lane(&format!("s{i}:{}", s.name)))
+                .map(|(i, t)| o.lane(&format!("s{i}:{}", t.name)))
                 .collect();
         }
         Ok(PipelineSim {
             classes,
             pool,
             chain,
-            stage_rngs,
+            dispatched: 0,
             misc_rng,
             op_sample_every: op_sample_every.max(1),
             admitted: 0,
@@ -1204,24 +1412,25 @@ impl<'a> PipelineSim<'a> {
     /// cost plus backend service unless short-circuited), and register
     /// the completion with the batched timer.
     ///
-    /// The backend service time is sampled unconditionally — even for
-    /// requests a stage short-circuits — so the `service` stream stays
-    /// aligned across chain depths request for request.
+    /// The backend service time is read for every dispatch — even one a
+    /// stage short-circuits — so a class's `i`-th dispatch reads service
+    /// time `i` at every chain depth.
     fn dispatch(&mut self, now: Nanos, mut request: Request, queue: &mut EventQueue<Ev>) {
         let class = &mut self.classes[usize::from(request.class)];
-        let backend = class.profile.sample_service_time(&mut class.service_rng);
+        let backend = class.service.get(class.dispatched);
+        class.dispatched += 1;
         let lane = class.lane;
+        let index = self.dispatched;
+        self.dispatched += 1;
         let t = match self.obs.is_some() {
-            // Traced run: collect the per-stage detail. `traverse`
-            // delegates to `traverse_with`, so the draw order is the
-            // same on both arms by construction.
+            // Traced run: collect the per-stage detail. Both arms walk
+            // the same records, so tracing cannot change the traversal.
             true => {
-                let (chain, rngs, buf) =
-                    (&mut self.chain, &mut self.stage_rngs, &mut self.visit_buf);
+                let buf = &mut self.visit_buf;
                 buf.clear();
-                chain.traverse_with(rngs, |v| buf.push(v))
+                self.chain.traverse(index, |v| buf.push(v))
             }
-            false => self.chain.traverse(&mut self.stage_rngs),
+            false => self.chain.traverse(index, |_| {}),
         };
         if self.obs.is_some() {
             self.record_dispatch(now, &request, lane, backend, t.short_circuit.is_some());
@@ -1691,6 +1900,14 @@ mod tests {
         assert!(bench
             .run_trial(&PlatformId::Native.build(), &mut SimRng::seed_from(99))
             .is_err());
+        // A point's hit rate is checked where its chain is built.
+        let bad_hit_rate = PipelineBenchmark {
+            sweep: vec![PipelineSetting::new(2, 1.5)],
+            ..tiny(LoadBackend::Memcached)
+        };
+        assert!(bad_hit_rate
+            .run_trial(&PlatformId::Native.build(), &mut SimRng::seed_from(99))
+            .is_err());
         let empty_pool = PipelineBenchmark {
             servers: 0,
             ..tiny(LoadBackend::Memcached)
@@ -1707,8 +1924,10 @@ mod tests {
         let profile = bench.service_profile(&platform).unwrap();
         let offered = profile.capacity_per_sec() * 0.8;
         let mut rng = SimRng::seed_from(84);
+        let mut draws = TrialDraws::split(profile, bench.requests_per_point, &mut rng);
         let arrivals = ArrivalSource::Counted {
-            rng: rng.split("arrivals"),
+            gaps: &mut draws.gaps,
+            next: 0,
             per_sec: offered,
             remaining: bench.requests_per_point as u64,
         };
@@ -1722,8 +1941,7 @@ mod tests {
             "pool",
             arrivals,
             slots,
-            profile,
-            rng.split("service"),
+            &mut draws.service,
             bench.clients,
             &mut backend,
         );
@@ -1731,8 +1949,7 @@ mod tests {
             vec![class],
             profile.servers,
             SlotPolicy::FifoArrival,
-            MiddlewareChain::empty(),
-            Vec::new(),
+            PointChain::empty(),
             rng.split("m"),
             bench.op_sample_every,
             (0, Nanos::ZERO),
@@ -1768,6 +1985,44 @@ mod tests {
         assert!(bench
             .run_setting_traced(&platform, &setting, &mut SimRng::seed_from(102), recorder)
             .is_err());
+    }
+
+    #[test]
+    fn a_quick_trial_draws_each_shared_sample_once() {
+        // The regression guard of the draw tables: every point reads the
+        // trial's samples by index, so no table holds more entries than
+        // the busiest point that reads it consumed. A point that drew its
+        // own samples would leave the tables short; one that appended
+        // past another point's would grow them.
+        for backend in [LoadBackend::Memcached, LoadBackend::Mysql] {
+            let bench = PipelineBenchmark::quick(backend);
+            let (points, draws) = bench
+                .sweep_trial(&PlatformId::Docker.build(), &mut SimRng::seed_from(2021))
+                .unwrap();
+            // Every dispatched request responds before the run ends.
+            let dispatched = |min_depth: usize| {
+                points
+                    .iter()
+                    .filter(|p| p.depth >= min_depth)
+                    .map(|p| (p.completed + p.short_circuited) as usize)
+                    .max()
+                    .unwrap()
+            };
+            assert_eq!(draws.gaps.len(), bench.requests_per_point);
+            assert_eq!(draws.service.len(), dispatched(0));
+            let deepest = bench.sweep.iter().map(|s| s.depth).max().unwrap();
+            assert_eq!(draws.stages.len(), deepest);
+            // Every dispatch enters stage 0; one past a short-circuit
+            // leaves the later stages' records unread.
+            assert_eq!(draws.stages[0].draws.len(), dispatched(1));
+            for (i, table) in draws.stages.iter().enumerate() {
+                let (len, bound) = (table.draws.len(), dispatched(i + 1));
+                assert!(
+                    len > 0 && len <= bound,
+                    "{backend:?} stage {i}: {len} records for {bound} dispatches"
+                );
+            }
+        }
     }
 
     #[test]

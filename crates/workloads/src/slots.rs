@@ -26,6 +26,10 @@
 //!   operations never change what a point reports of it.
 //! * `ConnState` — the per-connection issued/completed/dropped
 //!   accounting of a client population.
+//! * `UnitGaps` and `ServiceTimes` — a trial's common random numbers for
+//!   arrivals and service, drawn once per trial on [`simcore::Replay`]
+//!   and read by index at every sweep point, tenancy window and cluster
+//!   point.
 
 use std::collections::VecDeque;
 
@@ -34,7 +38,7 @@ use platforms::Platform;
 use relstore::{Database, Table};
 use simcore::dist::Distribution;
 use simcore::error::SimError;
-use simcore::{Nanos, SimRng};
+use simcore::{Nanos, Replay, SimRng};
 
 use crate::sysbench_oltp::OltpBenchmark;
 use crate::ycsb::YcsbBenchmark;
@@ -120,6 +124,70 @@ impl ServiceProfile {
     /// Samples one per-request service time.
     pub fn sample_service_time(&self, rng: &mut SimRng) -> Nanos {
         Nanos::from_secs_f64(self.service_distribution().sample(rng)).max(Nanos::from_nanos(1))
+    }
+}
+
+/// A trial's unit-rate exponential gaps, read by index: arrival `i` of
+/// every sweep point reads gap `i` and scales it by the point's own rate.
+#[derive(Debug)]
+pub(crate) struct UnitGaps(Replay<f64>);
+
+impl UnitGaps {
+    /// Gaps drawn from `rng`, with room for `capacity` before the table
+    /// reallocates.
+    pub(crate) fn new(rng: SimRng, capacity: usize) -> Self {
+        UnitGaps(Replay::with_capacity(rng, capacity))
+    }
+
+    /// Gap `i`: the `i`-th `exponential(1.0)` draw of the stream.
+    #[inline]
+    pub(crate) fn get(&mut self, i: usize) -> f64 {
+        self.0.get(i, |rng| rng.exponential(1.0))
+    }
+
+    /// Gaps drawn so far.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// A trial's per-dispatch service times on one profile, read by dispatch
+/// index. The table owns the profile it samples, so a point cannot read
+/// times drawn for another.
+#[derive(Debug)]
+pub(crate) struct ServiceTimes {
+    profile: ServiceProfile,
+    times: Replay<Nanos>,
+}
+
+impl ServiceTimes {
+    /// Service times of `profile` drawn from `rng`, with room for
+    /// `capacity` before the table reallocates.
+    pub(crate) fn new(profile: ServiceProfile, rng: SimRng, capacity: usize) -> Self {
+        ServiceTimes {
+            profile,
+            times: Replay::with_capacity(rng, capacity),
+        }
+    }
+
+    /// The profile the times are sampled from.
+    pub(crate) fn profile(&self) -> &ServiceProfile {
+        &self.profile
+    }
+
+    /// Service time `i`: the `i`-th [`ServiceProfile::sample_service_time`]
+    /// of the stream.
+    #[inline]
+    pub(crate) fn get(&mut self, i: usize) -> Nanos {
+        let profile = &self.profile;
+        self.times.get(i, |rng| profile.sample_service_time(rng))
+    }
+
+    /// Service times drawn so far.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.times.len()
     }
 }
 

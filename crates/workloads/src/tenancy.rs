@@ -23,15 +23,17 @@
 //! platform.
 //!
 //! Within a trial the per-tenant arrival and service streams are common
-//! random numbers across sweep points and scheduler policies: the
-//! aggressor's arrival pattern is a fixed unit-rate sample path scaled by
-//! its offered rate (on/off phase durations scale with it, preserving the
-//! burst shape), so victim-latency curves are monotone in aggressor load
-//! by coupling and the DRR-vs-FIFO comparison is apples to apples. All
-//! streams derive from the cell's random stream, keeping figures
-//! bit-identical for any executor worker count. Each tenant's sampled
-//! backend is populated once per trial and carried through the solo
-//! window and every co-located window (see [`crate::slots`]).
+//! random numbers across sweep points and scheduler policies: each
+//! tenant's unit-rate exponentials and service times are drawn once per
+//! trial and read by index in every window. The aggressor's arrival
+//! pattern is a fixed unit-rate sample path scaled by its offered rate
+//! (on/off phase durations scale with it, preserving the burst shape), so
+//! victim-latency curves are monotone in aggressor load by coupling and
+//! the DRR-vs-FIFO comparison is apples to apples. All streams derive
+//! from the cell's random stream, keeping figures bit-identical for any
+//! executor worker count. Each tenant's sampled backend is populated once
+//! per trial and carried through the solo window and every co-located
+//! window (see [`crate::slots`]).
 //!
 //! Tenants are data for the one open-loop engine in [`crate::pipeline`]:
 //! a window runs one client class per tenant, in tenant order, behind the
@@ -42,15 +44,15 @@
 //! no requests.
 
 use platforms::Platform;
-use simcore::dist::Distribution;
 use simcore::error::SimError;
 use simcore::obs::Recorder;
 use simcore::stats::Cdf;
 use simcore::{Nanos, SimRng};
 
-use crate::pipeline::{ArrivalSource, ClientClass, MiddlewareChain, PipelineSim};
+use crate::pipeline::{ArrivalSource, ClientClass, PipelineSim, PointChain};
 use crate::slots::{
-    backend_profile, BackendState, ClassConfig, LoadBackend, ServiceProfile, SlotPolicy,
+    backend_profile, BackendState, ClassConfig, LoadBackend, ServiceProfile, ServiceTimes,
+    SlotPolicy, UnitGaps,
 };
 
 /// The arrival process of one tenant.
@@ -95,38 +97,55 @@ impl ArrivalProcess {
     }
 }
 
-/// Stateful interarrival-gap sampler for one tenant.
+/// Stateful interarrival-gap sampler for one tenant in one window.
 ///
-/// All sampled durations are proportional to `1 / rate` and the random
-/// stream is consumed in a rate-independent order, so two generators with
-/// the same seed and different rates produce the **same sample path on a
-/// scaled clock** — the common-random-numbers property the sweep's
-/// monotonicity relies on.
-#[derive(Debug, Clone)]
-pub(crate) struct ArrivalGen {
+/// Every duration it samples is a unit-rate exponential of the tenant's
+/// trial table divided by a rate proportional to `rate`, and it reads the
+/// table in order from the start, so two generators over the same table
+/// at different rates produce the **same sample path on a scaled clock**
+/// — the common-random-numbers property the sweep's monotonicity relies
+/// on. The `k`-th exponential it reads is the `k`-th `exponential(1.0)`
+/// draw of the tenant's arrival stream, so the path is the one a private
+/// clone of the stream gives.
+#[derive(Debug)]
+pub(crate) struct ArrivalGen<'a> {
     process: ArrivalProcess,
     rate: f64,
-    rng: SimRng,
+    draws: &'a mut UnitGaps,
+    /// Index of the next exponential to read.
+    next: usize,
     /// Seconds left in the current ON phase (on–off only).
     on_remaining: f64,
 }
 
-impl ArrivalGen {
-    fn new(process: ArrivalProcess, rate: f64, rng: SimRng) -> Self {
+impl<'a> ArrivalGen<'a> {
+    fn new(process: ArrivalProcess, rate: f64, draws: &'a mut UnitGaps) -> Self {
         ArrivalGen {
             process,
             rate: rate.max(f64::MIN_POSITIVE),
-            rng,
+            draws,
+            next: 0,
             on_remaining: 0.0,
         }
+    }
+
+    /// The next unit-rate exponential of the tenant's table.
+    fn unit(&mut self) -> f64 {
+        let draw = self.draws.get(self.next);
+        self.next += 1;
+        draw
     }
 
     /// The next interarrival gap in seconds; infinite for an on–off
     /// source too slow for finite phases (zero offered load), which never
     /// arrives.
+    ///
+    /// A phase length of mean `m` is `unit / (1.0 / m)`: the float ops of
+    /// `exponential(1.0 / m)`, whose draw is `-ln u / (1.0 / m)` where a
+    /// unit draw is `-ln u / 1.0`, the same value.
     pub(crate) fn next_gap(&mut self) -> f64 {
         match self.process {
-            ArrivalProcess::Poisson => self.rng.exponential(1.0) / self.rate,
+            ArrivalProcess::Poisson => self.unit() / self.rate,
             ArrivalProcess::OnOff {
                 duty_cycle,
                 burst_arrivals,
@@ -144,11 +163,10 @@ impl ArrivalGen {
                 loop {
                     if self.on_remaining <= 0.0 {
                         // Sit out an OFF phase, then start a fresh burst.
-                        gap += Distribution::exponential(1.0 / mean_off).sample(&mut self.rng);
-                        self.on_remaining =
-                            Distribution::exponential(1.0 / mean_on).sample(&mut self.rng);
+                        gap += self.unit() / (1.0 / mean_off);
+                        self.on_remaining = self.unit() / (1.0 / mean_on);
                     }
-                    let step = self.rng.exponential(1.0) / on_rate;
+                    let step = self.unit() / on_rate;
                     if step <= self.on_remaining {
                         self.on_remaining -= step;
                         return gap + step;
@@ -370,15 +388,11 @@ impl TenancyBenchmark {
         policy: SlotPolicy,
         rng: &mut SimRng,
     ) -> Result<Vec<TenantPoint>, SimError> {
-        let streams = tenants
-            .iter()
-            .map(|t| TenantStreams::derive(t, rng))
-            .collect::<Vec<_>>();
+        let mut draws = self.draws(platform, tenants, rng)?;
         self.run_once(
-            platform,
             tenants,
             policy,
-            &streams,
+            &mut draws,
             rng.split("misc"),
             &mut build_backends(tenants),
             None,
@@ -406,15 +420,11 @@ impl TenancyBenchmark {
         rng: &mut SimRng,
         recorder: Recorder,
     ) -> Result<(Vec<TenantPoint>, Recorder), SimError> {
-        let streams = tenants
-            .iter()
-            .map(|t| TenantStreams::derive(t, rng))
-            .collect::<Vec<_>>();
+        let mut draws = self.draws(platform, tenants, rng)?;
         let (points, obs) = self.run_once(
-            platform,
             tenants,
             policy,
-            &streams,
+            &mut draws,
             rng.split("misc"),
             &mut build_backends(tenants),
             Some(recorder),
@@ -424,8 +434,9 @@ impl TenancyBenchmark {
 
     /// Runs the whole victim-vs-aggressor sweep once: a solo victim
     /// baseline, then one weighted (DRR) and one unweighted (FIFO) run per
-    /// aggressor fraction, all on common per-tenant random streams and
-    /// against one victim and one aggressor backend populated up front.
+    /// aggressor fraction, all reading one victim and one aggressor draw
+    /// table made once per trial, against one victim and one aggressor
+    /// backend populated up front.
     ///
     /// This is the unit the parallel executor shards on.
     ///
@@ -438,20 +449,18 @@ impl TenancyBenchmark {
         platform: &Platform,
         rng: &mut SimRng,
     ) -> Result<Vec<ColocationPoint>, SimError> {
-        let victim_streams = TenantStreams::derive(&self.victim, rng);
-        let aggressor_streams = TenantStreams::derive(&self.aggressor, rng);
+        let mut draws = self.draws(platform, [&self.victim, &self.aggressor], rng)?;
         let mut misc = rng.split("misc");
         let mut backends = [
             BackendState::build(self.victim.backend),
             BackendState::build(self.aggressor.backend),
         ];
 
-        // Solo baseline: the victim's own streams, nobody else on the pool.
+        // Solo baseline: the victim's own draws, nobody else on the pool.
         let (solo, _) = self.run_once(
-            platform,
             std::slice::from_ref(&self.victim),
             SlotPolicy::WeightedDrr,
-            std::slice::from_ref(&victim_streams),
+            &mut draws[..1],
             misc.split("solo"),
             &mut backends[..1],
             None,
@@ -463,21 +472,18 @@ impl TenancyBenchmark {
             let mut aggressor = self.aggressor.clone();
             aggressor.offered_fraction = fraction;
             let tenants = [self.victim.clone(), aggressor];
-            let streams = [victim_streams.clone(), aggressor_streams.clone()];
             let (drr, _) = self.run_once(
-                platform,
                 &tenants,
                 SlotPolicy::WeightedDrr,
-                &streams,
+                &mut draws,
                 misc.split("drr"),
                 &mut backends,
                 None,
             )?;
             let (fifo, _) = self.run_once(
-                platform,
                 &tenants,
                 SlotPolicy::FifoArrival,
-                &streams,
+                &mut draws,
                 misc.split("fifo"),
                 &mut backends,
                 None,
@@ -501,17 +507,32 @@ impl TenancyBenchmark {
         Ok(points)
     }
 
-    /// One simulated window: every tenant's arrival source drives the
-    /// shared pool, each tenant's sampled operations run against its own
-    /// entry of `backends`, and the results are folded into per-tenant
-    /// points.
-    #[allow(clippy::too_many_arguments)]
-    fn run_once(
+    /// Splits each tenant's draw tables off the cell stream, in tenant
+    /// order, sampling its service times from its profile on `platform`.
+    fn draws<'t>(
         &self,
         platform: &Platform,
+        tenants: impl IntoIterator<Item = &'t TenantSpec>,
+        rng: &mut SimRng,
+    ) -> Result<Vec<TenantDraws>, SimError> {
+        tenants
+            .into_iter()
+            .map(|t| {
+                let profile = self.tenant_profile(platform, t)?;
+                Ok(TenantDraws::derive(t, profile, rng))
+            })
+            .collect()
+    }
+
+    /// One simulated window: every tenant's arrival source drives the
+    /// shared pool, reading the tenant's entry of `draws`, each tenant's
+    /// sampled operations run against its own entry of `backends`, and
+    /// the results are folded into per-tenant points.
+    fn run_once(
+        &self,
         tenants: &[TenantSpec],
         policy: SlotPolicy,
-        streams: &[TenantStreams],
+        draws: &mut [TenantDraws],
         misc_rng: SimRng,
         backends: &mut [BackendState],
         obs: Option<Recorder>,
@@ -524,10 +545,9 @@ impl TenancyBenchmark {
         for tenant in tenants {
             tenant.validate()?;
         }
-        let profiles = tenants
-            .iter()
-            .map(|t| self.tenant_profile(platform, t))
-            .collect::<Result<Vec<_>, _>>()?;
+        debug_assert_eq!(draws.len(), tenants.len(), "one draw table per tenant");
+        debug_assert_eq!(backends.len(), tenants.len(), "one backend per tenant");
+        let profiles: Vec<ServiceProfile> = draws.iter().map(|d| *d.service.profile()).collect();
 
         // The first tenant anchors the window: however the aggressor rate
         // is swept, every run of a trial measures the same victim span.
@@ -539,16 +559,15 @@ impl TenancyBenchmark {
         }
         let window_secs = self.victim_requests.max(1) as f64 / anchor_rate;
 
-        debug_assert_eq!(backends.len(), tenants.len(), "one backend per tenant");
         let classes = tenants
             .iter()
             .zip(&profiles)
-            .zip(streams)
+            .zip(draws.iter_mut())
             .zip(backends.iter_mut())
-            .map(|(((spec, profile), streams), backend)| {
+            .map(|(((spec, profile), draws), backend)| {
                 let rate = profile.capacity_per_sec() * spec.offered_fraction;
                 let arrivals = ArrivalSource::Windowed {
-                    gen: ArrivalGen::new(spec.arrivals, rate, streams.arrival.clone()),
+                    gen: ArrivalGen::new(spec.arrivals, rate, &mut draws.gaps),
                     clock_secs: 0.0,
                     window_secs,
                 };
@@ -561,8 +580,7 @@ impl TenancyBenchmark {
                     &spec.name,
                     arrivals,
                     slots,
-                    *profile,
-                    streams.service.clone(),
+                    &mut draws.service,
                     spec.clients,
                     backend,
                 )
@@ -572,8 +590,7 @@ impl TenancyBenchmark {
             classes,
             self.servers,
             policy,
-            MiddlewareChain::empty(),
-            Vec::new(),
+            PointChain::empty(),
             misc_rng,
             self.op_sample_every,
             (0, Nanos::ZERO),
@@ -600,19 +617,23 @@ fn build_backends(tenants: &[TenantSpec]) -> Vec<BackendState> {
         .collect()
 }
 
-/// The per-tenant random streams of one trial, shared (cloned) across the
-/// trial's sweep points and scheduler policies.
-#[derive(Debug, Clone)]
-struct TenantStreams {
-    arrival: SimRng,
-    service: SimRng,
+/// One tenant's common random numbers in a trial, drawn once and read by
+/// index in every window and under every scheduler policy: the unit-rate
+/// exponentials of its arrival process and its per-dispatch service
+/// times.
+#[derive(Debug)]
+struct TenantDraws {
+    gaps: UnitGaps,
+    service: ServiceTimes,
 }
 
-impl TenantStreams {
-    fn derive(tenant: &TenantSpec, rng: &mut SimRng) -> Self {
-        TenantStreams {
-            arrival: rng.split(&format!("arrivals/{}", tenant.name)),
-            service: rng.split(&format!("service/{}", tenant.name)),
+impl TenantDraws {
+    /// Splits the tenant's arrival and service streams off the cell
+    /// stream, in that order; its service times sample `profile`.
+    fn derive(tenant: &TenantSpec, profile: ServiceProfile, rng: &mut SimRng) -> Self {
+        TenantDraws {
+            gaps: UnitGaps::new(rng.split(&format!("arrivals/{}", tenant.name)), 0),
+            service: ServiceTimes::new(profile, rng.split(&format!("service/{}", tenant.name)), 0),
         }
     }
 }
@@ -841,7 +862,8 @@ mod tests {
         let rate = 1_000.0;
         let n = 20_000;
         let stats = |process: ArrivalProcess| {
-            let mut gen = ArrivalGen::new(process, rate, SimRng::seed_from(37));
+            let mut draws = UnitGaps::new(SimRng::seed_from(37), 0);
+            let mut gen = ArrivalGen::new(process, rate, &mut draws);
             let gaps: Vec<f64> = (0..n).map(|_| gen.next_gap()).collect();
             let mean = gaps.iter().sum::<f64>() / n as f64;
             let var = gaps.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / n as f64;
@@ -872,8 +894,13 @@ mod tests {
             duty_cycle: 0.3,
             burst_arrivals: 16.0,
         };
-        let mut slow = ArrivalGen::new(process, 100.0, SimRng::seed_from(38));
-        let mut fast = ArrivalGen::new(process, 400.0, SimRng::seed_from(38));
+        let mut draws = [
+            UnitGaps::new(SimRng::seed_from(38), 0),
+            UnitGaps::new(SimRng::seed_from(38), 0),
+        ];
+        let [slow_draws, fast_draws] = &mut draws;
+        let mut slow = ArrivalGen::new(process, 100.0, slow_draws);
+        let mut fast = ArrivalGen::new(process, 400.0, fast_draws);
         for _ in 0..200 {
             let (a, b) = (slow.next_gap(), fast.next_gap());
             assert!(
@@ -891,7 +918,8 @@ mod tests {
             duty_cycle: 0.3,
             burst_arrivals: 64.0,
         };
-        let mut gen = ArrivalGen::new(process, 0.0, SimRng::seed_from(44));
+        let mut draws = UnitGaps::new(SimRng::seed_from(44), 0);
+        let mut gen = ArrivalGen::new(process, 0.0, &mut draws);
         assert_eq!(gen.next_gap(), f64::INFINITY);
         let bench = TenancyBenchmark {
             aggressor_fractions: vec![0.0, 0.5],

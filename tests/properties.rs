@@ -11,12 +11,12 @@ use isolation_bench::platforms::PlatformId;
 use isolation_bench::relstore::{Database, Row};
 use isolation_bench::simcore::resource::CompletionTimer;
 use isolation_bench::simcore::stats::{Cdf, RunningStats};
-use isolation_bench::simcore::{rng, Bandwidth, EventQueue, Nanos, ReferenceHeap, SimRng};
+use isolation_bench::simcore::{rng, Bandwidth, EventQueue, Nanos, ReferenceHeap, Replay, SimRng};
 use isolation_bench::workloads::pipeline::BASELINE_HIT_RATE;
 use isolation_bench::workloads::slots::{ClassConfig, SlotPolicy, SlotPool};
 use isolation_bench::workloads::{
-    ArrivalProcess, LoadBackend, MiddlewareChain, PipelineBenchmark, PipelineSetting, Stage,
-    TenancyBenchmark, TenantSpec,
+    ArrivalProcess, ClusterBenchmark, LoadBackend, LoadgenBenchmark, MiddlewareChain,
+    PipelineBenchmark, PipelineSetting, Stage, TenancyBenchmark, TenantSpec,
 };
 
 /// The completion timer as it stood on a timing-wheel `EventQueue`: the
@@ -361,6 +361,27 @@ proptest! {
     }
 
     #[test]
+    fn replay_reads_the_ith_draw_of_its_stream_in_any_order(
+        seed in 0u64..u64::MAX,
+        reads in prop::collection::vec(0usize..256, 1..64),
+    ) {
+        // Value `i` of a replay table is the `i`-th draw of a clone of
+        // its stream, whatever order the indices are read in. Each value
+        // takes three uniforms here (a log-normal pair and an
+        // exponential), so a table that drew a value twice or skipped
+        // one would shift every later value.
+        let draw = |rng: &mut SimRng| (rng.log_normal(-0.02, 0.2), rng.exponential(1.0));
+        let mut clone = SimRng::seed_from(seed);
+        let expected: Vec<(f64, f64)> = (0..256).map(|_| draw(&mut clone)).collect();
+        let mut table = Replay::new(SimRng::seed_from(seed));
+        for &i in &reads {
+            let (a, b) = table.get(i, draw);
+            prop_assert_eq!((a.to_bits(), b.to_bits()), (expected[i].0.to_bits(), expected[i].1.to_bits()));
+        }
+        prop_assert_eq!(table.len(), reads.iter().max().unwrap() + 1);
+    }
+
+    #[test]
     fn rng_with_same_seed_is_identical(seed in 0u64..u64::MAX, n in 1usize..64) {
         let mut a = SimRng::seed_from(seed);
         let mut b = SimRng::seed_from(seed);
@@ -581,5 +602,69 @@ proptest! {
         let a = bench.run_trial(&platform, &mut SimRng::seed_from(seed)).unwrap();
         let b = bench.run_trial(&platform, &mut SimRng::seed_from(seed)).unwrap();
         prop_assert_eq!(a, b);
+    }
+}
+
+/// Checks that a sweep run in reverse order returns its points reversed,
+/// bit for bit (`Debug` prints every `f64` in its shortest round-trip
+/// form, so equal strings mean equal bits).
+fn assert_order_free<P: std::fmt::Debug>(what: &str, forward: Vec<P>, mut backward: Vec<P>) {
+    backward.reverse();
+    assert_eq!(
+        format!("{forward:#?}"),
+        format!("{backward:#?}"),
+        "{what}: a point depends on the sweep order"
+    );
+}
+
+#[test]
+fn a_sweep_point_does_not_depend_on_the_sweep_order() {
+    // Every sweep reads its trial's draws by index from tables the points
+    // fill as they go. A point must never depend on which points filled
+    // them before it: the depth-1 pipeline point fills only stage 0, so
+    // the depth-8 point must read stages 1-7 from the start of their own
+    // streams, whichever of the two runs first.
+    let platform = PlatformId::Docker.build();
+    let trial = || SimRng::seed_from(2021);
+    for backend in [LoadBackend::Memcached, LoadBackend::Mysql] {
+        let load = LoadgenBenchmark::quick(backend);
+        let mut reversed = load.clone();
+        reversed.load_points.reverse();
+        assert_order_free(
+            "load",
+            load.run_trial(&platform, &mut trial()).unwrap(),
+            reversed.run_trial(&platform, &mut trial()).unwrap(),
+        );
+
+        let pipeline = PipelineBenchmark::quick(backend);
+        let mut reversed = pipeline.clone();
+        reversed.sweep.reverse();
+        assert_order_free(
+            "pipeline",
+            pipeline.run_trial(&platform, &mut trial()).unwrap(),
+            reversed.run_trial(&platform, &mut trial()).unwrap(),
+        );
+
+        let tenancy = TenancyBenchmark::quick(backend);
+        let mut reversed = tenancy.clone();
+        reversed.aggressor_fractions.reverse();
+        assert_order_free(
+            "tenancy",
+            tenancy.run_trial(&platform, &mut trial()).unwrap(),
+            reversed.run_trial(&platform, &mut trial()).unwrap(),
+        );
+
+        for cluster in [
+            ClusterBenchmark::quick(backend),
+            ClusterBenchmark::failover_quick(backend),
+        ] {
+            let mut reversed = cluster.clone();
+            reversed.sweep.reverse();
+            assert_order_free(
+                "cluster",
+                cluster.run_trial(&platform, &mut trial()).unwrap(),
+                reversed.run_trial(&platform, &mut trial()).unwrap(),
+            );
+        }
     }
 }
