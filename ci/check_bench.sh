@@ -6,14 +6,13 @@
 #
 # Every named artifact (default: the committed set) must exist and be
 # non-empty and contain no non-finite values (NaN/inf); the full-grid
-# report must additionally cover every experiment it declares, the
-# event-loop report must attest order equivalence between the wheel and
-# the reference heap, every sweep report must carry its schema and
-# attest serial/parallel equality, and the cluster reports must also
-# record the timed sweep replay's events/sec. The failover report must
-# additionally attest its three acceptance invariants (R=1 replays plain
-# routing, scatter p99 monotone in K, kill spike subsides) and record the
-# deterministic mid-window kill.
+# report must additionally cover every experiment it declares, every
+# sweep report must carry its schema and attest serial/parallel
+# equality, and the cluster reports must also record the timed sweep
+# replay's events/sec. The failover report must additionally attest its
+# three acceptance invariants (R=1 replays plain routing, scatter p99
+# monotone in K, kill spike subsides) and record the deterministic
+# mid-window kill.
 # Trace artifacts (named explicitly when a bench ran with --trace) must
 # carry the obs timeline schema (BENCH_trace*.json) — with a drop-free
 # steady phase and monotone, non-negative bucket counters — or Chrome
@@ -49,7 +48,6 @@ if [ "${#files[@]}" -eq 0 ]; then
     BENCH_pipeline.json
     BENCH_cluster.json
     BENCH_cluster_failover.json
-    BENCH_event_loop.json
     SIMLINT.json
   )
 fi
@@ -80,12 +78,6 @@ for f in "${files[@]}"; do
       echo "check_bench: $f covers $count of $declared experiments"
       if [ "$count" -ne "$declared" ]; then
         echo "check_bench: expected $declared experiments in $f" >&2
-        status=1
-      fi
-      ;;
-    *event_loop*)
-      if ! grep -q '"order_equivalent": true' "$f"; then
-        echo "check_bench: $f does not attest wheel/heap order equivalence" >&2
         status=1
       fi
       ;;

@@ -15,10 +15,9 @@
 //! * [`dist`] — parametric latency/cost distributions ([`Distribution`]).
 //! * [`stats`] — running statistics, percentiles, histograms and empirical
 //!   CDFs used by the benchmark harness to summarize repeated runs.
-//! * [`events`] — the discrete-event queue ([`EventQueue`]) on a
-//!   hierarchical timing wheel (O(1) pushes, whole-slot batched draining)
-//!   that every queueing simulation drains as typed events, with the
-//!   pre-wheel binary heap retained as an ordering oracle.
+//! * [`events`] — the discrete-event queue ([`EventQueue`]), a binary
+//!   min-heap on `(timestamp, seq)` that every queueing simulation drains
+//!   as typed events.
 //! * [`resource`] — shared-resource models (token-bucket bandwidth,
 //!   M/M/1-style queueing latency) used by the device simulations.
 //! * [`obs`] — deterministic observability: seed-sampled per-request
@@ -59,7 +58,7 @@ pub mod time;
 
 pub use dist::Distribution;
 pub use error::SimError;
-pub use events::{CoreCounters, EventQueue, ReferenceHeap};
+pub use events::{CoreCounters, EventQueue};
 pub use obs::{ObsConfig, Recorder, Span, SpanKind};
 pub use resource::{Bandwidth, TokenBucket};
 pub use rng::{Replay, SimRng, Zipf};

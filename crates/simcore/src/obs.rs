@@ -517,9 +517,8 @@ impl Recorder {
         out.push_str("\n  ]");
         if let Some(core) = self.core {
             out.push_str(&format!(
-                ",\n  \"core\": {{\"pushes\": {}, \"pops\": {}, \"slot_drains\": {}, \
-                 \"cascades\": {}, \"spill_promotions\": {}}}",
-                core.pushes, core.pops, core.slot_drains, core.cascades, core.spill_promotions
+                ",\n  \"core\": {{\"pushes\": {}, \"pops\": {}}}",
+                core.pushes, core.pops
             ));
         }
         out.push_str("\n}\n");
@@ -691,16 +690,9 @@ mod tests {
     fn core_counters_appear_only_when_attached() {
         let mut r = recorder(1.0);
         assert!(!r.timeline_json("t", 0).contains("\"core\""));
-        r.set_core_counters(CoreCounters {
-            pushes: 4,
-            pops: 3,
-            slot_drains: 2,
-            cascades: 1,
-            spill_promotions: 0,
-        });
-        assert!(r.timeline_json("t", 0).contains(
-            "\"core\": {\"pushes\": 4, \"pops\": 3, \"slot_drains\": 2, \"cascades\": 1, \
-             \"spill_promotions\": 0}"
-        ));
+        r.set_core_counters(CoreCounters { pushes: 4, pops: 3 });
+        assert!(r
+            .timeline_json("t", 0)
+            .contains("\"core\": {\"pushes\": 4, \"pops\": 3}"));
     }
 }

@@ -16,7 +16,7 @@ use std::collections::BinaryHeap;
 use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
-use crate::events::{CoreCounters, ReferenceHeap};
+use crate::events::{CoreCounters, EventQueue};
 use crate::time::Nanos;
 
 /// A bandwidth expressed in bytes per second.
@@ -157,16 +157,12 @@ impl TokenBucket {
 /// A batched completion timer for service-slot pools.
 ///
 /// A slot-pool simulation could push one event per in-service request to
-/// fire its completion. The timer replaces that with one `(timestamp,
-/// seq)` min-heap of pending completions (a [`ReferenceHeap`]) plus
-/// **coalesced wake-ups**: the caller keeps at most one scheduler event
-/// armed per distinct completion time, and each wake drains *every*
-/// completion due by then at once.
-///
+/// fire its completion. The timer replaces that with its own
+/// [`EventQueue`] of pending completions plus **coalesced wake-ups**: the
+/// caller keeps at most one scheduler event armed per distinct completion
+/// time, and each wake drains *every* completion due by then at once.
 /// The pending set is bounded by the pool's slots (one completion per
-/// request in service, a handful per pool), so a heap holds it in a few
-/// cache lines; a timing wheel's slot table would cost far more to build
-/// and walk than the heap's `O(log slots)` push and pop.
+/// request in service).
 ///
 /// Protocol:
 /// * [`CompletionTimer::schedule`] registers a completion. When it returns
@@ -185,45 +181,40 @@ impl TokenBucket {
 /// worker counts.
 #[derive(Debug)]
 pub struct CompletionTimer<T> {
-    heap: ReferenceHeap<T>,
+    queue: EventQueue<T>,
     /// The earliest outstanding wake-up, `<=` every pending completion
-    /// whenever the heap is non-empty.
+    /// whenever the queue is non-empty.
     armed: Option<Nanos>,
     /// Every wake-up time handed to the caller and not yet fired; lets a
     /// re-arm reuse a still-outstanding wake instead of scheduling a
     /// duplicate.
     outstanding: BinaryHeap<Reverse<Nanos>>,
-    counters: CoreCounters,
 }
 
 impl<T> CompletionTimer<T> {
     /// Creates an empty timer.
     pub fn new() -> Self {
         CompletionTimer {
-            heap: ReferenceHeap::new(),
+            queue: EventQueue::new(),
             armed: None,
             outstanding: BinaryHeap::new(),
-            counters: CoreCounters::default(),
         }
     }
 
     /// Number of pending completions.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 
-    /// Snapshot of the timer's lifetime operation counters, in the event
-    /// core's terms: `pushes` counts scheduled completions, `pops`
-    /// drained ones, and `slot_drains` one per distinct completion tick a
-    /// wake drained. `cascades` and `spill_promotions` stay zero, since
-    /// the heap does neither.
+    /// Snapshot of the lifetime operation counters of the timer's queue:
+    /// `pushes` counts scheduled completions and `pops` drained ones.
     pub fn counters(&self) -> CoreCounters {
-        self.counters
+        self.queue.counters()
     }
 
     /// Whether no completions are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.queue.is_empty()
     }
 
     /// Registers a completion at `at`. Returns `Some(at)` when the caller
@@ -231,11 +222,10 @@ impl<T> CompletionTimer<T> {
     /// earlier than every outstanding wake — and `None` when an armed
     /// wake already covers it.
     pub fn schedule(&mut self, at: Nanos, item: T) -> Option<Nanos> {
-        // The heap clamps timestamps behind its pop frontier; mirror the
+        // The queue clamps timestamps behind its pop frontier; mirror the
         // clamp so the armed wake matches the time the item will drain at.
-        let at = at.max(self.heap.frontier());
-        self.heap.push(at, item);
-        self.counters.pushes += 1;
+        let at = at.max(self.queue.frontier());
+        self.queue.push(at, item);
         if !self.armed.is_some_and(|armed| at >= armed) {
             self.armed = Some(at);
             self.outstanding.push(Reverse(at));
@@ -257,17 +247,17 @@ impl<T> CompletionTimer<T> {
     /// time is recognised by [`CompletionTimer::wake`]'s stale check), so
     /// abandoning the old wake-ups is safe.
     pub fn into_pending(mut self) -> Vec<(Nanos, T)> {
-        let mut pending = Vec::with_capacity(self.heap.len());
-        while let Some((at, item)) = self.heap.pop() {
-            pending.push((at, item));
+        let mut pending = Vec::with_capacity(self.queue.len());
+        while let Some(entry) = self.queue.pop() {
+            pending.push(entry);
         }
         pending
     }
 
     /// Handles one wake-up firing at virtual time `now`: drains every
     /// completion due at or before `now` into `due` (in `(timestamp,
-    /// seq)` order, one slot drain per distinct tick) and returns the
-    /// next wake-up the caller must arm, if any.
+    /// seq)` order) and returns the next wake-up the caller must arm, if
+    /// any.
     ///
     /// A stale firing (its work already drained by an earlier re-arm)
     /// drains nothing and arms nothing.
@@ -281,17 +271,10 @@ impl<T> CompletionTimer<T> {
             // wake covers it: this firing is stale.
             return None;
         }
-        let mut tick = None;
-        while self.heap.peek_time().is_some_and(|t| t <= now) {
-            let (at, item) = self.heap.pop().expect("peeked completion pops");
-            if tick != Some(at) {
-                tick = Some(at);
-                self.counters.slot_drains += 1;
-            }
-            self.counters.pops += 1;
-            due.push((at, item));
+        while self.queue.peek_time().is_some_and(|t| t <= now) {
+            due.push(self.queue.pop().expect("peeked completion pops"));
         }
-        match self.heap.peek_time() {
+        match self.queue.peek_time() {
             None => {
                 self.armed = None;
                 None
@@ -379,7 +362,8 @@ mod tests {
         assert_eq!(timer.schedule(at + Nanos::from_micros(5), 3), None);
         assert_eq!(timer.len(), 3);
         let mut due = Vec::new();
-        // The wake at 10us drains the whole slot and re-arms for 15us.
+        // The wake at 10us drains both completions due then and re-arms
+        // for 15us.
         let next = timer.wake(at, &mut due);
         assert_eq!(due, vec![(at, 1), (at, 2)]);
         assert_eq!(next, Some(at + Nanos::from_micros(5)));
@@ -461,21 +445,19 @@ mod tests {
     }
 
     #[test]
-    fn counters_record_one_slot_drain_per_tick_per_wake() {
+    fn counters_record_every_scheduled_and_drained_completion() {
         let mut timer: CompletionTimer<u8> = CompletionTimer::new();
         let (a, b) = (Nanos::from_micros(4), Nanos::from_micros(6));
         timer.schedule(a, 1);
         timer.schedule(a, 2);
         timer.schedule(b, 3);
         let mut due = Vec::new();
-        // One wake past both ticks drains two slots.
         timer.wake(b, &mut due);
-        // A completion clamped to the frontier drains that tick again.
+        // A completion clamped to the frontier drains at the next wake.
         assert_eq!(timer.schedule(a, 4), Some(b));
         timer.wake(b, &mut due);
         let c = timer.counters();
-        assert_eq!((c.pushes, c.pops, c.slot_drains), (4, 4, 3));
-        assert_eq!((c.cascades, c.spill_promotions), (0, 0));
+        assert_eq!((c.pushes, c.pops), (4, 4));
     }
 
     #[test]

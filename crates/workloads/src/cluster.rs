@@ -74,7 +74,7 @@ use simcore::stats::{Cdf, RunningStats};
 use simcore::{CoreCounters, EventQueue, Nanos, SimRng, Zipf};
 
 use crate::format_key;
-use crate::pipeline::ARRIVAL_CHUNK;
+use crate::pipeline::{validated_non_negative, ARRIVAL_CHUNK, PROBES};
 use crate::slots::{
     backend_profile, Admission, ClassConfig, ServiceTimes, SlotPolicy, SlotPool, UnitGaps,
 };
@@ -406,6 +406,7 @@ impl ClusterBenchmark {
         check_rate("cluster rebalance boundary", self.rebalance_after)?;
         check_rate("cluster scatter fraction", self.scatter_fraction)?;
         check_rate("cluster write fraction", self.write_fraction)?;
+        validated_non_negative("cluster offered fraction", self.offered_fraction)?;
         if self.keys == 0 || self.hot_keys == 0 || self.hot_keys > self.keys {
             return Err(SimError::InvalidConfig(format!(
                 "cluster key universe ({}) must contain the hot set ({})",
@@ -486,7 +487,7 @@ impl ClusterBenchmark {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for a degenerate service
-    /// profile, hotspot mix, Zipf skew or sweep point.
+    /// profile, hotspot mix, offered fraction, Zipf skew or sweep point.
     pub fn run_trial(
         &self,
         platform: &Platform,
@@ -524,16 +525,15 @@ impl ClusterBenchmark {
     /// service, keys, classes, faults), and the point draws its own
     /// tables. The recorder consumes no draws, so the traced point is
     /// equal to the corresponding untraced sweep point. The timeline
-    /// carries the point's event-core counters: the event queue's wheel
-    /// counters merged with every shard's completion-timer counters, in
-    /// shard order. A timer is heap-backed, so it adds pushes, pops and
-    /// slot drains but no cascades. A shard the fault plan kills
-    /// restarts with a fresh timer, so its counts begin at the kill.
+    /// carries the point's event-core counters: the event queue's pushes
+    /// and pops merged with every shard's completion-timer counters, in
+    /// shard order. A shard the fault plan kills restarts with a fresh
+    /// timer, so its counts begin at the kill.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for a degenerate service
-    /// profile, hotspot mix, Zipf skew or sweep point.
+    /// profile, hotspot mix, offered fraction, Zipf skew or sweep point.
     pub fn run_setting_traced(
         &self,
         platform: &Platform,
@@ -589,14 +589,13 @@ impl ClusterBenchmark {
         let offered_per_sec = (capacity_per_shard * shards as f64 * self.offered_fraction
             / self.expected_work(setting))
         .max(1.0);
-        let mut sim = ClusterSim::new(self, &profile, setting, offered_per_sec, obs)?;
+        let window_secs = self.requests_per_point as f64 / offered_per_sec;
+        let probe_period = Nanos::from_secs_f64(window_secs / f64::from(PROBES));
+        let mut sim = ClusterSim::new(self, &profile, setting, offered_per_sec, probe_period, obs)?;
         let mut queue: EventQueue<Ev> = EventQueue::new();
         // Kick off the batched arrival source and the in-flight probes.
         queue.push(Nanos::ZERO, Ev::Generate);
-        let probes = 64u32;
-        let window_secs = self.requests_per_point as f64 / offered_per_sec;
-        let probe_period = Nanos::from_secs_f64(window_secs / f64::from(probes));
-        queue.push(probe_period, Ev::Probe { remaining: probes });
+        queue.push(probe_period, Ev::Probe { remaining: PROBES });
         // Seed-derived fault injection: the victim shard and the jitter
         // of the failure instant come from the point's clone of the
         // trial's fault stream, and the instants are pure virtual times.
@@ -637,10 +636,7 @@ impl ClusterBenchmark {
             obs.set_core_counters(counters);
         }
         let obs = sim.obs.take();
-        Ok((
-            sim.into_point(setting, offered_per_sec, queue.frontier()),
-            obs,
-        ))
+        Ok((sim.into_point(setting, offered_per_sec, &queue), obs))
     }
 }
 
@@ -851,7 +847,8 @@ struct ClusterSim<'a> {
     latencies_us: Vec<f64>,
     completed: u64,
     dropped: u64,
-    events: u64,
+    /// Virtual time between two in-flight probes.
+    probe_period: Nanos,
     in_flight_probe: RunningStats,
     peak_in_flight: usize,
     drain_buf: Vec<(Nanos, Req)>,
@@ -906,6 +903,7 @@ impl<'a> ClusterSim<'a> {
         profile: &ServiceProfile,
         setting: &ClusterSetting,
         offered_per_sec: f64,
+        probe_period: Nanos,
         mut obs: Option<Recorder>,
     ) -> Result<Self, SimError> {
         let obs_lanes = match obs.as_mut() {
@@ -955,7 +953,7 @@ impl<'a> ClusterSim<'a> {
             latencies_us: Vec::with_capacity(bench.requests_per_point),
             completed: 0,
             dropped: 0,
-            events: 0,
+            probe_period,
             in_flight_probe: RunningStats::new(),
             peak_in_flight: 0,
             drain_buf: Vec::new(),
@@ -1040,7 +1038,6 @@ impl<'a> ClusterSim<'a> {
         queue: &mut EventQueue<Ev>,
         st: &mut ClusterState<'_>,
     ) {
-        self.events += 1;
         match ev {
             Ev::Generate => self.generate(now, queue, st),
             Ev::Arrive { shard, id, key } => self.arrive(now, shard as usize, id, key, queue, st),
@@ -1447,10 +1444,8 @@ impl<'a> ClusterSim<'a> {
         self.in_flight_probe.record(in_flight as f64);
         self.peak_in_flight = self.peak_in_flight.max(in_flight);
         if remaining > 1 {
-            let window_secs = self.bench.requests_per_point as f64 / self.offered_per_sec;
-            let period = Nanos::from_secs_f64(window_secs / 64.0);
             queue.push(
-                now + period,
+                now + self.probe_period,
                 Ev::Probe {
                     remaining: remaining - 1,
                 },
@@ -1462,7 +1457,7 @@ impl<'a> ClusterSim<'a> {
         self,
         setting: &ClusterSetting,
         offered_per_sec: f64,
-        end: Nanos,
+        queue: &EventQueue<Ev>,
     ) -> ClusterPoint {
         let label = setting.label();
         let issued = self.next_arrival;
@@ -1491,7 +1486,7 @@ impl<'a> ClusterSim<'a> {
             .unwrap_or(0.0);
         let cdf = Cdf::from_samples(self.latencies_us)
             .expect("a sweep point always completes at least one request");
-        let duration = end.as_secs_f64().max(f64::MIN_POSITIVE);
+        let duration = queue.frontier().as_secs_f64().max(f64::MIN_POSITIVE);
         // The hottest shard by total arrivals anchors the tail story;
         // the steady-phase maximum anchors the placement-quality story.
         let hot = self
@@ -1547,7 +1542,7 @@ impl<'a> ClusterSim<'a> {
             store_bytes: stats.bytes as u64,
             store_evictions: stats.evictions,
             rebalanced: setting.route == RoutePolicy::Rebalance,
-            events: self.events,
+            events: queue.counters().pops,
             replicas: setting.replicas,
             write_quorum: setting.write_quorum,
             fanout: setting.fanout,
@@ -1801,7 +1796,11 @@ mod tests {
                 ..tiny(LoadBackend::Memcached)
             },
         ];
-        for bench in cases {
+        let bad_loads = [f64::NAN, f64::INFINITY, -1.0].map(|offered_fraction| ClusterBenchmark {
+            offered_fraction,
+            ..tiny(LoadBackend::Memcached)
+        });
+        for bench in cases.into_iter().chain(bad_loads) {
             assert!(
                 bench.run_trial(&platform, &mut rng).is_err(),
                 "must reject {bench:?}"

@@ -126,7 +126,8 @@ impl LoadgenBenchmark {
     ///
     /// Propagates the degenerate-profile error of
     /// [`LoadgenBenchmark::service_profile`], and returns
-    /// [`SimError::InvalidConfig`] when `requests_per_point` is zero.
+    /// [`SimError::InvalidConfig`] when `requests_per_point` is zero or
+    /// `fraction` is negative or not finite.
     pub fn run_point(
         &self,
         platform: &Platform,
@@ -463,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn a_point_without_requests_is_a_configuration_error() {
+    fn a_point_without_requests_or_with_a_bad_load_is_a_configuration_error() {
         let bench = LoadgenBenchmark {
             requests_per_point: 0,
             ..tiny(LoadBackend::Memcached)
@@ -475,6 +476,20 @@ mod tests {
             Err(SimError::InvalidConfig(_))
         ));
         assert!(bench.run_point(&platform, 0.8, &mut rng).is_err());
+        for fraction in [f64::NAN, f64::INFINITY, -1.0] {
+            let bench = LoadgenBenchmark {
+                load_points: vec![0.5, fraction],
+                ..tiny(LoadBackend::Memcached)
+            };
+            assert!(
+                matches!(
+                    bench.run_trial(&platform, &mut rng),
+                    Err(SimError::InvalidConfig(_))
+                ),
+                "must reject load point {fraction}"
+            );
+            assert!(bench.run_point(&platform, fraction, &mut rng).is_err());
+        }
     }
 
     #[test]

@@ -83,26 +83,23 @@ pub(crate) const ARRIVAL_CHUNK: u64 = 512;
 /// Chunk size of a windowed arrival source.
 const WINDOWED_CHUNK: usize = 256;
 
-/// In-flight probes per pipeline sweep point, spread evenly over the
-/// expected arrival window.
-const PROBES: u32 = 64;
+/// In-flight probes per pipeline or cluster sweep point, spread evenly
+/// over the expected arrival window.
+pub(crate) const PROBES: u32 = 64;
 
 fn validated_us(what: &str, us: f64) -> Result<Nanos, SimError> {
-    if !us.is_finite() || us < 0.0 {
-        return Err(SimError::InvalidConfig(format!(
-            "{what} must be finite and non-negative, got {us}"
-        )));
-    }
-    Ok(Nanos::from_micros_f64(us))
+    validated_non_negative(what, us).map(Nanos::from_micros_f64)
 }
 
-fn validated_sigma(what: &str, sigma: f64) -> Result<f64, SimError> {
-    if !sigma.is_finite() || sigma < 0.0 {
+/// `v` when it is finite and non-negative, else an
+/// [`SimError::InvalidConfig`] naming `what`.
+pub(crate) fn validated_non_negative(what: &str, v: f64) -> Result<f64, SimError> {
+    if !v.is_finite() || v < 0.0 {
         return Err(SimError::InvalidConfig(format!(
-            "{what} must be finite and non-negative, got {sigma}"
+            "{what} must be finite and non-negative, got {v}"
         )));
     }
-    Ok(sigma)
+    Ok(v)
 }
 
 fn validated_rate(what: &str, rate: f64) -> Result<f64, SimError> {
@@ -127,7 +124,7 @@ impl StageCost {
     fn try_from_us(what: &str, mean_us: f64, sigma: f64) -> Result<Self, SimError> {
         Ok(StageCost {
             mean: validated_us(&format!("{what} cost"), mean_us)?,
-            sigma: validated_sigma(&format!("{what} sigma"), sigma)?,
+            sigma: validated_non_negative(&format!("{what} sigma"), sigma)?,
         })
     }
 
@@ -796,7 +793,8 @@ impl PipelineBenchmark {
     /// Propagates the degenerate-profile error of
     /// [`PipelineBenchmark::service_profile`] and the degenerate-chain
     /// error of [`PipelineBenchmark::chain_for`], and returns
-    /// [`SimError::InvalidConfig`] when `requests_per_point` is zero.
+    /// [`SimError::InvalidConfig`] when `requests_per_point` is zero or
+    /// `offered_fraction` is negative or not finite.
     pub fn run_trial(
         &self,
         platform: &Platform,
@@ -880,6 +878,7 @@ impl PipelineBenchmark {
                 "an open-loop sweep needs at least one request per point".into(),
             ));
         }
+        let fraction = validated_non_negative("offered fraction", self.offered_fraction)?;
         let TrialDraws {
             gaps,
             service,
@@ -896,7 +895,7 @@ impl PipelineBenchmark {
         // point (planned warm, actually cold) lands above saturation.
         let per_request = profile.service_time + expected_cost(tables, setting.planned_hit_rate);
         let capacity_per_sec = profile.servers as f64 / per_request.as_secs_f64();
-        let offered_per_sec = capacity_per_sec * self.offered_fraction.max(0.0);
+        let offered_per_sec = capacity_per_sec * fraction;
         let slots = ClassConfig {
             weight: 1,
             queue_capacity: self.queue_capacity,
@@ -1915,6 +1914,18 @@ mod tests {
         assert!(empty_pool
             .run_trial(&PlatformId::Native.build(), &mut SimRng::seed_from(99))
             .is_err());
+        for offered_fraction in [f64::NAN, f64::INFINITY, -1.0] {
+            let bad_load = PipelineBenchmark {
+                offered_fraction,
+                ..tiny(LoadBackend::Memcached)
+            };
+            assert!(
+                bad_load
+                    .run_trial(&PlatformId::Native.build(), &mut SimRng::seed_from(99))
+                    .is_err(),
+                "must reject offered fraction {offered_fraction}"
+            );
+        }
     }
 
     #[test]

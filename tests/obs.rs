@@ -53,17 +53,16 @@ fn fnv1a(text: &str) -> u64 {
 #[test]
 fn traced_artifacts_match_the_recorded_digests() {
     // Figure digests do not see the event schedule, but the timeline's
-    // `core` block (pushes, pops, slot drains, cascades) does: these pin
-    // the push order of the open-loop engine's three uses and of the
-    // cluster's engine, not only their measurements. The completion
-    // timers are heap-backed and never cascade, so `cascades` counts only
-    // the event queue's wheel.
+    // `core` block (the pushes and pops of the event queue and the
+    // completion timers) does: these pin the event traffic of the
+    // open-loop engine's three uses and of the cluster's engine, not only
+    // their measurements.
     // Recorded at seed 2021 in quick mode, as (chrome, timeline).
     const RECORDED: [(&str, u64, u64); 4] = [
-        ("loadgen", 0xf8df_c2a2_ee7b_f203, 0x0b22_52d8_b252_5838),
-        ("tenancy", 0xe774_c852_9e3b_2ede, 0x6230_e18f_fe0f_5354),
-        ("pipeline", 0xd265_c343_6a43_d51e, 0x6e04_a832_b738_4940),
-        ("cluster", 0x0c02_8df1_0536_cdcb, 0xd945_4fc8_210a_c823),
+        ("loadgen", 0xf8df_c2a2_ee7b_f203, 0x84f4_1178_9e19_ba7b),
+        ("tenancy", 0xe774_c852_9e3b_2ede, 0xb6bf_9c69_c812_aea9),
+        ("pipeline", 0xd265_c343_6a43_d51e, 0xf9c3_39af_2367_0640),
+        ("cluster", 0x0c02_8df1_0536_cdcb, 0x83a8_42eb_461c_8d55),
     ];
     for (target, chrome, timeline) in RECORDED {
         let run = traced_run(target, true, SEED).unwrap();

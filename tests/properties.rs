@@ -11,7 +11,7 @@ use isolation_bench::platforms::PlatformId;
 use isolation_bench::relstore::{Database, Row};
 use isolation_bench::simcore::resource::CompletionTimer;
 use isolation_bench::simcore::stats::{Cdf, RunningStats};
-use isolation_bench::simcore::{rng, Bandwidth, EventQueue, Nanos, ReferenceHeap, Replay, SimRng};
+use isolation_bench::simcore::{rng, Bandwidth, EventQueue, Nanos, Replay, SimRng};
 use isolation_bench::workloads::pipeline::BASELINE_HIT_RATE;
 use isolation_bench::workloads::slots::{ClassConfig, SlotPolicy, SlotPool};
 use isolation_bench::workloads::{
@@ -19,18 +19,18 @@ use isolation_bench::workloads::{
     PipelineBenchmark, PipelineSetting, Stage, TenancyBenchmark, TenantSpec,
 };
 
-/// The completion timer as it stood on a timing-wheel `EventQueue`: the
-/// oracle the heap-backed [`CompletionTimer`] must match call for call,
-/// down to its push, pop and slot-drain counts.
-struct WheelTimer<T> {
+/// The completion-timer protocol written out over a plain `EventQueue`:
+/// the oracle [`CompletionTimer`] must match call for call, down to its
+/// push and pop counts.
+struct QueueTimer<T> {
     queue: EventQueue<T>,
     armed: Option<Nanos>,
     outstanding: BinaryHeap<Reverse<Nanos>>,
 }
 
-impl<T> WheelTimer<T> {
+impl<T> QueueTimer<T> {
     fn new() -> Self {
-        WheelTimer {
+        QueueTimer {
             queue: EventQueue::new(),
             armed: None,
             outstanding: BinaryHeap::new(),
@@ -224,44 +224,51 @@ proptest! {
     }
 
     #[test]
-    fn timing_wheel_pops_exactly_the_reference_heap_order(
+    fn event_queue_pops_exactly_the_linear_scan_model_order(
         ops in prop::collection::vec((any::<bool>(), 0u32..4, 0u64..1024), 1..300),
     ) {
-        // The wheel must reproduce the retained reference heap's order on
-        // an arbitrary interleaved schedule: pushes at absolute times
-        // spanning every wheel level and the overflow spill level (shift
-        // 48 jumps past the 2^48 ns horizon, so later pops exercise
-        // overflow promotion), repeated timestamps exercising the
-        // equal-timestamp FIFO contract, pushes behind the pop frontier
-        // exercising the shared fire-at-now clamp, and interleaved pops
-        // moving the frontier mid-schedule.
-        let mut wheel = EventQueue::new();
-        let mut heap = ReferenceHeap::new();
-        let mut tag = 0u64;
+        // The queue against a linear-scan model of its contract on an
+        // arbitrary interleaved schedule: pushes at absolute times from
+        // nanoseconds to 2^58 ns, repeated timestamps exercising the
+        // equal-timestamp FIFO order, pushes behind the pop frontier
+        // exercising the fire-at-now clamp, and interleaved pops moving
+        // the frontier mid-schedule.
+        let mut queue = EventQueue::new();
+        let mut model: Vec<(Nanos, u64, u64)> = Vec::new();
+        let mut frontier = Nanos::ZERO;
+        let mut seq = 0u64;
+        let model_pop = |model: &mut Vec<(Nanos, u64, u64)>, frontier: &mut Nanos| {
+            let i = (0..model.len()).min_by_key(|&i| (model[i].0, model[i].1))?;
+            let (at, _, tag) = model.remove(i);
+            *frontier = at;
+            Some((at, tag))
+        };
         for &(is_push, magnitude, raw) in &ops {
             if is_push {
                 let at = Nanos::from_nanos(raw << (16 * magnitude));
-                wheel.push(at, tag);
-                heap.push(at, tag);
-                tag += 1;
+                queue.push(at, seq);
+                model.push((at.max(frontier), seq, seq));
+                seq += 1;
             } else {
-                prop_assert_eq!(wheel.pop(), heap.pop());
+                prop_assert_eq!(queue.pop(), model_pop(&mut model, &mut frontier));
             }
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-            prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.frontier(), heap.frontier());
+            prop_assert_eq!(queue.peek_time(), model.iter().map(|e| e.0).min());
+            prop_assert_eq!(queue.len(), model.len());
+            prop_assert_eq!(queue.frontier(), frontier);
         }
         loop {
-            let (w, h) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(w, h);
-            if w.is_none() {
+            let (q, m) = (queue.pop(), model_pop(&mut model, &mut frontier));
+            prop_assert_eq!(q, m);
+            if q.is_none() {
                 break;
             }
         }
+        let counters = queue.counters();
+        prop_assert_eq!((counters.pushes, counters.pops), (seq, seq));
     }
 
     #[test]
-    fn heap_completion_timer_matches_the_wheel_backed_oracle(
+    fn completion_timer_matches_the_queue_timer_oracle(
         ops in prop::collection::vec((0u32..8, 0u64..48), 1..300),
     ) {
         // The caller's side of the protocol: every wake either timer asks
@@ -272,20 +279,20 @@ proptest! {
         // at the clock is stale too, and a pool death surrenders every
         // pending completion and carries on with fresh timers while the
         // dead timers' wakes still fire.
-        let mut heap = CompletionTimer::new();
-        let mut wheel = WheelTimer::new();
+        let mut timer = CompletionTimer::new();
+        let mut oracle = QueueTimer::new();
         let mut wakes = BinaryHeap::new();
         let mut now = Nanos::ZERO;
-        let (mut due_heap, mut due_wheel) = (Vec::new(), Vec::new());
+        let (mut due_timer, mut due_oracle) = (Vec::new(), Vec::new());
         let mut fire = |at: Nanos,
-                        heap: &mut CompletionTimer<usize>,
-                        wheel: &mut WheelTimer<usize>,
+                        timer: &mut CompletionTimer<usize>,
+                        oracle: &mut QueueTimer<usize>,
                         wakes: &mut BinaryHeap<Reverse<Nanos>>| {
-            due_heap.clear();
-            due_wheel.clear();
-            let next = heap.wake(at, &mut due_heap);
-            assert_eq!(next, wheel.wake(at, &mut due_wheel), "wake at {at:?}");
-            assert_eq!(due_heap, due_wheel, "due batch at {at:?}");
+            due_timer.clear();
+            due_oracle.clear();
+            let next = timer.wake(at, &mut due_timer);
+            assert_eq!(next, oracle.wake(at, &mut due_oracle), "wake at {at:?}");
+            assert_eq!(due_timer, due_oracle, "due batch at {at:?}");
             wakes.extend(next.map(Reverse));
         };
         for (tag, &(op, raw)) in ops.iter().enumerate() {
@@ -296,41 +303,34 @@ proptest! {
                     } else {
                         now + Nanos::from_nanos(raw % 16)
                     };
-                    let armed = heap.schedule(at, tag);
-                    prop_assert_eq!(armed, wheel.schedule(at, tag));
+                    let armed = timer.schedule(at, tag);
+                    prop_assert_eq!(armed, oracle.schedule(at, tag));
                     wakes.extend(armed.map(Reverse));
                 }
                 5 | 6 => {
                     if let Some(Reverse(at)) = wakes.pop() {
                         now = now.max(at);
-                        fire(now, &mut heap, &mut wheel, &mut wakes);
+                        fire(now, &mut timer, &mut oracle, &mut wakes);
                     }
                 }
-                _ if raw % 4 != 0 => fire(now, &mut heap, &mut wheel, &mut wakes),
+                _ if raw % 4 != 0 => fire(now, &mut timer, &mut oracle, &mut wakes),
                 _ => {
-                    let surrendered = std::mem::take(&mut heap).into_pending();
-                    let oracle = std::mem::replace(&mut wheel, WheelTimer::new()).into_pending();
-                    prop_assert_eq!(surrendered, oracle);
+                    let surrendered = std::mem::take(&mut timer).into_pending();
+                    let expected = std::mem::replace(&mut oracle, QueueTimer::new()).into_pending();
+                    prop_assert_eq!(surrendered, expected);
                 }
             }
-            prop_assert_eq!(heap.len(), wheel.queue.len());
-            let (h, w) = (heap.counters(), wheel.queue.counters());
-            prop_assert_eq!(
-                (h.pushes, h.pops, h.slot_drains),
-                (w.pushes, w.pops, w.slot_drains)
-            );
-            prop_assert_eq!((h.cascades, h.spill_promotions), (0, 0));
+            prop_assert_eq!(timer.len(), oracle.queue.len());
+            let (t, o) = (timer.counters(), oracle.queue.counters());
+            prop_assert_eq!((t.pushes, t.pops), (o.pushes, o.pops));
         }
         while let Some(Reverse(at)) = wakes.pop() {
             now = now.max(at);
-            fire(now, &mut heap, &mut wheel, &mut wakes);
+            fire(now, &mut timer, &mut oracle, &mut wakes);
         }
-        prop_assert!(heap.is_empty() && wheel.queue.is_empty());
-        let (h, w) = (heap.counters(), wheel.queue.counters());
-        prop_assert_eq!(
-            (h.pushes, h.pops, h.slot_drains),
-            (w.pushes, w.pops, w.slot_drains)
-        );
+        prop_assert!(timer.is_empty() && oracle.queue.is_empty());
+        let (t, o) = (timer.counters(), oracle.queue.counters());
+        prop_assert_eq!((t.pushes, t.pops), (o.pushes, o.pops));
     }
 
     #[test]
