@@ -2,15 +2,16 @@
 //!
 //! Runs the two cluster experiments (`cluster_memcached`,
 //! `cluster_mysql`) twice — serially (1 worker) and with N workers —
-//! then times one replay of the Memcached sweep. Writes
-//! `BENCH_cluster.json` with the per-platform shard-count × skew ×
+//! then times [`REPLAYS`] replays of the Memcached sweep from one seed.
+//! Writes `BENCH_cluster.json` with the per-platform shard-count × skew ×
 //! routing sweeps (cluster and hot-shard percentiles, load imbalance,
-//! achieved throughput, drop fractions) and the replay's wall clock and
-//! events/sec. Exits non-zero if the serial and parallel runs disagree,
-//! if an experiment is missing, if the emitted JSON contains a
-//! non-finite value (NaN/inf), or if the sweep violates the cluster's
-//! domain invariants: imbalance is a max/mean ratio (>= 1), the drop
-//! metric is a fraction, and p50 cannot exceed p99.
+//! achieved throughput, drop fractions) and the median replay's wall
+//! clock and events/sec. Exits non-zero if the serial and parallel runs
+//! disagree, if a replay's points differ from the first replay's, if an
+//! experiment is missing, if the emitted JSON contains a non-finite
+//! value (NaN/inf), or if the sweep violates the cluster's domain
+//! invariants: imbalance is a max/mean ratio (>= 1), the drop metric is
+//! a fraction, and p50 cannot exceed p99.
 //!
 //! With `--failover` it instead runs the two replication/failover
 //! experiments (`cluster_failover_memcached`, `cluster_failover_mysql`)
@@ -33,9 +34,9 @@
 //! * `--trials N` — override every experiment's trial count
 //! * `--out PATH` — output path (default `BENCH_cluster.json`, or
 //!   `BENCH_cluster_failover.json` under `--failover`)
-//! * `--baseline PATH` — compare the timed replay's events/sec against a
-//!   perf baseline (see `ci/perf_baseline.json`) and exit non-zero on
-//!   regression
+//! * `--baseline PATH` — compare the median timed replay's events/sec
+//!   against a perf baseline (see `ci/perf_baseline.json`) and exit
+//!   non-zero on regression
 //! * `--trace` — additionally run one traced 16-shard rebalance point and
 //!   write `TRACE_cluster.json` (Chrome trace events) plus
 //!   `BENCH_trace_cluster.json` (the windowed-metrics timeline)
@@ -50,6 +51,12 @@ use platforms::PlatformId;
 use simcore::SimRng;
 use workloads::cluster::{ClusterBenchmark, ClusterSetting, BASELINE_THETA};
 use workloads::LoadBackend;
+
+/// Timed replays of the Memcached sweep. One replay lasts 15-50 ms in
+/// quick mode, short enough that its events/sec swings by half its value
+/// from run to run; the median of five is what the report holds and the
+/// baseline gates.
+const REPLAYS: usize = 5;
 
 /// Post-recovery drop rate may exceed the pre-failure rate by at most
 /// this much before the kill-then-recover gate fails — the "returns to
@@ -94,9 +101,11 @@ fn sweep_bench(failover: bool, quick: bool) -> ClusterBenchmark {
     }
 }
 
-/// One timed replay of the Memcached sweep on the native platform. Its
-/// events/sec must clear the `--baseline` floor for the mode; returns
-/// the report's `sweep_throughput` field.
+/// [`REPLAYS`] timed replays of the Memcached sweep on the native
+/// platform, each from the same seed, so each must reproduce the first
+/// one's points. The median replay's events/sec must clear the
+/// `--baseline` floor for the mode; returns the report's
+/// `sweep_throughput` field.
 fn timed_sweep(
     args: &[String],
     run: &BenchRun,
@@ -104,16 +113,37 @@ fn timed_sweep(
     failures: &mut Vec<String>,
 ) -> (&'static str, String) {
     let platform = PlatformId::Native.build();
-    let mut rng = SimRng::seed_from(run.config.seed);
-    let start = Instant::now();
-    let points = sweep_bench(failover, run.mode == "quick")
-        .run_trial(&platform, &mut rng)
-        .expect("the native cluster sweep configuration is valid");
-    let elapsed_secs = start.elapsed().as_secs_f64();
-    let events: u64 = points.iter().map(|p| p.events).sum();
+    let bench = sweep_bench(failover, run.mode == "quick");
+    let replay = || {
+        let mut rng = SimRng::seed_from(run.config.seed);
+        let start = Instant::now();
+        let points = bench
+            .run_trial(&platform, &mut rng)
+            .expect("the native cluster sweep configuration is valid");
+        (start.elapsed().as_secs_f64(), points)
+    };
+    let (wall, first) = replay();
+    let mut walls = vec![wall];
+    for i in 1..REPLAYS {
+        let (wall, points) = replay();
+        walls.push(wall);
+        if points != first {
+            failures.push(format!(
+                "timed sweep replay {i} diverged from the first replay of the same seed"
+            ));
+        }
+    }
+    let events: u64 = first.iter().map(|p| p.events).sum();
+    walls.sort_by(f64::total_cmp);
+    let elapsed_secs = walls[REPLAYS / 2];
     let wall_ms = elapsed_secs * 1e3;
     let measured = events as f64 / elapsed_secs.max(f64::MIN_POSITIVE);
-    println!("timed sweep replay: {wall_ms:.1} ms, {measured:.0} events/sec");
+    println!(
+        "timed sweep replay (median of {REPLAYS}): {wall_ms:.1} ms, {measured:.0} events/sec \
+         (replays {:.1}-{:.1} ms)",
+        walls[0] * 1e3,
+        walls[REPLAYS - 1] * 1e3
+    );
 
     if let Some(path) = flag_value(args, "--baseline") {
         let baseline = std::fs::read_to_string(&path)
@@ -138,7 +168,9 @@ fn timed_sweep(
     }
     (
         "sweep_throughput",
-        format!("{{\"wall_ms\": {wall_ms:.3}, \"events_per_sec\": {measured:.1}}}"),
+        format!(
+            "{{\"replays\": {REPLAYS}, \"wall_ms\": {wall_ms:.3}, \"events_per_sec\": {measured:.1}}}"
+        ),
     )
 }
 

@@ -1,5 +1,5 @@
 //! The discrete-event queue every simulation drains: a binary min-heap on
-//! `(timestamp, seq)`.
+//! `(timestamp, seq)` beside one FIFO run of time-ordered entries.
 //!
 //! The boot-sequence and queueing models advance a virtual clock through a
 //! priority queue of timestamped events. A simulation drives it with a
@@ -11,16 +11,22 @@
 //! completions.
 //!
 //! Ordering is timestamp first, insertion sequence second (FIFO among
-//! equal timestamps). Push and pop are `O(log n)` in the pending count,
-//! which stays small: no simulation in the workspace holds more than a
-//! few thousand pending events, paper mode included.
+//! equal timestamps). [`EventQueue::push`] goes to the heap.
+//! [`EventQueue::push_ordered`] is for a source that emits its events in
+//! time order, such as a chunk of pre-sampled arrivals: it appends to the
+//! run unless the entry is earlier than the run's last one, which goes to
+//! the heap instead. A pop takes the smaller by `(timestamp, seq)` of the
+//! heap top and the run's front. So an ordered push and its pop cost
+//! `O(1)` each, where a heap push and its pop cost `O(log h)` in the
+//! heap's count `h`. Both parts share one sequence counter, so the pop
+//! order is exactly that of a single heap holding every entry.
 //!
 //! **Past-timestamp semantics**: pushing an event before the queue's pop
 //! frontier clamps the timestamp to that frontier. The event fires "now";
 //! the clock never rewinds.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::Nanos;
 
@@ -46,7 +52,8 @@ impl CoreCounters {
     }
 }
 
-/// One timestamped entry; the heap is a min-heap on `(at, seq)`.
+/// One timestamped entry; the heap is a min-heap on `(at, seq)`, and the
+/// run is sorted by it.
 struct Entry<T> {
     at: Nanos,
     seq: u64,
@@ -79,7 +86,15 @@ impl<T> Ord for Entry<T> {
 /// Pops are monotone: pushing a timestamp behind the pop frontier (the
 /// timestamp of the latest pop) clamps it to the frontier, so the entry
 /// comes out "now" and popped timestamps never go backwards. Equal
-/// timestamps pop in insertion (FIFO) order.
+/// timestamps pop in insertion (FIFO) order, whichever of
+/// [`push`](EventQueue::push) and [`push_ordered`](EventQueue::push_ordered)
+/// inserted them.
+///
+/// `push` costs `O(log h)` in the heap's count `h`. `push_ordered` costs
+/// `O(1)` (amortised, as the run grows) when its entry is no earlier than
+/// the run's last one, and `O(log h)` otherwise. `pop` compares the run's
+/// front with the heap top and then costs `O(1)` from the run or
+/// `O(log h)` from the heap.
 ///
 /// # Example
 ///
@@ -89,12 +104,17 @@ impl<T> Ord for Entry<T> {
 /// let mut q = EventQueue::new();
 /// q.push(Nanos::from_millis(5), "late");
 /// q.push(Nanos::from_millis(1), "early");
+/// q.push_ordered(Nanos::from_millis(3), "arrival");
 /// assert_eq!(q.pop(), Some((Nanos::from_millis(1), "early")));
+/// assert_eq!(q.pop(), Some((Nanos::from_millis(3), "arrival")));
 /// assert_eq!(q.pop(), Some((Nanos::from_millis(5), "late")));
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
+    /// Entries of [`push_ordered`](EventQueue::push_ordered), sorted by
+    /// `(at, seq)`: each one appended is no earlier than the last.
+    run: VecDeque<Entry<T>>,
     /// Sequence number of the next push, and so the number of pushes.
     seq: u64,
     frontier: Nanos,
@@ -105,6 +125,7 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            run: VecDeque::new(),
             seq: 0,
             frontier: Nanos::ZERO,
         }
@@ -112,19 +133,19 @@ impl<T> EventQueue<T> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.run.len()
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.run.is_empty()
     }
 
     /// Snapshot of the queue's lifetime operation counters.
     pub fn counters(&self) -> CoreCounters {
         CoreCounters {
             pushes: self.seq,
-            pops: self.seq - self.heap.len() as u64,
+            pops: self.seq - self.len() as u64,
         }
     }
 
@@ -147,17 +168,49 @@ impl<T> EventQueue<T> {
         });
     }
 
+    /// Schedules `value` at virtual time `at`, like [`push`](Self::push),
+    /// for a source that emits its events in time order.
+    ///
+    /// The clamped entry is appended to the run in `O(1)` when it is no
+    /// earlier than the run's last entry; otherwise it goes to the heap.
+    /// Either way it takes the next sequence number and pops exactly
+    /// where `push` would have put it.
+    pub fn push_ordered(&mut self, at: Nanos, value: T) {
+        let at = at.max(self.frontier);
+        match self.run.back() {
+            Some(last) if at < last.at => self.push(at, value),
+            _ => {
+                self.run.push_back(Entry {
+                    at,
+                    seq: self.seq,
+                    value,
+                });
+                self.seq += 1;
+            }
+        }
+    }
+
     /// Removes and returns the earliest event, advancing the pop frontier.
     pub fn pop(&mut self) -> Option<(Nanos, T)> {
-        self.heap.pop().map(|e| {
-            self.frontier = e.at;
-            (e.at, e.value)
-        })
+        let from_run = match (self.run.front(), self.heap.peek()) {
+            (Some(r), Some(h)) => (r.at, r.seq) < (h.at, h.seq),
+            (run, _) => run.is_some(),
+        };
+        let e = if from_run {
+            self.run.pop_front()
+        } else {
+            self.heap.pop()
+        }?;
+        self.frontier = e.at;
+        Some((e.at, e.value))
     }
 
     /// Returns the timestamp of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|e| e.at)
+        match (self.run.front(), self.heap.peek()) {
+            (Some(r), Some(h)) => Some(r.at.min(h.at)),
+            (r, h) => r.or(h).map(|e| e.at),
+        }
     }
 }
 
@@ -236,6 +289,51 @@ mod tests {
         assert!(q.pop().is_none());
         let counters = q.counters();
         assert_eq!((counters.pushes, counters.pops), (65, 65));
+    }
+
+    #[test]
+    fn ordered_and_heap_entries_at_one_timestamp_pop_in_push_order() {
+        // Whichever side pushes first pops first at an equal timestamp:
+        // the run shares the heap's sequence counter.
+        let at = Nanos::from_micros(9);
+        let mut q = EventQueue::new();
+        q.push_ordered(at, "run");
+        q.push(at, "heap");
+        assert_eq!((q.heap.len(), q.run.len()), (1, 1));
+        assert_eq!(q.pop(), Some((at, "run")));
+        assert_eq!(q.pop(), Some((at, "heap")));
+
+        let mut q = EventQueue::new();
+        q.push(at, "heap");
+        q.push_ordered(at, "run");
+        assert_eq!((q.heap.len(), q.run.len()), (1, 1));
+        assert_eq!(q.pop(), Some((at, "heap")));
+        assert_eq!(q.pop(), Some((at, "run")));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn an_in_order_chunk_stays_off_the_heap() {
+        // The property the run exists for: time-ordered pushes, equal
+        // timestamps included, never touch the heap; one behind the run's
+        // last entry does, and still pops in `(at, seq)` order.
+        let mut q = EventQueue::new();
+        for i in 0..512u64 {
+            q.push_ordered(Nanos::from_nanos(10 * (i / 2)), i);
+        }
+        assert_eq!((q.heap.len(), q.run.len()), (0, 512));
+        q.push_ordered(Nanos::from_nanos(5), 512);
+        assert_eq!((q.heap.len(), q.run.len()), (1, 512));
+        assert_eq!(q.peek_time(), Some(Nanos::ZERO));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        let mut expected: Vec<u64> = (0..512).collect();
+        expected.insert(2, 512);
+        assert_eq!(order, expected);
+        // Behind the frontier, an ordered push clamps to it like `push`.
+        q.push_ordered(Nanos::ZERO, 513);
+        assert_eq!(q.pop(), Some((Nanos::from_nanos(2_550), 513)));
+        let counters = q.counters();
+        assert_eq!((counters.pushes, counters.pops), (514, 514));
     }
 
     #[test]

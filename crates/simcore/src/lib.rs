@@ -16,8 +16,8 @@
 //! * [`stats`] — running statistics, percentiles, histograms and empirical
 //!   CDFs used by the benchmark harness to summarize repeated runs.
 //! * [`events`] — the discrete-event queue ([`EventQueue`]), a binary
-//!   min-heap on `(timestamp, seq)` that every queueing simulation drains
-//!   as typed events.
+//!   min-heap on `(timestamp, seq)` beside one FIFO run for time-ordered
+//!   arrivals, that every queueing simulation drains as typed events.
 //! * [`resource`] — shared-resource models (token-bucket bandwidth,
 //!   M/M/1-style queueing latency) used by the device simulations.
 //! * [`obs`] — deterministic observability: seed-sampled per-request

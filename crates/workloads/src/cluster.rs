@@ -1149,10 +1149,14 @@ impl<'a> ClusterSim<'a> {
         self.alive[shard] = true;
     }
 
-    /// Samples the next chunk of Poisson interarrival gaps, draws and
-    /// routes each arrival's key, and pushes one `Arrive` per gap for
-    /// the target shard; reschedules itself after the chunk's last
-    /// arrival while arrivals remain.
+    /// Samples the next chunk of [`ARRIVAL_CHUNK`] Poisson interarrival
+    /// gaps, draws and routes each arrival's key, and pushes one `Arrive`
+    /// per gap for the target shard (one per quorum target, all at the
+    /// arrival's instant, on a replicated point); reschedules itself at
+    /// the chunk's last arrival while arrivals remain. Every push is in
+    /// time order, so it goes through [`EventQueue::push_ordered`] onto
+    /// the queue's ordered run, and the heap holds only drains, probes
+    /// and faults.
     fn generate(&mut self, now: Nanos, queue: &mut EventQueue<Ev>, st: &mut ClusterState<'_>) {
         let n = self.remaining_arrivals.min(ARRIVAL_CHUNK);
         if n == 0 {
@@ -1187,7 +1191,7 @@ impl<'a> ClusterSim<'a> {
                     o.instant(SpanKind::HandOff, idx, lane, now + offset);
                 }
             }
-            queue.push(
+            queue.push_ordered(
                 now + offset,
                 Ev::Arrive {
                     shard: shard as u32,
@@ -1197,7 +1201,7 @@ impl<'a> ClusterSim<'a> {
             );
         }
         if self.remaining_arrivals > 0 {
-            queue.push(now + offset, Ev::Generate);
+            queue.push_ordered(now + offset, Ev::Generate);
         }
     }
 
@@ -1276,7 +1280,7 @@ impl<'a> ClusterSim<'a> {
                     o.instant(SpanKind::HandOff, idx, lane, at);
                 }
             }
-            queue.push(
+            queue.push_ordered(
                 at,
                 Ev::Arrive {
                     shard: target,

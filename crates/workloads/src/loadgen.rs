@@ -270,7 +270,7 @@ impl LoadgenBenchmark {
 pub struct LoadPoint {
     /// Offered load as a fraction of the saturation capacity.
     pub offered_fraction: f64,
-    /// Offered load in requests per second.
+    /// Offered load in requests per second, at least 1.
     pub offered_per_sec: f64,
     /// Achieved (completed) throughput in requests per second.
     pub achieved_per_sec: f64,
@@ -490,6 +490,11 @@ mod tests {
             );
             assert!(bench.run_point(&platform, fraction, &mut rng).is_err());
         }
+        // A zero fraction is valid: it runs, and reports, the 1 req/s floor.
+        let idle = tiny(LoadBackend::Memcached)
+            .run_point(&platform, 0.0, &mut rng)
+            .unwrap();
+        assert_eq!(idle.offered_per_sec, 1.0);
     }
 
     #[test]

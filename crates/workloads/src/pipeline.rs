@@ -75,12 +75,21 @@ const STAGE_STREAM: &str = "stages";
 /// first split it, so the load figures stay byte-identical.
 const MISC_STREAM: &str = "loadgen";
 
-/// A counted arrival source pre-samples and enqueues its arrivals in
-/// chunks of this size, bounding the event queue's pending count
+/// A counted arrival source pre-samples its arrivals in chunks of this
+/// size and appends each chunk to the event queue's ordered run
+/// ([`EventQueue::push_ordered`]), which bounds the run's length
 /// regardless of the sweep size. Shared with [`crate::cluster`]'s router.
+///
+/// The chunks stay for the recorded push order, not for the queue's
+/// sake: a chunk's arrivals take their sequence numbers after the drains
+/// and probes pushed while the previous chunk ran, and the sequence
+/// decides which event pops first at an equal nanosecond. Enqueueing
+/// every arrival up front would reorder those ties and can move a
+/// figure.
 pub(crate) const ARRIVAL_CHUNK: u64 = 512;
 
-/// Chunk size of a windowed arrival source.
+/// Chunk size of a windowed arrival source; it bounds the ordered run
+/// and stays for the recorded push order, as [`ARRIVAL_CHUNK`] does.
 const WINDOWED_CHUNK: usize = 256;
 
 /// In-flight probes per pipeline or cluster sweep point, spread evenly
@@ -895,18 +904,18 @@ impl PipelineBenchmark {
         // point (planned warm, actually cold) lands above saturation.
         let per_request = profile.service_time + expected_cost(tables, setting.planned_hit_rate);
         let capacity_per_sec = profile.servers as f64 / per_request.as_secs_f64();
-        let offered_per_sec = capacity_per_sec * fraction;
+        // Floored at 1 req/s, the rate a zero fraction runs and reports.
+        let offered_per_sec = (capacity_per_sec * fraction).max(1.0);
         let slots = ClassConfig {
             weight: 1,
             queue_capacity: self.queue_capacity,
             mean_cost: profile.service_time + expected_cost(tables, setting.hit_rate),
         };
-        let per_sec = offered_per_sec.max(1.0);
-        let window = Nanos::from_secs_f64(self.requests_per_point as f64 / per_sec);
+        let window = Nanos::from_secs_f64(self.requests_per_point as f64 / offered_per_sec);
         let arrivals = ArrivalSource::Counted {
             gaps,
             next: 0,
-            per_sec,
+            per_sec: offered_per_sec,
             remaining: self.requests_per_point as u64,
         };
         let class = ClientClass::new("pool", arrivals, slots, service, self.clients, backend);
@@ -1015,7 +1024,7 @@ pub struct PipelinePoint {
     pub hit_rate: f64,
     /// Hit rate the offered load was provisioned against.
     pub planned_hit_rate: f64,
-    /// Offered load in requests per second.
+    /// Offered load in requests per second, at least 1.
     pub offered_per_sec: f64,
     /// Backend-served (not short-circuited) throughput in requests/sec.
     pub achieved_per_sec: f64,
@@ -1114,7 +1123,10 @@ pub(crate) enum ArrivalSource<'a> {
 impl ArrivalSource<'_> {
     /// Pushes the next chunk of `class`'s arrivals, then the generation
     /// of the chunk after it (FIFO among equal timestamps, so the next
-    /// chunk continues from this one's clock).
+    /// chunk continues from this one's clock). Both are in time order,
+    /// so they go through [`EventQueue::push_ordered`]: one class's
+    /// chunk appends to the queue's ordered run, and the entries of a
+    /// second class that land behind the run's tail go to its heap.
     fn generate(&mut self, class: u16, now: Nanos, queue: &mut EventQueue<Ev>) {
         match self {
             ArrivalSource::Counted {
@@ -1132,10 +1144,10 @@ impl ArrivalSource<'_> {
                     // as load grows.
                     offset += Nanos::from_secs_f64(gaps.get(*next) / *per_sec);
                     *next += 1;
-                    queue.push(now + offset, Ev::Arrive { class });
+                    queue.push_ordered(now + offset, Ev::Arrive { class });
                 }
                 if *remaining > 0 {
-                    queue.push(now + offset, Ev::Generate { class });
+                    queue.push_ordered(now + offset, Ev::Generate { class });
                 }
             }
             ArrivalSource::Windowed {
@@ -1148,9 +1160,9 @@ impl ArrivalSource<'_> {
                     if *clock_secs > *window_secs {
                         return;
                     }
-                    queue.push(Nanos::from_secs_f64(*clock_secs), Ev::Arrive { class });
+                    queue.push_ordered(Nanos::from_secs_f64(*clock_secs), Ev::Arrive { class });
                 }
-                queue.push(Nanos::from_secs_f64(*clock_secs), Ev::Generate { class });
+                queue.push_ordered(Nanos::from_secs_f64(*clock_secs), Ev::Generate { class });
             }
         }
     }
@@ -1996,6 +2008,16 @@ mod tests {
         assert!(bench
             .run_setting_traced(&platform, &setting, &mut SimRng::seed_from(102), recorder)
             .is_err());
+        // A zero fraction is valid: it runs, and reports, the 1 req/s floor.
+        let idle = PipelineBenchmark {
+            offered_fraction: 0.0,
+            sweep: vec![setting],
+            ..tiny(LoadBackend::Memcached)
+        };
+        let points = idle
+            .run_trial(&platform, &mut SimRng::seed_from(102))
+            .unwrap();
+        assert_eq!(points[0].offered_per_sec, 1.0);
     }
 
     #[test]

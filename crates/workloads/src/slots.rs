@@ -40,6 +40,7 @@ use simcore::dist::Distribution;
 use simcore::error::SimError;
 use simcore::{Nanos, Replay, SimRng};
 
+use crate::format_key;
 use crate::sysbench_oltp::OltpBenchmark;
 use crate::ycsb::YcsbBenchmark;
 
@@ -605,6 +606,8 @@ pub(crate) enum BackendState {
     Kv {
         store: Store,
         records: usize,
+        /// Reused key buffer (see [`format_key`]).
+        key_buf: String,
     },
     Sql {
         db: Database,
@@ -657,10 +660,15 @@ impl BackendState {
             LoadBackend::Memcached => {
                 let records = 4_096;
                 let store = Store::new(StoreConfig::default());
+                let mut key_buf = String::new();
                 for i in 0..records {
-                    store.set(format!("load{i:06}").as_bytes(), vec![b'x'; 100]);
+                    store.set(format_key(&mut key_buf, "load", i as u64), vec![b'x'; 100]);
                 }
-                BackendState::Kv { store, records }
+                BackendState::Kv {
+                    store,
+                    records,
+                    key_buf,
+                }
             }
             LoadBackend::Mysql => {
                 let rows = 2_000;
@@ -673,12 +681,16 @@ impl BackendState {
 
     pub(crate) fn execute(&mut self, rng: &mut SimRng) {
         match self {
-            BackendState::Kv { store, records } => {
-                let key = format!("load{:06}", rng.index(*records));
+            BackendState::Kv {
+                store,
+                records,
+                key_buf,
+            } => {
+                let key = format_key(key_buf, "load", rng.index(*records) as u64);
                 if rng.chance(0.5) {
-                    let _ = store.get(key.as_bytes());
+                    let _ = store.get(key);
                 } else {
-                    store.set(key.as_bytes(), vec![b'y'; 100]);
+                    store.set(key, vec![b'y'; 100]);
                 }
             }
             BackendState::Sql { db, table, rows } => {

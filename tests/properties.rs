@@ -11,7 +11,7 @@ use isolation_bench::platforms::PlatformId;
 use isolation_bench::relstore::{Database, Row};
 use isolation_bench::simcore::resource::CompletionTimer;
 use isolation_bench::simcore::stats::{Cdf, RunningStats};
-use isolation_bench::simcore::{rng, Bandwidth, EventQueue, Nanos, Replay, SimRng};
+use isolation_bench::simcore::{rng, Bandwidth, CoreCounters, EventQueue, Nanos, Replay, SimRng};
 use isolation_bench::workloads::pipeline::BASELINE_HIT_RATE;
 use isolation_bench::workloads::slots::{ClassConfig, SlotPolicy, SlotPool};
 use isolation_bench::workloads::{
@@ -225,36 +225,61 @@ proptest! {
 
     #[test]
     fn event_queue_pops_exactly_the_linear_scan_model_order(
-        ops in prop::collection::vec((any::<bool>(), 0u32..4, 0u64..1024), 1..300),
+        ops in prop::collection::vec((0u32..10, 0u32..4, 0u64..1024), 1..300),
     ) {
         // The queue against a linear-scan model of its contract on an
-        // arbitrary interleaved schedule: pushes at absolute times from
-        // nanoseconds to 2^58 ns, repeated timestamps exercising the
-        // equal-timestamp FIFO order, pushes behind the pop frontier
-        // exercising the fire-at-now clamp, and interleaved pops moving
-        // the frontier mid-schedule.
+        // arbitrary interleaved schedule: heap pushes at absolute times
+        // from nanoseconds to 2^58 ns; ordered pushes that mostly step
+        // forward from the previous one but sometimes land behind the
+        // run's tail or behind the pop frontier; repeated timestamps
+        // exercising the equal-timestamp FIFO order across heap and run;
+        // pushes behind the pop frontier exercising the fire-at-now
+        // clamp; and interleaved pops moving the frontier mid-schedule.
+        // The model does not know which kind of push made an entry.
         let mut queue = EventQueue::new();
         let mut model: Vec<(Nanos, u64, u64)> = Vec::new();
         let mut frontier = Nanos::ZERO;
-        let mut seq = 0u64;
+        let (mut seq, mut pops) = (0u64, 0u64);
+        // Where the latest ordered push landed, after the clamp.
+        let mut tail = Nanos::ZERO;
         let model_pop = |model: &mut Vec<(Nanos, u64, u64)>, frontier: &mut Nanos| {
             let i = (0..model.len()).min_by_key(|&i| (model[i].0, model[i].1))?;
             let (at, _, tag) = model.remove(i);
             *frontier = at;
             Some((at, tag))
         };
-        for &(is_push, magnitude, raw) in &ops {
-            if is_push {
-                let at = Nanos::from_nanos(raw << (16 * magnitude));
-                queue.push(at, seq);
+        for &(kind, magnitude, raw) in &ops {
+            let at = match kind {
+                0..=2 => {
+                    let popped = queue.pop();
+                    prop_assert_eq!(popped, model_pop(&mut model, &mut frontier));
+                    pops += u64::from(popped.is_some());
+                    None
+                }
+                3 | 4 => {
+                    let at = Nanos::from_nanos(raw << (16 * magnitude));
+                    queue.push(at, seq);
+                    Some(at)
+                }
+                _ => {
+                    let at = match kind {
+                        5 => tail.saturating_sub(Nanos::from_nanos(1 + raw)),
+                        6 => frontier.saturating_sub(Nanos::from_nanos(raw)),
+                        _ => tail + Nanos::from_nanos(raw % 8),
+                    };
+                    queue.push_ordered(at, seq);
+                    tail = at.max(frontier);
+                    Some(at)
+                }
+            };
+            if let Some(at) = at {
                 model.push((at.max(frontier), seq, seq));
                 seq += 1;
-            } else {
-                prop_assert_eq!(queue.pop(), model_pop(&mut model, &mut frontier));
             }
             prop_assert_eq!(queue.peek_time(), model.iter().map(|e| e.0).min());
             prop_assert_eq!(queue.len(), model.len());
             prop_assert_eq!(queue.frontier(), frontier);
+            prop_assert_eq!(queue.counters(), CoreCounters { pushes: seq, pops });
         }
         loop {
             let (q, m) = (queue.pop(), model_pop(&mut model, &mut frontier));
