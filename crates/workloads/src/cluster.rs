@@ -653,15 +653,20 @@ pub struct ClusterPoint {
     pub offered_per_sec: f64,
     /// Completed throughput in requests per second.
     pub achieved_per_sec: f64,
-    /// Median cluster-wide sojourn time in microseconds.
+    /// Median cluster-wide sojourn time in microseconds (0.0 when the
+    /// point completes no request).
     pub p50_us: f64,
-    /// 95th-percentile cluster-wide sojourn time in microseconds.
+    /// 95th-percentile cluster-wide sojourn time in microseconds (0.0
+    /// when the point completes no request).
     pub p95_us: f64,
-    /// 99th-percentile cluster-wide sojourn time in microseconds.
+    /// 99th-percentile cluster-wide sojourn time in microseconds (0.0
+    /// when the point completes no request).
     pub p99_us: f64,
-    /// Mean cluster-wide sojourn time in microseconds.
+    /// Mean cluster-wide sojourn time in microseconds (0.0 when the
+    /// point completes no request).
     pub mean_us: f64,
-    /// 99th-percentile sojourn time on the hottest shard (by arrivals).
+    /// 99th-percentile sojourn time on the hottest shard (by arrivals;
+    /// 0.0 when that shard completes no request).
     pub hot_p99_us: f64,
     /// The hottest shard's fraction of all arrivals.
     pub hot_share: f64,
@@ -1488,8 +1493,17 @@ impl<'a> ClusterSim<'a> {
         let scatter_p99_us = Cdf::from_samples(self.scatter_latencies_us.clone())
             .map(|c| c.percentile(99.0))
             .unwrap_or(0.0);
-        let cdf = Cdf::from_samples(self.latencies_us)
-            .expect("a sweep point always completes at least one request");
+        // A valid quorum point with a fault plan can complete nothing: it
+        // reports zero percentiles rather than panicking.
+        let (p50_us, p95_us, p99_us, mean_us) = match Cdf::from_samples(self.latencies_us) {
+            Ok(cdf) => (
+                cdf.percentile(50.0),
+                cdf.percentile(95.0),
+                cdf.percentile(99.0),
+                cdf.mean(),
+            ),
+            Err(_) => (0.0, 0.0, 0.0, 0.0),
+        };
         let duration = queue.frontier().as_secs_f64().max(f64::MIN_POSITIVE);
         // The hottest shard by total arrivals anchors the tail story;
         // the steady-phase maximum anchors the placement-quality story.
@@ -1526,10 +1540,10 @@ impl<'a> ClusterSim<'a> {
             zipf_theta: setting.zipf_theta,
             offered_per_sec,
             achieved_per_sec: self.completed as f64 / duration,
-            p50_us: cdf.percentile(50.0),
-            p95_us: cdf.percentile(95.0),
-            p99_us: cdf.percentile(99.0),
-            mean_us: cdf.mean(),
+            p50_us,
+            p95_us,
+            p99_us,
+            mean_us,
             hot_p99_us,
             hot_share: self.shards[hot].arrivals as f64 / issued.max(1) as f64,
             imbalance: if steady_mean > 0.0 {
@@ -1809,6 +1823,27 @@ mod tests {
                 bench.run_trial(&platform, &mut rng).is_err(),
                 "must reject {bench:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_point_that_completes_nothing_reports_zero_percentiles() {
+        // A valid quorum point can complete nothing: at seed 0 this
+        // point's one read is dropped around the shard kill. It must
+        // report a finite point, not panic.
+        let bench = ClusterBenchmark {
+            requests_per_point: 1,
+            scatter_fraction: 0.0,
+            write_fraction: 0.0,
+            sweep: vec![ClusterSetting::failing(2, 2, false)],
+            ..tiny(LoadBackend::Memcached)
+        };
+        let p = &bench
+            .run_trial(&PlatformId::Native.build(), &mut SimRng::seed_from(0))
+            .expect("a valid point runs")[0];
+        assert_eq!((p.completed, p.dropped), (0, 1), "{p:?}");
+        for v in [p.p50_us, p.p95_us, p.p99_us, p.mean_us, p.hot_p99_us] {
+            assert!(v.is_finite(), "{p:?}");
         }
     }
 

@@ -67,9 +67,7 @@ pub use fio::FioBenchmark;
 pub use iperf::IperfBenchmark;
 pub use loadgen::{LoadBackend, LoadPoint, LoadgenBenchmark};
 pub use netperf::NetperfBenchmark;
-pub use pipeline::{
-    MiddlewareChain, PipelineBenchmark, PipelinePoint, PipelineSetting, Stage, Traversal,
-};
+pub use pipeline::{PipelineBenchmark, PipelinePoint, PipelineSetting};
 pub use slots::{Admission, ClassConfig, ServiceProfile, SlotPolicy, SlotPool, StoreSnapshot};
 pub use startup::StartupBenchmark;
 pub use stream::StreamBenchmark;

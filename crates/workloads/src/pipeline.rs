@@ -6,8 +6,8 @@
 //! taxes the request on the way **in**, may tax the response on the way
 //! **out**, may consult a cache (session store hit vs miss), and may
 //! short-circuit the request entirely (an auth rejection or redirect
-//! never reaches the backend). This module models exactly that: a
-//! [`MiddlewareChain`] of [`Stage`]s executed per request on the same
+//! never reaches the backend). This module models exactly that: an
+//! ordered chain of stages executed per request on the same
 //! [`crate::slots`] admission/slot core the open-loop [`crate::loadgen`]
 //! sweeps use, so stage costs compose with bounded admission, service
 //! slots and platform derating unchanged.
@@ -249,13 +249,14 @@ impl CacheState {
 /// One middleware stage: a mandatory in-phase cost, an optional out-phase
 /// (response path) cost, an optional cache consulted during the in-phase,
 /// and an optional short-circuit probability (auth rejection, redirect)
-/// that skips the backend and every downstream stage.
+/// that skips the backend and every downstream stage. A trial draws its
+/// records into a [`StageTable`]; each point brings the cache's hit rate
+/// and warm-up.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Stage {
+pub(crate) struct Stage {
     /// Stage name, for debugging and study output.
-    pub name: String,
+    pub(crate) name: String,
     spec: StageSpec,
-    cache: CacheState,
 }
 
 impl Stage {
@@ -267,7 +268,7 @@ impl Stage {
     /// Returns [`SimError::InvalidConfig`] for a non-finite or negative
     /// cost or sigma — mirroring [`ServiceProfile::try_new`], degenerate
     /// stage models fail loudly instead of saturating silently.
-    pub fn try_new(name: &str, in_us: f64, sigma: f64) -> Result<Self, SimError> {
+    pub(crate) fn try_new(name: &str, in_us: f64, sigma: f64) -> Result<Self, SimError> {
         Ok(Stage {
             name: name.to_string(),
             spec: StageSpec {
@@ -276,7 +277,6 @@ impl Stage {
                 short_circuit: 0.0,
                 cache: None,
             },
-            cache: CacheState::new(0.0, 0),
         })
     }
 
@@ -286,7 +286,7 @@ impl Stage {
     ///
     /// Returns [`SimError::InvalidConfig`] for a non-finite or negative
     /// cost or sigma.
-    pub fn with_out_phase(mut self, out_us: f64, sigma: f64) -> Result<Self, SimError> {
+    pub(crate) fn with_out_phase(mut self, out_us: f64, sigma: f64) -> Result<Self, SimError> {
         self.spec.out_cost = Some(StageCost::try_from_us("stage out-phase", out_us, sigma)?);
         Ok(self)
     }
@@ -300,156 +300,61 @@ impl Stage {
     ///
     /// Returns [`SimError::InvalidConfig`] unless `rate` is a probability
     /// in `[0, 1]`.
-    pub fn with_short_circuit(mut self, rate: f64) -> Result<Self, SimError> {
+    pub(crate) fn with_short_circuit(mut self, rate: f64) -> Result<Self, SimError> {
         self.spec.short_circuit = validated_rate("stage short-circuit rate", rate)?;
         Ok(self)
     }
 
-    /// Adds a warmable cache to the stage's in-phase: an access hits with
-    /// the (warmup-ramped) `hit_rate` and charges `hit_us`, otherwise it
-    /// charges the `miss_us` penalty. `warm_after` is the access count
-    /// over which the hit rate ramps from cold to the target (0 =
-    /// pre-warmed).
+    /// Adds a cache to the stage's in-phase: an access that hits charges
+    /// `hit_us`, otherwise it charges the `miss_us` penalty. The hit
+    /// rate and its warm-up belong to the point that runs the stage.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for non-finite/negative costs
-    /// or a `hit_rate` outside `[0, 1]`.
-    pub fn with_cache(
-        mut self,
-        hit_us: f64,
-        miss_us: f64,
-        hit_rate: f64,
-        warm_after: u64,
-    ) -> Result<Self, SimError> {
+    /// Returns [`SimError::InvalidConfig`] for non-finite/negative costs.
+    pub(crate) fn with_cache(mut self, hit_us: f64, miss_us: f64) -> Result<Self, SimError> {
         self.spec.cache = Some(CacheCosts {
             hit: validated_us("cache hit cost", hit_us)?,
             miss: validated_us("cache miss cost", miss_us)?,
         });
-        self.cache = CacheState::new(validated_rate("cache hit rate", hit_rate)?, warm_after);
         Ok(self)
     }
 }
 
 /// The outcome of traversing the chain for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Traversal {
+pub(crate) struct Traversal {
     /// Total middleware cost actually charged: in-phases and cache
     /// accesses of every entered stage plus the out-phases of the entered
     /// stages on the response path.
-    pub stage_cost: Nanos,
+    pub(crate) stage_cost: Nanos,
     /// Number of stages the request entered.
-    pub stages_traversed: usize,
+    pub(crate) stages_traversed: usize,
     /// Index of the stage that short-circuited the request, if any.
-    pub short_circuit: Option<usize>,
+    pub(crate) short_circuit: Option<usize>,
     /// Cache hits among the entered stages.
-    pub cache_hits: u32,
+    pub(crate) cache_hits: u32,
     /// Cache misses among the entered stages.
-    pub cache_misses: u32,
+    pub(crate) cache_misses: u32,
 }
 
-/// Per-stage detail handed to a [`MiddlewareChain::traverse_with`]
-/// observer for every stage the request entered, in chain order — the
-/// seam the trace recorder reconstructs per-stage spans from.
+/// Per-stage detail handed to a [`PointChain::traverse`] observer for
+/// every stage the request entered, in chain order — the seam the trace
+/// recorder reconstructs per-stage spans from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageVisit {
+pub(crate) struct StageVisit {
     /// Index of the stage in the chain.
-    pub stage: usize,
+    pub(crate) stage: usize,
     /// In-phase cost charged to the request.
-    pub in_cost: Nanos,
+    pub(crate) in_cost: Nanos,
     /// Cache access outcome (`Some(true)` = hit), if the stage has one.
-    pub cache_hit: Option<bool>,
+    pub(crate) cache_hit: Option<bool>,
     /// Cache latency charged (hit or miss cost).
-    pub cache_cost: Nanos,
+    pub(crate) cache_cost: Nanos,
     /// Whether this stage short-circuited the request.
-    pub short_circuited: bool,
+    pub(crate) short_circuited: bool,
     /// Out-phase (response path) cost charged.
-    pub out_cost: Nanos,
-}
-
-/// An ordered chain of middleware stages, traversed in-phase first to
-/// last on the request path and out-phase on the response path.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MiddlewareChain {
-    stages: Vec<Stage>,
-}
-
-impl MiddlewareChain {
-    /// A chain of the given stages, traversed in order.
-    pub fn new(stages: Vec<Stage>) -> Self {
-        MiddlewareChain { stages }
-    }
-
-    /// The zero-stage chain: requests pass straight to the backend.
-    pub fn empty() -> Self {
-        MiddlewareChain::default()
-    }
-
-    /// Number of stages in the chain.
-    pub fn depth(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Whether the chain has no stages.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
-
-    /// Mean per-request chain cost at the caches' warm target hit rates,
-    /// ignoring warmup and short-circuits — the planning figure the sweep
-    /// uses to normalize offered load to chain-inclusive capacity.
-    pub fn expected_cost(&self) -> Nanos {
-        Nanos::from_secs_f64(
-            self.stages
-                .iter()
-                .map(|s| s.spec.expected_cost_secs(s.cache.hit_rate))
-                .sum(),
-        )
-    }
-
-    /// Traverses the chain for one request, drawing from one stream per
-    /// stage (`stage_rngs[i]` belongs to stage `i`).
-    ///
-    /// Every stage consumes its full draw complement even downstream of a
-    /// short-circuit, so the per-stage streams stay aligned request by
-    /// request whatever the outcomes — the common-random-numbers coupling
-    /// the monotonicity tests rely on. Only entered stages charge costs,
-    /// advance their cache warmup, or count hits and misses.
-    pub fn traverse(&mut self, stage_rngs: &mut [SimRng]) -> Traversal {
-        self.traverse_with(stage_rngs, |_| {})
-    }
-
-    /// [`MiddlewareChain::traverse`] with an observer that receives one
-    /// [`StageVisit`] per *entered* stage, in chain order.
-    ///
-    /// The observer is called after the stage's draws, so it cannot
-    /// change the draw order: `traverse` itself delegates here with a
-    /// no-op observer, which is what makes the traced and untraced
-    /// paths provably identical.
-    pub fn traverse_with(
-        &mut self,
-        stage_rngs: &mut [SimRng],
-        mut visit: impl FnMut(StageVisit),
-    ) -> Traversal {
-        debug_assert_eq!(
-            stage_rngs.len(),
-            self.stages.len(),
-            "one stage stream per stage"
-        );
-        let mut walk = Walk::default();
-        for (i, (stage, rng)) in self
-            .stages
-            .iter_mut()
-            .zip(stage_rngs.iter_mut())
-            .enumerate()
-        {
-            let draw = stage.spec.draw(rng);
-            if let Some(v) = walk.enter(i, &stage.spec, &mut stage.cache, draw) {
-                visit(v);
-            }
-        }
-        walk.finish()
-    }
+    pub(crate) out_cost: Nanos,
 }
 
 /// One request's walk down a chain: folds each stage's draw into the
@@ -531,7 +436,18 @@ pub(crate) struct StageTable {
 }
 
 impl StageTable {
+    /// The table of `stage`, drawing its records from `rng`, with room
+    /// for `requests` of them.
+    fn new(stage: Stage, rng: SimRng, requests: usize) -> Self {
+        StageTable {
+            name: stage.name,
+            spec: stage.spec,
+            draws: Replay::with_capacity(rng, requests),
+        }
+    }
+
     /// The record of dispatch `i`.
+    #[inline]
     fn draw(&mut self, i: usize) -> StageDraw {
         let spec = &self.spec;
         self.draws.get(i, |rng| spec.draw(rng))
@@ -539,8 +455,8 @@ impl StageTable {
 }
 
 /// Mean per-request cost of the chain over `tables` with every cache at
-/// `hit_rate` — the figure [`MiddlewareChain::expected_cost`] gives for
-/// the same stages.
+/// `hit_rate`, ignoring warm-up and short-circuits: the planning figure
+/// the sweep normalizes offered load by.
 fn expected_cost(tables: &[StageTable], hit_rate: f64) -> Nanos {
     Nanos::from_secs_f64(
         tables
@@ -745,33 +661,23 @@ impl PipelineBenchmark {
         backend_profile(self.backend, platform, self.servers)
     }
 
-    /// Builds the middleware chain for one sweep point: an `auth` stage
-    /// with the warmable session cache and the rejection short-circuit,
-    /// followed by `depth - 1` transform-style stages with in- and
-    /// out-phase costs. Depth 0 yields the empty chain.
+    /// The stages of a `depth`-stage chain: an `auth` stage with the
+    /// session cache and the rejection short-circuit, followed by
+    /// `depth - 1` transform-style stages with in- and out-phase costs.
+    /// Depth 0 yields no stage.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] if any configured cost
     /// fraction, sigma or rate is degenerate (non-finite, negative, or a
     /// rate outside `[0, 1]`).
-    pub fn chain_for(
-        &self,
-        profile: &ServiceProfile,
-        depth: usize,
-        hit_rate: f64,
-    ) -> Result<MiddlewareChain, SimError> {
+    fn chain_for(&self, profile: &ServiceProfile, depth: usize) -> Result<Vec<Stage>, SimError> {
         let svc_us = profile.service_time.as_micros_f64();
         let mut stages = Vec::with_capacity(depth);
         for i in 0..depth {
             let stage = if i == 0 {
                 Stage::try_new("auth", self.stage_in_frac * svc_us, self.stage_sigma)?
-                    .with_cache(
-                        self.cache_hit_frac * svc_us,
-                        self.cache_miss_frac * svc_us,
-                        hit_rate,
-                        self.cache_warm_after,
-                    )?
+                    .with_cache(self.cache_hit_frac * svc_us, self.cache_miss_frac * svc_us)?
                     .with_short_circuit(self.auth_reject_rate)?
             } else {
                 let name = STAGE_KINDS[(i - 1) % STAGE_KINDS.len()];
@@ -784,7 +690,7 @@ impl PipelineBenchmark {
             };
             stages.push(stage);
         }
-        Ok(MiddlewareChain::new(stages))
+        Ok(stages)
     }
 
     /// Runs the whole depth/hit-rate sweep once and returns one
@@ -800,10 +706,11 @@ impl PipelineBenchmark {
     /// # Errors
     ///
     /// Propagates the degenerate-profile error of
-    /// [`PipelineBenchmark::service_profile`] and the degenerate-chain
-    /// error of [`PipelineBenchmark::chain_for`], and returns
-    /// [`SimError::InvalidConfig`] when `requests_per_point` is zero or
-    /// `offered_fraction` is negative or not finite.
+    /// [`PipelineBenchmark::service_profile`], and returns
+    /// [`SimError::InvalidConfig`] for a degenerate stage cost fraction,
+    /// sigma or rate, a point's hit rate outside `[0, 1]`, a zero
+    /// `requests_per_point`, or an `offered_fraction` that is negative or
+    /// not finite.
     pub fn run_trial(
         &self,
         platform: &Platform,
@@ -848,22 +755,15 @@ impl PipelineBenchmark {
         let mut draws = TrialDraws::split(profile, self.requests_per_point, rng);
         if depth > 0 {
             // The deepest chain defines every stage; a shallower point
-            // runs a prefix of it. The hit rate it is built at is no draw
-            // parameter: each point brings its own.
-            let chain = self.chain_for(&profile, depth, BASELINE_HIT_RATE)?;
+            // runs a prefix of it, with its own hit rate and warm-up.
+            let stages = self.chain_for(&profile, depth)?;
             let mut root = rng.split(STAGE_STREAM);
             // One stream per stage, derived in stage order.
-            draws.stages = chain
-                .stages
+            draws.stages = stages
                 .into_iter()
                 .enumerate()
-                .map(|(i, stage)| StageTable {
-                    name: stage.name,
-                    spec: stage.spec,
-                    draws: Replay::with_capacity(
-                        root.split(&format!("s{i}")),
-                        self.requests_per_point,
-                    ),
+                .map(|(i, stage)| {
+                    StageTable::new(stage, root.split(&format!("s{i}")), self.requests_per_point)
                 })
                 .collect();
         }
@@ -1640,6 +1540,7 @@ mod tests {
     use super::*;
     use crate::loadgen::LoadgenBenchmark;
     use platforms::PlatformId;
+    use proptest::prelude::*;
 
     fn tiny(backend: LoadBackend) -> PipelineBenchmark {
         PipelineBenchmark {
@@ -1747,29 +1648,90 @@ mod tests {
         );
     }
 
+    /// One table per stage, each drawing from its own stream split off
+    /// `root` as `{prefix}{i}`.
+    fn tables(stages: Vec<Stage>, root: &mut SimRng, prefix: &str) -> Vec<StageTable> {
+        stages
+            .into_iter()
+            .enumerate()
+            .map(|(i, stage)| StageTable::new(stage, root.split(&format!("{prefix}{i}")), 0))
+            .collect()
+    }
+
     #[test]
     fn a_full_hit_cache_equals_the_cacheless_constant_cost_chain() {
         // Chain-level equivalence: a stage whose cache always hits is the
         // same stage with the hit cost folded into its in-phase cost.
         let cached = Stage::try_new("auth", 10.0, 0.0)
             .unwrap()
-            .with_cache(5.0, 500.0, 1.0, 0)
+            .with_cache(5.0, 500.0)
             .unwrap();
         let folded = Stage::try_new("auth", 15.0, 0.0).unwrap();
         let tail = Stage::try_new("transform", 12.0, 0.0)
             .unwrap()
             .with_out_phase(4.0, 0.0)
             .unwrap();
-        let mut a = MiddlewareChain::new(vec![cached, tail.clone()]);
-        let mut b = MiddlewareChain::new(vec![folded, tail]);
         let mut root = SimRng::seed_from(96);
-        let mut rngs_a: Vec<SimRng> = (0..2).map(|i| root.split(&format!("a{i}"))).collect();
-        let mut rngs_b: Vec<SimRng> = (0..2).map(|i| root.split(&format!("b{i}"))).collect();
-        for _ in 0..200 {
-            let ta = a.traverse(&mut rngs_a);
-            let tb = b.traverse(&mut rngs_b);
+        let mut tables_a = tables(vec![cached, tail.clone()], &mut root, "a");
+        let mut tables_b = tables(vec![folded, tail], &mut root, "b");
+        let mut a = PointChain::new(&mut tables_a, 1.0, 0);
+        let mut b = PointChain::new(&mut tables_b, 1.0, 0);
+        for i in 0..200 {
+            let ta = a.traverse(i, |_| {});
+            let tb = b.traverse(i, |_| {});
             assert_eq!(ta.stage_cost, tb.stage_cost);
             assert_eq!(ta.stages_traversed, tb.stages_traversed);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn middleware_traversal_accounts_for_every_stage(
+            specs in prop::collection::vec(
+                ((0.0f64..200.0, 0.0f64..0.6, 0.0f64..1.0), (any::<bool>(), 0.0f64..50.0, 0.0f64..500.0)),
+                0..10,
+            ),
+            requests in 1usize..60,
+        ) {
+            // Chain-level bookkeeping under arbitrary stages: the traversal
+            // enters exactly the prefix up to and including the first
+            // short-circuit, cache hits and misses count only entered cached
+            // stages, and the charged cost is finite and non-negative.
+            let cached_flags: Vec<bool> = specs.iter().map(|s| s.1 .0).collect();
+            let stages: Vec<Stage> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, &((in_us, sigma, sc), (cached, hit_us, miss_us)))| {
+                    let stage = Stage::try_new(&format!("s{i}"), in_us, sigma)
+                        .unwrap()
+                        .with_short_circuit(sc)
+                        .unwrap()
+                        .with_out_phase(in_us / 2.0, sigma)
+                        .unwrap();
+                    if cached {
+                        stage.with_cache(hit_us, miss_us).unwrap()
+                    } else {
+                        stage
+                    }
+                })
+                .collect();
+            let depth = stages.len();
+            let mut tables = tables(stages, &mut SimRng::seed_from(11), "s");
+            let mut chain = PointChain::new(&mut tables, 0.5, 8);
+            for index in 0..requests {
+                let t = chain.traverse(index, |_| {});
+                let expected_traversed = t.short_circuit.map(|i| i + 1).unwrap_or(depth);
+                prop_assert_eq!(t.stages_traversed, expected_traversed);
+                if let Some(i) = t.short_circuit {
+                    prop_assert!(specs[i].0 .2 > 0.0, "stage {} cannot fire at rate 0", i);
+                }
+                let cached_entered = cached_flags[..t.stages_traversed]
+                    .iter()
+                    .filter(|&&c| c)
+                    .count();
+                prop_assert_eq!((t.cache_hits + t.cache_misses) as usize, cached_entered);
+                prop_assert!(t.stage_cost.as_nanos() < u64::MAX / 2);
+            }
         }
     }
 
@@ -1900,9 +1862,8 @@ mod tests {
         assert!(stage().with_short_circuit(1.5).is_err());
         assert!(stage().with_short_circuit(-0.1).is_err());
         assert!(stage().with_short_circuit(f64::NAN).is_err());
-        assert!(stage().with_cache(-5.0, 50.0, 0.9, 0).is_err());
-        assert!(stage().with_cache(5.0, f64::NAN, 0.9, 0).is_err());
-        assert!(stage().with_cache(5.0, 50.0, 1.1, 0).is_err());
+        assert!(stage().with_cache(-5.0, 50.0).is_err());
+        assert!(stage().with_cache(5.0, f64::NAN).is_err());
         // A degenerate benchmark configuration surfaces through run_trial.
         let bench = PipelineBenchmark {
             stage_in_frac: f64::NAN,

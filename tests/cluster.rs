@@ -7,16 +7,10 @@
 mod common;
 mod pins;
 
-use std::sync::OnceLock;
-
 use isolation_bench::harness::grid;
 use isolation_bench::harness::Series;
 use isolation_bench::prelude::*;
 use isolation_bench::workloads::{ClusterBenchmark, ClusterSetting, LoadBackend};
-
-fn cfg() -> RunConfig {
-    RunConfig::quick(2021)
-}
 
 const EXPERIMENTS: [ExperimentId; 2] = [ExperimentId::ClusterMemcached, ExperimentId::ClusterMysql];
 
@@ -25,16 +19,9 @@ const EXPERIMENTS: [ExperimentId; 2] = [ExperimentId::ClusterMemcached, Experime
 const SCALE_LABELS: [&str; 5] = ["s1", "s4", "s16", "s64", "s256"];
 const POLICY_LABELS: [&str; 2] = ["s16 pinned", "s16 rebal"];
 
-/// The serial reference figures, computed once: they are a pure function
-/// of the fixed seed, and every test in this file reads them.
-fn cluster_figures() -> &'static Vec<FigureData> {
-    static FIGURES: OnceLock<Vec<FigureData>> = OnceLock::new();
-    FIGURES.get_or_init(|| {
-        EXPERIMENTS
-            .iter()
-            .map(|e| figures::run(*e, &cfg()))
-            .collect()
-    })
+/// The serial reference figures: every test in this file reads them.
+fn cluster_figures() -> &'static [FigureData] {
+    common::serial(&EXPERIMENTS)
 }
 
 fn platforms_of(fig: &FigureData) -> Vec<String> {
@@ -48,27 +35,12 @@ fn series<'f>(fig: &'f FigureData, platform: &str, metric: &str) -> &'f Series {
 
 #[test]
 fn cluster_figures_are_bit_identical_for_1_2_and_8_workers() {
-    let serial = cluster_figures();
-    let serial_csv: Vec<String> = serial.iter().map(report::to_csv).collect();
-    for workers in [1, 2, 8] {
-        let run = Executor::new(
-            RunPlan::new(cfg())
-                .with_shard("cluster_m")
-                .with_workers(workers),
-        )
-        .run();
-        assert_eq!(&run.figures, serial, "workers={workers}");
-        let csv: Vec<String> = run.figures.iter().map(report::to_csv).collect();
-        assert_eq!(
-            csv, serial_csv,
-            "workers={workers} must render identical bytes"
-        );
-    }
+    common::assert_executor_reproduces(&["cluster_m"], &EXPERIMENTS);
 }
 
 #[test]
 fn cluster_figures_match_the_recorded_digests() {
-    common::assert_recorded_digests(cluster_figures(), cfg().seed);
+    common::assert_recorded_digests(cluster_figures());
 }
 
 #[test]

@@ -7,15 +7,9 @@
 mod common;
 mod pins;
 
-use std::sync::OnceLock;
-
 use isolation_bench::harness::grid;
 use isolation_bench::harness::Series;
 use isolation_bench::prelude::*;
-
-fn cfg() -> RunConfig {
-    RunConfig::quick(2021)
-}
 
 const EXPERIMENTS: [ExperimentId; 2] = [
     ExperimentId::ClusterFailoverMemcached,
@@ -37,16 +31,9 @@ const SETTING_LABELS: [&str; 10] = [
     "r3 failrec",
 ];
 
-/// The serial reference figures, computed once: they are a pure function
-/// of the fixed seed, and every test in this file reads them.
-fn failover_figures() -> &'static Vec<FigureData> {
-    static FIGURES: OnceLock<Vec<FigureData>> = OnceLock::new();
-    FIGURES.get_or_init(|| {
-        EXPERIMENTS
-            .iter()
-            .map(|e| figures::run(*e, &cfg()))
-            .collect()
-    })
+/// The serial reference figures: every test in this file reads them.
+fn failover_figures() -> &'static [FigureData] {
+    common::serial(&EXPERIMENTS)
 }
 
 fn platforms_of(fig: &FigureData) -> Vec<String> {
@@ -60,27 +47,12 @@ fn series<'f>(fig: &'f FigureData, platform: &str, metric: &str) -> &'f Series {
 
 #[test]
 fn failover_figures_are_bit_identical_for_1_2_and_8_workers() {
-    let serial = failover_figures();
-    let serial_csv: Vec<String> = serial.iter().map(report::to_csv).collect();
-    for workers in [1, 2, 8] {
-        let run = Executor::new(
-            RunPlan::new(cfg())
-                .with_shard("cluster_failover")
-                .with_workers(workers),
-        )
-        .run();
-        assert_eq!(&run.figures, serial, "workers={workers}");
-        let csv: Vec<String> = run.figures.iter().map(report::to_csv).collect();
-        assert_eq!(
-            csv, serial_csv,
-            "workers={workers} must render identical bytes"
-        );
-    }
+    common::assert_executor_reproduces(&["cluster_failover"], &EXPERIMENTS);
 }
 
 #[test]
 fn failover_figures_match_the_recorded_digests() {
-    common::assert_recorded_digests(failover_figures(), cfg().seed);
+    common::assert_recorded_digests(failover_figures());
 }
 
 #[test]

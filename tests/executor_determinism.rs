@@ -1,5 +1,10 @@
-//! The executor's headline guarantee: figure data is bit-identical for
-//! every worker count and matches the serial figure path byte for byte.
+//! The executor's run-plan knobs: a shard filter runs only the matching
+//! experiments with the data of the full run, and a trial override
+//! scales the cell grid without changing its shape. The headline
+//! guarantee, bit-identical figures for every worker count, is checked
+//! on the quick grid one shard at a time by `paper_shape` and the five
+//! sweep-family test files; the last test here checks that their shards
+//! cover the whole grid.
 
 use isolation_bench::prelude::*;
 
@@ -9,23 +14,6 @@ fn small() -> RunConfig {
         runs: 2,
         startups: 24,
         quick: true,
-    }
-}
-
-#[test]
-fn any_worker_count_is_bit_identical_to_the_serial_path() {
-    let cfg = small();
-    let serial: Vec<FigureData> = figures::run_all(&cfg);
-    let serial_csv: Vec<String> = serial.iter().map(report::to_csv).collect();
-    for workers in [1, 2, 8] {
-        let run = Executor::new(RunPlan::new(cfg).with_workers(workers)).run();
-        assert_eq!(run.workers, workers);
-        assert_eq!(run.figures, serial, "workers={workers}");
-        let csv: Vec<String> = run.figures.iter().map(report::to_csv).collect();
-        assert_eq!(
-            csv, serial_csv,
-            "workers={workers} must render identical bytes"
-        );
     }
 }
 
@@ -58,4 +46,35 @@ fn trial_override_scales_the_cell_grid_without_changing_its_shape() {
     let run = Executor::new(plan).run();
     assert_eq!(run.timings[0].cells, 10 * 5);
     assert_eq!(run.figures[0].series[0].points.len(), 10);
+}
+
+#[test]
+fn the_grid_test_shards_select_every_experiment_once() {
+    // The shard filters under which `paper_shape`, `load_curves`,
+    // `tenant_isolation`, `pipeline`, `cluster` and `cluster_failover`
+    // check the executor against the serial figure path.
+    let shards = [
+        "fig",
+        "sysbench_prime",
+        "load_",
+        "tenant_",
+        "pipeline",
+        "cluster_m",
+        "cluster_failover",
+    ];
+    for experiment in ExperimentId::all() {
+        let selecting = shards
+            .iter()
+            .filter(|shard| {
+                let plan = RunPlan::new(small()).with_shard(shard);
+                plan.experiments().contains(experiment)
+            })
+            .count();
+        assert_eq!(
+            selecting,
+            1,
+            "{} is selected by {selecting} grid test shards",
+            experiment.slug()
+        );
+    }
 }

@@ -5,57 +5,31 @@
 mod common;
 mod pins;
 
-use std::sync::OnceLock;
-
 use isolation_bench::harness::grid;
 use isolation_bench::prelude::*;
 
-fn cfg() -> RunConfig {
-    RunConfig::quick(2021)
-}
+const EXPERIMENTS: [ExperimentId; 2] = [ExperimentId::LoadMemcached, ExperimentId::LoadMysql];
 
-/// The serial reference figures, computed once: they are a pure function
-/// of the fixed seed, and every test in this file reads them.
-fn load_figures() -> &'static Vec<FigureData> {
-    static FIGURES: OnceLock<Vec<FigureData>> = OnceLock::new();
-    FIGURES.get_or_init(|| {
-        [ExperimentId::LoadMemcached, ExperimentId::LoadMysql]
-            .iter()
-            .map(|e| figures::run(*e, &cfg()))
-            .collect()
-    })
+/// The serial reference figures: every test in this file reads them.
+fn load_figures() -> &'static [FigureData] {
+    common::serial(&EXPERIMENTS)
 }
 
 #[test]
 fn load_curves_are_bit_identical_for_1_2_and_8_workers() {
-    let serial = load_figures();
-    let serial_csv: Vec<String> = serial.iter().map(report::to_csv).collect();
-    for workers in [1, 2, 8] {
-        let run = Executor::new(
-            RunPlan::new(cfg())
-                .with_shard("load_")
-                .with_workers(workers),
-        )
-        .run();
-        assert_eq!(&run.figures, serial, "workers={workers}");
-        let csv: Vec<String> = run.figures.iter().map(report::to_csv).collect();
-        assert_eq!(
-            csv, serial_csv,
-            "workers={workers} must render identical bytes"
-        );
-    }
+    common::assert_executor_reproduces(&["load_"], &EXPERIMENTS);
 }
 
 #[test]
 fn load_figures_match_the_recorded_digests() {
-    common::assert_recorded_digests(load_figures(), cfg().seed);
+    common::assert_recorded_digests(load_figures());
 }
 
 #[test]
 fn load_curves_report_matches_the_committed_artifact() {
     pins::assert_report_matches(
         load_figures(),
-        &[ExperimentId::LoadMemcached, ExperimentId::LoadMysql],
+        &EXPERIMENTS,
         include_str!("../BENCH_load_curves.json"),
     );
 }

@@ -1,14 +1,13 @@
-//! Integration tests spanning the whole workspace: regenerate figures
-//! through the facade crate, verify the paper's headline shapes and pin
-//! every paper figure to its recorded reference digest.
+//! Integration tests spanning the whole workspace: the paper's figures,
+//! computed through the facade crate, are bit-identical across executor
+//! worker counts, match their recorded reference digests and hold the
+//! paper's headline shapes.
 
 mod common;
 
 use isolation_bench::prelude::*;
 
-fn cfg() -> RunConfig {
-    RunConfig::quick(2021)
-}
+use common::cfg;
 
 /// The paper's fifteen experiments, Fig. 5 to Fig. 18 plus sysbench prime.
 const PAPER_EXPERIMENTS: [ExperimentId; 15] = [
@@ -29,18 +28,35 @@ const PAPER_EXPERIMENTS: [ExperimentId; 15] = [
     ExperimentId::Fig18Hap,
 ];
 
+/// The serial reference figures: every test in this file but the
+/// reproducibility check reads them.
+fn paper_figures() -> &'static [FigureData] {
+    common::serial(&PAPER_EXPERIMENTS)
+}
+
+/// The serial reference figure of one paper experiment.
+fn figure(experiment: ExperimentId) -> &'static FigureData {
+    paper_figures()
+        .iter()
+        .find(|f| f.experiment == experiment)
+        .unwrap_or_else(|| panic!("no {experiment:?} paper figure"))
+}
+
+#[test]
+fn paper_figures_are_bit_identical_for_1_2_and_8_workers() {
+    // Fig. 5 to Fig. 18 share the `fig` slug prefix; sysbench prime is the
+    // one paper experiment without it.
+    common::assert_executor_reproduces(&["fig", "sysbench_prime"], &PAPER_EXPERIMENTS);
+}
+
 #[test]
 fn paper_figures_match_the_recorded_digests() {
-    let figs: Vec<FigureData> = PAPER_EXPERIMENTS
-        .iter()
-        .map(|e| figures::run(*e, &cfg()))
-        .collect();
-    common::assert_recorded_digests(&figs, cfg().seed);
+    common::assert_recorded_digests(paper_figures());
 }
 
 #[test]
 fn figure_11_reproduces_the_network_ordering() {
-    let fig = figures::run(ExperimentId::Fig11Iperf, &cfg());
+    let fig = figure(ExperimentId::Fig11Iperf);
     let s = &fig.series[0];
     let v = |x: &str| s.mean_of(x).unwrap();
     assert!(v("native") > v("osv"));
@@ -52,7 +68,7 @@ fn figure_11_reproduces_the_network_ordering() {
 
 #[test]
 fn figure_17_groups_hold_through_the_facade() {
-    let fig = figures::run(ExperimentId::Fig17Mysql, &cfg());
+    let fig = figure(ExperimentId::Fig17Mysql);
     let best = |label: &str| {
         fig.series_named(label)
             .unwrap()
@@ -73,7 +89,7 @@ fn figure_17_groups_hold_through_the_facade() {
 
 #[test]
 fn figure_18_orders_firecracker_widest_and_osv_narrowest() {
-    let fig = figures::run(ExperimentId::Fig18Hap, &cfg());
+    let fig = figure(ExperimentId::Fig18Hap);
     let s = fig.series_named("distinct host kernel functions").unwrap();
     let fc = s.mean_of("firecracker").unwrap();
     let osv = s.mean_of("osv").unwrap();
@@ -89,17 +105,9 @@ fn figure_18_orders_firecracker_widest_and_osv_narrowest() {
 
 #[test]
 fn every_figure_generates_non_empty_markdown_and_csv() {
-    for figure in figures::run_all(&cfg()) {
-        let md = report::to_markdown(&figure);
-        let csv = report::to_csv(&figure);
-        assert!(
-            md.contains("###"),
-            "{:?} markdown missing title",
-            figure.experiment
-        );
-        assert!(csv.lines().count() > 1, "{:?} csv empty", figure.experiment);
-        assert!(!figure.series.is_empty());
-    }
+    // The sweep families' figures are checked the same way by their
+    // files' worker-count tests.
+    common::assert_renders(paper_figures());
 }
 
 #[test]

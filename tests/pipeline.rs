@@ -7,17 +7,11 @@
 mod common;
 mod pins;
 
-use std::sync::OnceLock;
-
 use isolation_bench::harness::grid;
 use isolation_bench::harness::Series;
 use isolation_bench::prelude::*;
 use isolation_bench::workloads::pipeline::BASELINE_HIT_RATE;
 use isolation_bench::workloads::{LoadBackend, PipelineBenchmark, PipelineSetting};
-
-fn cfg() -> RunConfig {
-    RunConfig::quick(2021)
-}
 
 const EXPERIMENTS: [ExperimentId; 2] =
     [ExperimentId::PipelineMemcached, ExperimentId::PipelineMysql];
@@ -25,16 +19,9 @@ const EXPERIMENTS: [ExperimentId; 2] =
 /// Labels of the warm-cache depth sweep, in ascending depth order.
 const DEPTH_LABELS: [&str; 5] = ["d1 h0.90", "d2 h0.90", "d4 h0.90", "d6 h0.90", "d8 h0.90"];
 
-/// The serial reference figures, computed once: they are a pure function
-/// of the fixed seed, and every test in this file reads them.
-fn pipeline_figures() -> &'static Vec<FigureData> {
-    static FIGURES: OnceLock<Vec<FigureData>> = OnceLock::new();
-    FIGURES.get_or_init(|| {
-        EXPERIMENTS
-            .iter()
-            .map(|e| figures::run(*e, &cfg()))
-            .collect()
-    })
+/// The serial reference figures: every test in this file reads them.
+fn pipeline_figures() -> &'static [FigureData] {
+    common::serial(&EXPERIMENTS)
 }
 
 fn platforms_of(fig: &FigureData) -> Vec<String> {
@@ -48,27 +35,12 @@ fn series<'f>(fig: &'f FigureData, platform: &str, metric: &str) -> &'f Series {
 
 #[test]
 fn pipeline_figures_are_bit_identical_for_1_2_and_8_workers() {
-    let serial = pipeline_figures();
-    let serial_csv: Vec<String> = serial.iter().map(report::to_csv).collect();
-    for workers in [1, 2, 8] {
-        let run = Executor::new(
-            RunPlan::new(cfg())
-                .with_shard("pipeline")
-                .with_workers(workers),
-        )
-        .run();
-        assert_eq!(&run.figures, serial, "workers={workers}");
-        let csv: Vec<String> = run.figures.iter().map(report::to_csv).collect();
-        assert_eq!(
-            csv, serial_csv,
-            "workers={workers} must render identical bytes"
-        );
-    }
+    common::assert_executor_reproduces(&["pipeline"], &EXPERIMENTS);
 }
 
 #[test]
 fn pipeline_figures_match_the_recorded_digests() {
-    common::assert_recorded_digests(pipeline_figures(), cfg().seed);
+    common::assert_recorded_digests(pipeline_figures());
 }
 
 #[test]

@@ -12,11 +12,12 @@ use isolation_bench::relstore::{Database, Row};
 use isolation_bench::simcore::resource::CompletionTimer;
 use isolation_bench::simcore::stats::{Cdf, RunningStats};
 use isolation_bench::simcore::{rng, Bandwidth, CoreCounters, EventQueue, Nanos, Replay, SimRng};
+use isolation_bench::workloads::cluster::{FaultPlan, RoutePolicy, BASELINE_THETA};
 use isolation_bench::workloads::pipeline::BASELINE_HIT_RATE;
 use isolation_bench::workloads::slots::{ClassConfig, SlotPolicy, SlotPool};
 use isolation_bench::workloads::{
-    ArrivalProcess, ClusterBenchmark, LoadBackend, LoadgenBenchmark, MiddlewareChain,
-    PipelineBenchmark, PipelineSetting, Stage, TenancyBenchmark, TenantSpec,
+    ArrivalProcess, ClusterBenchmark, ClusterSetting, LoadBackend, LoadgenBenchmark,
+    PipelineBenchmark, PipelineSetting, TenancyBenchmark, TenantSpec,
 };
 
 /// The completion-timer protocol written out over a plain `EventQueue`:
@@ -453,55 +454,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn middleware_traversal_accounts_for_every_stage(
-        specs in prop::collection::vec(
-            ((0.0f64..200.0, 0.0f64..0.6, 0.0f64..1.0), (any::<bool>(), 0.0f64..50.0, 0.0f64..500.0)),
-            0..10,
-        ),
-        requests in 1usize..60,
-    ) {
-        // Chain-level bookkeeping under arbitrary stages: the traversal
-        // enters exactly the prefix up to and including the first
-        // short-circuit, cache hits and misses count only entered cached
-        // stages, and the charged cost is finite and non-negative.
-        let cached_flags: Vec<bool> = specs.iter().map(|s| s.1 .0).collect();
-        let stages: Vec<Stage> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, &((in_us, sigma, sc), (cached, hit_us, miss_us)))| {
-                let stage = Stage::try_new(&format!("s{i}"), in_us, sigma)
-                    .unwrap()
-                    .with_short_circuit(sc)
-                    .unwrap()
-                    .with_out_phase(in_us / 2.0, sigma)
-                    .unwrap();
-                if cached {
-                    stage.with_cache(hit_us, miss_us, 0.5, 8).unwrap()
-                } else {
-                    stage
-                }
-            })
-            .collect();
-        let mut chain = MiddlewareChain::new(stages);
-        let mut root = SimRng::seed_from(11);
-        let mut rngs: Vec<SimRng> = (0..chain.depth()).map(|i| root.split(&format!("s{i}"))).collect();
-        for _ in 0..requests {
-            let t = chain.traverse(&mut rngs);
-            let expected_traversed = t.short_circuit.map(|i| i + 1).unwrap_or(chain.depth());
-            prop_assert_eq!(t.stages_traversed, expected_traversed);
-            if let Some(i) = t.short_circuit {
-                prop_assert!(specs[i].0 .2 > 0.0, "stage {} cannot fire at rate 0", i);
-            }
-            let cached_entered = cached_flags[..t.stages_traversed]
-                .iter()
-                .filter(|&&c| c)
-                .count();
-            prop_assert_eq!((t.cache_hits + t.cache_misses) as usize, cached_entered);
-            prop_assert!(t.stage_cost.as_nanos() < u64::MAX / 2);
-        }
-    }
 }
 
 proptest! {
@@ -610,6 +562,75 @@ proptest! {
                 for v in [p.offered_per_sec, p.achieved_per_sec, p.p99_us, p.mean_us, p.slo_us] {
                     prop_assert!(v.is_finite(), "{:?}", p);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn cluster_conserves_requests_or_refuses_the_config(
+        quorum in any::<bool>(),
+        shards in 1usize..17,
+        shape in (0usize..5, 0usize..5, 0usize..5),
+        fault in 0u32..3,
+        pinned in any::<bool>(),
+        requests_per_point in 1usize..17,
+        queue_capacity in 1usize..65,
+        offered in 0.0f64..5.0,
+        seed in 0u64..u64::MAX,
+    ) {
+        // Arbitrary shard counts, quorum shapes (out-of-range ones
+        // included), fault plans, queue capacities and loads up to 5x
+        // capacity: a run either refuses the configuration or resolves
+        // every request exactly once, with ordered, finite percentiles
+        // and a drop fraction that is a probability.
+        let (replicas, write_quorum, fanout) = shape;
+        let route = if pinned { RoutePolicy::Pinned } else { RoutePolicy::Hashed };
+        let setting = if quorum {
+            ClusterSetting {
+                route,
+                replicas,
+                write_quorum,
+                fanout,
+                fault: [FaultPlan::None, FaultPlan::Fail, FaultPlan::FailRecover][fault as usize],
+                ..ClusterSetting::replicated(shards, 1, 1)
+            }
+        } else if pinned {
+            ClusterSetting::pinned(shards)
+        } else {
+            ClusterSetting::hashed(shards, BASELINE_THETA)
+        };
+        let bench = ClusterBenchmark {
+            requests_per_point,
+            queue_capacity,
+            offered_fraction: offered,
+            runs: 1,
+            sweep: vec![setting],
+            ..ClusterBenchmark::quick(LoadBackend::Memcached)
+        };
+        let platform = PlatformId::Native.build();
+        if let Ok(points) = bench.run_trial(&platform, &mut SimRng::seed_from(seed)) {
+            prop_assert_eq!(points.len(), 1);
+            let p = &points[0];
+            prop_assert_eq!(p.completed + p.dropped, requests_per_point as u64, "{:?}", p);
+            prop_assert!(p.p50_us <= p.p95_us && p.p95_us <= p.p99_us, "{:?}", p);
+            prop_assert!((0.0..=1.0).contains(&p.drop_fraction), "{:?}", p);
+            for v in [
+                p.offered_per_sec,
+                p.achieved_per_sec,
+                p.p50_us,
+                p.p95_us,
+                p.p99_us,
+                p.mean_us,
+                p.hot_p99_us,
+                p.scatter_p99_us,
+                p.hot_share,
+                p.imbalance,
+                p.drop_fraction,
+                p.pre_fail_drop_rate,
+                p.fail_window_drop_rate,
+                p.post_recover_drop_rate,
+            ] {
+                prop_assert!(v.is_finite(), "{:?}", p);
             }
         }
     }

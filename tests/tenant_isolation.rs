@@ -6,31 +6,18 @@
 mod common;
 mod pins;
 
-use std::sync::OnceLock;
-
 use isolation_bench::harness::grid;
 use isolation_bench::harness::Series;
 use isolation_bench::prelude::*;
-
-fn cfg() -> RunConfig {
-    RunConfig::quick(2021)
-}
 
 const EXPERIMENTS: [ExperimentId; 2] = [
     ExperimentId::TenantIsolationMemcached,
     ExperimentId::TenantIsolationMysql,
 ];
 
-/// The serial reference figures, computed once: they are a pure function
-/// of the fixed seed, and every test in this file reads them.
-fn tenant_figures() -> &'static Vec<FigureData> {
-    static FIGURES: OnceLock<Vec<FigureData>> = OnceLock::new();
-    FIGURES.get_or_init(|| {
-        EXPERIMENTS
-            .iter()
-            .map(|e| figures::run(*e, &cfg()))
-            .collect()
-    })
+/// The serial reference figures: every test in this file reads them.
+fn tenant_figures() -> &'static [FigureData] {
+    common::serial(&EXPERIMENTS)
 }
 
 fn platforms_of(fig: &FigureData) -> Vec<String> {
@@ -44,27 +31,12 @@ fn series<'f>(fig: &'f FigureData, platform: &str, metric: &str) -> &'f Series {
 
 #[test]
 fn tenant_figures_are_bit_identical_for_1_2_and_8_workers() {
-    let serial = tenant_figures();
-    let serial_csv: Vec<String> = serial.iter().map(report::to_csv).collect();
-    for workers in [1, 2, 8] {
-        let run = Executor::new(
-            RunPlan::new(cfg())
-                .with_shard("tenant_")
-                .with_workers(workers),
-        )
-        .run();
-        assert_eq!(&run.figures, serial, "workers={workers}");
-        let csv: Vec<String> = run.figures.iter().map(report::to_csv).collect();
-        assert_eq!(
-            csv, serial_csv,
-            "workers={workers} must render identical bytes"
-        );
-    }
+    common::assert_executor_reproduces(&["tenant_"], &EXPERIMENTS);
 }
 
 #[test]
 fn tenant_figures_match_the_recorded_digests() {
-    common::assert_recorded_digests(tenant_figures(), cfg().seed);
+    common::assert_recorded_digests(tenant_figures());
 }
 
 #[test]
