@@ -4,7 +4,8 @@
 //! workers — and writes `BENCH_full_grid.json` with per-experiment
 //! wall-clock numbers, seeding the repo's performance trajectory. Exits
 //! non-zero if any experiment cell is missing from the report, so CI can
-//! gate on grid completeness, and, with `--baseline`, if
+//! gate on grid completeness, if the report holds a non-finite value
+//! (NaN/inf), and, with `--baseline`, if
 //! `fig16_memcached` takes more than its allowed share of the serial
 //! pass's cell time or, in quick mode, `tenant_isolation_memcached` takes
 //! more than its allowed multiple of `tenant_isolation_mysql`'s.
@@ -24,7 +25,7 @@
 //!   when `tenant_isolation_memcached`'s serial cell time exceeds that
 //!   multiple of `tenant_isolation_mysql`'s
 
-use harness::cli::{flag_value, json_number, run_serial_and_parallel};
+use harness::cli::{flag_value, json_number, run_serial_and_parallel, write_artifact};
 use harness::{report, ExperimentId};
 
 fn main() {
@@ -34,8 +35,8 @@ fn main() {
     let serialize_start = std::time::Instant::now();
     let json = report::full_grid_json(run.mode, run.config.seed, &run.serial, &run.parallel);
     let serialize_ms = serialize_start.elapsed().as_secs_f64() * 1e3;
-    std::fs::write(&run.out_path, &json)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", run.out_path));
+    let mut failures = Vec::new();
+    write_artifact(&run.out_path, &json, &mut failures);
 
     println!(
         "| experiment | cells | serial (ms) | {} workers (ms) |",
@@ -83,7 +84,6 @@ fn main() {
         run.out_path,
     );
 
-    let mut failures = Vec::new();
     // Completeness gate: every experiment of the evaluation must be in the
     // report with a full cell complement and non-empty figure data.
     let mut missing = Vec::new();

@@ -79,13 +79,6 @@ impl StorageStack {
         self.host_cache.drop_caches();
     }
 
-    /// Drops the guest page cache if one exists.
-    pub fn drop_guest_cache(&mut self) {
-        if let Some(cache) = &mut self.guest_cache {
-            cache.drop_caches();
-        }
-    }
-
     /// Whether an `O_DIRECT` request issued by the workload still carries
     /// the direct flag when it reaches the host block layer.
     pub fn direct_flag_reaches_host(&self) -> bool {

@@ -1,7 +1,8 @@
-//! Tiny flag- and baseline-parsing helpers, the shared serial-vs-parallel
-//! bench scaffold ([`run_serial_and_parallel`]) behind every bench
-//! runner, and the one driver ([`run_sweep_bench`]) the five sweep bench
-//! modes (`load_curves`, `tenant_isolation`, `pipeline`, `cluster` and
+//! Tiny flag- and baseline-parsing helpers, the one artifact writer
+//! ([`write_artifact`]), the shared serial-vs-parallel bench scaffold
+//! ([`run_serial_and_parallel`]) behind every bench runner, and the one
+//! driver ([`run_sweep_bench`]) the five sweep bench modes
+//! (`load_curves`, `tenant_isolation`, `pipeline`, `cluster` and
 //! `cluster --failover`) run through.
 
 use std::process::ExitCode;
@@ -54,6 +55,20 @@ pub fn json_number(json: &str, key: &str) -> Option<f64> {
         .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// Writes one bench artifact to `path` and adds a gate failure to
+/// `failures` if it holds a non-finite value ([`report::find_non_finite`]).
+/// Every report and trace the bench binaries emit goes through it.
+///
+/// # Panics
+///
+/// Panics if the artifact cannot be written.
+pub fn write_artifact(path: &str, json: &str, failures: &mut Vec<String>) {
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    if let Some(token) = report::find_non_finite(json) {
+        failures.push(format!("{path} contains non-finite value {token:?}"));
+    }
 }
 
 /// The outcome of one [`run_serial_and_parallel`] invocation.
@@ -152,11 +167,12 @@ pub struct SweepBench {
 /// Runs one sweep bench mode end to end: both passes
 /// ([`run_serial_and_parallel`]), then `domain`, which adds the mode's
 /// own gate failures and returns the report's extra header fields in
-/// order. It then writes the report ([`report::sweep_json`]), prints the
-/// figures and wall clocks, runs `--trace`, and gates on every
-/// experiment being present in both passes, on the two passes' figures
-/// being identical and on the report being finite. Returns failure,
-/// after naming every failed gate, if any gate failed.
+/// order. It then writes the report ([`report::sweep_json`]) with
+/// [`write_artifact`], prints the figures and wall clocks, runs
+/// `--trace`, and gates on every experiment being present in both
+/// passes, on the two passes' figures being identical and on every
+/// artifact being finite. Returns failure, after naming every failed
+/// gate, if any gate failed.
 ///
 /// # Panics
 ///
@@ -179,8 +195,7 @@ pub fn run_sweep_bench(
         bench.experiments,
         &extra,
     );
-    std::fs::write(&run.out_path, &json)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", run.out_path));
+    write_artifact(&run.out_path, &json, &mut failures);
 
     for figure in &run.serial.figures {
         println!("{}", report::to_markdown(figure));
@@ -194,12 +209,12 @@ pub fn run_sweep_bench(
     );
 
     if let Some(target) = bench.trace.filter(|_| args.iter().any(|a| a == "--trace")) {
-        let trace = crate::obs::emit_trace_artifacts(target, run.mode == "quick", run.config.seed);
-        if let Some(token) = trace.non_finite {
-            failures.push(format!(
-                "trace timeline contains non-finite value {token:?}"
-            ));
-        }
+        let trace = crate::obs::emit_trace_artifacts(
+            target,
+            run.mode == "quick",
+            run.config.seed,
+            &mut failures,
+        );
         println!(
             "trace: {} spans accepted; artifacts: {}, {}",
             trace.spans_accepted, trace.chrome_path, trace.timeline_path
@@ -223,9 +238,6 @@ pub fn run_sweep_bench(
             "serial and {}-worker figure data disagree",
             run.parallel_workers
         ));
-    }
-    if let Some(token) = report::find_non_finite(&json) {
-        failures.push(format!("emitted JSON contains non-finite value {token:?}"));
     }
     if failures.is_empty() {
         ExitCode::SUCCESS
@@ -263,6 +275,22 @@ mod tests {
         assert_eq!(json_number(json, "big"), Some(4e6));
         assert_eq!(json_number(json, "comment"), None);
         assert_eq!(json_number(json, "absent"), None);
+    }
+
+    #[test]
+    fn written_artifacts_fail_the_run_on_a_non_finite_value() {
+        let out = std::env::temp_dir().join(format!("artifact_{}.json", std::process::id()));
+        let path = out.to_str().expect("the temp path is UTF-8");
+        let mut failures = Vec::new();
+        write_artifact(path, "{\"x\": 1.5}\n", &mut failures);
+        assert!(failures.is_empty());
+        write_artifact(path, "{\"x\": NaN}\n", &mut failures);
+        assert_eq!(
+            failures,
+            [format!("{path} contains non-finite value \"NaN\"")]
+        );
+        assert_eq!(std::fs::read_to_string(&out).unwrap(), "{\"x\": NaN}\n");
+        std::fs::remove_file(&out).expect("the artifact exists");
     }
 
     #[test]

@@ -271,6 +271,26 @@ mod tests {
     }
 
     #[test]
+    fn every_variant_with_a_slug_is_in_all() {
+        // `slug()` must match every variant, one `=> "<slug>",` arm each,
+        // so a variant left out of `all()` leaves an arm over.
+        let source = include_str!("experiment.rs");
+        let (_, body) = source
+            .split_once("pub fn slug(self)")
+            .expect("slug() is defined here");
+        let (body, _) = body.split_once("\n    }\n").expect("slug() ends");
+        let arms = body
+            .lines()
+            .filter(|line| line.contains(" => \"") && line.ends_with("\","))
+            .count();
+        assert_eq!(
+            arms,
+            ExperimentId::all().len(),
+            "slug() names a variant that all() leaves out"
+        );
+    }
+
+    #[test]
     fn series_lookup_by_label_and_x() {
         let mut fig = FigureData::new(ExperimentId::Fig11Iperf);
         let mut s = Series::new("throughput");

@@ -46,4 +46,4 @@ pub mod report;
 pub use config::RunConfig;
 pub use executor::{Executor, RunPlan, RunReport};
 pub use experiment::{DataPoint, ExperimentId, FigureData, Series};
-pub use findings::{check_findings, check_findings_on, FindingCheck};
+pub use findings::{check_findings_on, FindingCheck};

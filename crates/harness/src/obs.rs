@@ -34,6 +34,9 @@ pub struct TraceArtifacts {
     pub timeline: String,
     /// Spans accepted by the recorder, overwritten ones included.
     pub spans_accepted: u64,
+    /// Admission drops over the traced run per lane label, in lane
+    /// registration order ([`Recorder::lane_drops`]).
+    pub drops: Vec<(String, u64)>,
 }
 
 /// Builds the recorder a traced `target` run uses: sampling seed derived
@@ -133,6 +136,11 @@ pub fn traced_run(target: &str, quick: bool, seed: u64) -> Result<TraceArtifacts
         chrome: recorder.chrome_trace_json(target),
         timeline: recorder.timeline_json(target, seed),
         spans_accepted: recorder.spans_accepted(),
+        drops: recorder
+            .lane_drops()
+            .into_iter()
+            .map(|(lane, drops)| (lane.to_string(), drops))
+            .collect(),
     })
 }
 
@@ -145,34 +153,35 @@ pub struct TraceEmit {
     pub timeline_path: String,
     /// Spans accepted by the recorder, overwritten ones included.
     pub spans_accepted: u64,
-    /// A non-finite token found in the timeline, if any — the caller
-    /// turns this into a bench failure.
-    pub non_finite: Option<&'static str>,
 }
 
 /// The shared `--trace` pass of the bench binaries: runs the traced
 /// sweep point of `target` and writes `TRACE_<target>.json` (Chrome
 /// trace events) and `BENCH_trace_<target>.json` (the windowed-metrics
-/// timeline) into the working directory.
+/// timeline) into the working directory with
+/// [`crate::cli::write_artifact`], which adds a failure to `failures`
+/// for an artifact that holds a non-finite value.
 ///
 /// # Panics
 ///
 /// Panics if the traced run fails or either artifact cannot be written —
 /// a bench binary asked to trace must not silently skip it.
-pub fn emit_trace_artifacts(target: &str, quick: bool, seed: u64) -> TraceEmit {
+pub fn emit_trace_artifacts(
+    target: &str,
+    quick: bool,
+    seed: u64,
+    failures: &mut Vec<String>,
+) -> TraceEmit {
     let trace = traced_run(target, quick, seed)
         .unwrap_or_else(|e| panic!("traced {target} run failed: {e:?}"));
     let chrome_path = format!("TRACE_{target}.json");
     let timeline_path = format!("BENCH_trace_{target}.json");
-    std::fs::write(&chrome_path, &trace.chrome)
-        .unwrap_or_else(|e| panic!("cannot write {chrome_path}: {e}"));
-    std::fs::write(&timeline_path, &trace.timeline)
-        .unwrap_or_else(|e| panic!("cannot write {timeline_path}: {e}"));
+    crate::cli::write_artifact(&chrome_path, &trace.chrome, failures);
+    crate::cli::write_artifact(&timeline_path, &trace.timeline, failures);
     TraceEmit {
         chrome_path,
         timeline_path,
         spans_accepted: trace.spans_accepted,
-        non_finite: crate::report::find_non_finite(&trace.timeline),
     }
 }
 

@@ -110,11 +110,6 @@ impl Store {
         self.shard_for(key).lock().delete(key)
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Snapshot of the aggregate statistics.
     pub fn stats(&self) -> StoreStats {
         let mut entries = 0u64;

@@ -48,12 +48,6 @@ impl NetworkPath {
         }
     }
 
-    /// Overrides the NIC line rate.
-    pub fn with_nic(mut self, nic: Bandwidth) -> Self {
-        self.nic = nic;
-        self
-    }
-
     /// Sets the run-to-run noise.
     pub fn with_jitter(mut self, jitter: f64) -> Self {
         self.jitter = jitter.max(0.0);

@@ -117,11 +117,6 @@ impl CfsScheduler {
     pub fn nested() -> Self {
         CfsScheduler { nested: true }
     }
-
-    /// Whether this instance models double scheduling.
-    pub fn is_nested(&self) -> bool {
-        self.nested
-    }
 }
 
 impl ThreadScheduler for CfsScheduler {

@@ -378,6 +378,19 @@ impl Recorder {
         bucket.max_in_service = bucket.max_in_service.max(in_service as u64);
     }
 
+    /// Each lane's label and admission drops over the whole run, in
+    /// registration order: the sum of the per-bucket `drops` that
+    /// [`Recorder::timeline_json`] writes.
+    pub fn lane_drops(&self) -> Vec<(&str, u64)> {
+        self.lanes
+            .iter()
+            .map(|lane| {
+                let drops = lane.buckets.iter().map(|b| b.drops).sum();
+                (lane.label.as_str(), drops)
+            })
+            .collect()
+    }
+
     /// Attaches the run's event-core counter profile to the timeline
     /// artifact.
     pub fn set_core_counters(&mut self, counters: CoreCounters) {
@@ -625,6 +638,8 @@ mod tests {
         r.count_cache(lane, Nanos::from_micros(13), false);
         r.gauge(lane, Nanos::from_micros(5), 7, 2);
         r.gauge(lane, Nanos::from_micros(6), 3, 9);
+        r.count_drop(lane, Nanos::from_micros(25));
+        assert_eq!(r.lane_drops(), [("tenant-a", 2)]);
         let json = r.timeline_json("unit", 7);
         assert!(json.contains("\"schema\": \"isolation-bench/obs/v1\""));
         assert!(json.contains(

@@ -70,12 +70,6 @@ impl Nanos {
         Self::from_secs_f64(us / 1e6)
     }
 
-    /// Creates a duration from fractional milliseconds, saturating at zero
-    /// for negative inputs.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
     /// Returns the raw nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0

@@ -1,9 +1,9 @@
 //! Human-readable and machine-readable rendering of a lint [`Report`].
 //!
 //! The JSON is hand-rolled (like the harness's bench artifacts) so the
-//! lint tool stays dependency-free; `ci/check_bench.sh` greps the
-//! emitted `"schema"` and `"clean"` fields to gate the
-//! `lint-determinism` CI job.
+//! lint tool stays dependency-free. `--check` exits non-zero unless the
+//! report is clean, and the facade's `tests/determinism_lint.rs` checks
+//! that the committed `SIMLINT.json` equals the tree's report.
 
 use crate::rules::{describe, Finding, RULE_IDS};
 use crate::Report;

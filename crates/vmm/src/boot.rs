@@ -101,12 +101,6 @@ impl BootTimeline {
         let mean = self.mean_total().as_secs_f64();
         Nanos::from_secs_f64(rng.normal_pos(mean, mean * self.jitter))
     }
-
-    /// Samples one stdout-method measurement.
-    pub fn sample_stdout_method(&self, rng: &mut SimRng) -> Nanos {
-        let mean = self.mean_stdout_method().as_secs_f64();
-        Nanos::from_secs_f64(rng.normal_pos(mean, mean * self.jitter))
-    }
 }
 
 #[cfg(test)]

@@ -53,6 +53,14 @@ fn cluster_report_matches_the_committed_artifact() {
 }
 
 #[test]
+fn cluster_findings_hold() {
+    common::assert_findings(
+        cluster_figures(),
+        &["cluster-01", "cluster-02", "cluster-03"],
+    );
+}
+
+#[test]
 fn sweeps_cover_every_platform_metric_and_routing_point() {
     for fig in cluster_figures() {
         let platforms = platforms_of(fig);

@@ -65,6 +65,14 @@ fn failover_report_matches_the_committed_artifact() {
 }
 
 #[test]
+fn failover_findings_hold() {
+    common::assert_findings(
+        failover_figures(),
+        &["failover-01", "failover-02", "failover-03"],
+    );
+}
+
+#[test]
 fn sweeps_cover_every_platform_metric_and_setting() {
     for fig in failover_figures() {
         let platforms = platforms_of(fig);

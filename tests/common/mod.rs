@@ -5,6 +5,7 @@
 
 use std::sync::OnceLock;
 
+use isolation_bench::harness::check_findings_on;
 use isolation_bench::prelude::{
     figures, report, Executor, ExperimentId, FigureData, RunConfig, RunPlan,
 };
@@ -78,6 +79,16 @@ pub fn assert_recorded_digests(figures: &[FigureData]) {
             "{slug} at seed {seed} differs from its perfbench/digests.txt figure"
         );
     }
+}
+
+/// Asserts that the finding checks over `figures` are exactly
+/// `expected`, in order, and that every one of them passes.
+pub fn assert_findings(figures: &[FigureData], expected: &[&str]) {
+    let checks = check_findings_on(figures);
+    let ids: Vec<&str> = checks.iter().map(|c| c.id).collect();
+    assert_eq!(ids, expected, "the finding checks these figures run");
+    let failed: Vec<_> = checks.iter().filter(|c| !c.passed).collect();
+    assert!(failed.is_empty(), "failed findings: {failed:#?}");
 }
 
 /// Asserts that every figure renders a titled markdown table and a CSV

@@ -35,6 +35,14 @@ fn load_curves_report_matches_the_committed_artifact() {
 }
 
 #[test]
+fn load_findings_hold() {
+    common::assert_findings(
+        load_figures(),
+        &["load-01", "load-02", "load-04", "load-03"],
+    );
+}
+
+#[test]
 fn load_sweeps_cover_enough_points_and_platforms() {
     for fig in load_figures() {
         let platforms = grid::platforms_of(fig, grid::LOAD_P50);

@@ -55,6 +55,31 @@ fn paper_figures_match_the_recorded_digests() {
 }
 
 #[test]
+fn the_papers_findings_hold() {
+    common::assert_findings(
+        paper_figures(),
+        &[
+            "finding-01",
+            "finding-01b",
+            "finding-03",
+            "finding-04",
+            "finding-06",
+            "finding-07",
+            "network-bridge",
+            "network-hypervisor",
+            "finding-12",
+            "finding-13",
+            "finding-14",
+            "finding-15",
+            "finding-24",
+            "finding-25",
+            "finding-26",
+            "finding-27",
+        ],
+    );
+}
+
+#[test]
 fn figure_11_reproduces_the_network_ordering() {
     let fig = figure(ExperimentId::Fig11Iperf);
     let s = &fig.series[0];

@@ -53,6 +53,14 @@ fn pipeline_report_matches_the_committed_artifact() {
 }
 
 #[test]
+fn pipeline_findings_hold() {
+    common::assert_findings(
+        pipeline_figures(),
+        &["pipeline-01", "pipeline-02", "pipeline-03"],
+    );
+}
+
+#[test]
 fn sweeps_cover_every_platform_metric_and_the_storm_point() {
     for fig in pipeline_figures() {
         let platforms = platforms_of(fig);

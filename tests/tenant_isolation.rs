@@ -49,6 +49,11 @@ fn tenant_report_matches_the_committed_artifact() {
 }
 
 #[test]
+fn tenant_findings_hold() {
+    common::assert_findings(tenant_figures(), &["tenant-01", "tenant-02", "tenant-03"]);
+}
+
+#[test]
 fn sweeps_cover_every_platform_metric_and_reach_overload() {
     for fig in tenant_figures() {
         let platforms = platforms_of(fig);
