@@ -44,7 +44,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use harness::cli::{flag_value, json_number, run_sweep_bench, BenchRun, SweepBench};
+use harness::cli::{flag_value, json_number, replay_median, run_sweep_bench, BenchRun, SweepBench};
 use harness::executor::RunReport;
 use harness::{grid, ExperimentId, FigureData};
 use platforms::PlatformId;
@@ -114,35 +114,23 @@ fn timed_sweep(
 ) -> (&'static str, String) {
     let platform = PlatformId::Native.build();
     let bench = sweep_bench(failover, run.mode == "quick");
-    let replay = || {
+    let replays = replay_median(REPLAYS, "timed sweep", failures, || {
         let mut rng = SimRng::seed_from(run.config.seed);
         let start = Instant::now();
         let points = bench
             .run_trial(&platform, &mut rng)
             .expect("the native cluster sweep configuration is valid");
         (start.elapsed().as_secs_f64(), points)
-    };
-    let (wall, first) = replay();
-    let mut walls = vec![wall];
-    for i in 1..REPLAYS {
-        let (wall, points) = replay();
-        walls.push(wall);
-        if points != first {
-            failures.push(format!(
-                "timed sweep replay {i} diverged from the first replay of the same seed"
-            ));
-        }
-    }
-    let events: u64 = first.iter().map(|p| p.events).sum();
-    walls.sort_by(f64::total_cmp);
-    let elapsed_secs = walls[REPLAYS / 2];
+    });
+    let events: u64 = replays.first.iter().map(|p| p.events).sum();
+    let elapsed_secs = replays.median();
     let wall_ms = elapsed_secs * 1e3;
     let measured = events as f64 / elapsed_secs.max(f64::MIN_POSITIVE);
     println!(
         "timed sweep replay (median of {REPLAYS}): {wall_ms:.1} ms, {measured:.0} events/sec \
          (replays {:.1}-{:.1} ms)",
-        walls[0] * 1e3,
-        walls[REPLAYS - 1] * 1e3
+        replays.sorted[0] * 1e3,
+        replays.sorted[REPLAYS - 1] * 1e3
     );
 
     if let Some(path) = flag_value(args, "--baseline") {

@@ -69,16 +69,6 @@ impl StorageStack {
         &self.layers
     }
 
-    /// Whether a guest kernel (and therefore a second page cache) exists.
-    pub fn has_guest_cache(&self) -> bool {
-        self.guest_cache.is_some()
-    }
-
-    /// Drops the host page cache (`echo 3 > drop_caches` before a run).
-    pub fn drop_host_cache(&mut self) {
-        self.host_cache.drop_caches();
-    }
-
     /// Whether an `O_DIRECT` request issued by the workload still carries
     /// the direct flag when it reaches the host block layer.
     pub fn direct_flag_reaches_host(&self) -> bool {

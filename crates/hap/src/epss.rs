@@ -88,8 +88,12 @@ mod tests {
         let m = EpssModel::default();
         let reg = KernelFunctionRegistry::standard();
         let avg = |sub: KernelSubsystem| {
-            let fns = reg.functions_in(sub);
-            fns.iter().map(|f| m.score(f.name)).sum::<f64>() / fns.len() as f64
+            let scores: Vec<f64> = reg
+                .iter()
+                .filter(|f| f.subsystem == sub)
+                .map(|f| m.score(f.name))
+                .collect();
+            scores.iter().sum::<f64>() / scores.len() as f64
         };
         assert!(avg(KernelSubsystem::Network) > avg(KernelSubsystem::Time) * 3.0);
     }

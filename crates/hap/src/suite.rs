@@ -56,14 +56,6 @@ impl HapSuite {
         HapProfile::from_trace(platform.name(), &trace, &EpssModel::default())
     }
 
-    /// Profiles every platform in the paper's Figure 18 set.
-    pub fn profile_paper_set(&self) -> Vec<HapProfile> {
-        PlatformId::paper_set()
-            .iter()
-            .map(|id| self.profile(&id.build()))
-            .collect()
-    }
-
     fn trace_cpu(&self, platform: &Platform, session: &mut FtraceSession) {
         for class in [
             SyscallClass::Schedule,
@@ -311,9 +303,8 @@ mod tests {
     #[test]
     fn paper_set_profiles_are_complete() {
         let suite = HapSuite::quick();
-        let profiles = suite.profile_paper_set();
-        assert_eq!(profiles.len(), PlatformId::paper_set().len());
-        for p in &profiles {
+        for id in PlatformId::paper_set() {
+            let p = suite.profile(&id.build());
             assert!(p.distinct_functions > 20, "{} too small", p.platform);
             assert!(p.weighted_score > 0.0);
         }

@@ -1,9 +1,10 @@
 //! Tiny flag- and baseline-parsing helpers, the one artifact writer
 //! ([`write_artifact`]), the shared serial-vs-parallel bench scaffold
-//! ([`run_serial_and_parallel`]) behind every bench runner, and the one
+//! ([`run_serial_and_parallel`]) behind every bench runner, the one
 //! driver ([`run_sweep_bench`]) the five sweep bench modes
 //! (`load_curves`, `tenant_isolation`, `pipeline`, `cluster` and
-//! `cluster --failover`) run through.
+//! `cluster --failover`) run through, and the replay-and-median loop
+//! ([`replay_median`]) behind the timed gates.
 
 use std::process::ExitCode;
 
@@ -69,6 +70,50 @@ pub fn write_artifact(path: &str, json: &str, failures: &mut Vec<String>) {
     if let Some(token) = report::find_non_finite(json) {
         failures.push(format!("{path} contains non-finite value {token:?}"));
     }
+}
+
+/// The outcome of [`replay_median`]: the first replay's output and every
+/// replay's measurement.
+#[derive(Debug)]
+pub struct Replays<T> {
+    /// The first replay's output, which every later replay must equal.
+    pub first: T,
+    /// Every replay's measurement, in ascending order.
+    pub sorted: Vec<f64>,
+}
+
+impl<T> Replays<T> {
+    /// The median measurement (the upper one of an even count).
+    pub fn median(&self) -> f64 {
+        self.sorted[self.sorted.len() / 2]
+    }
+}
+
+/// Runs `replay` `count` times (at least once). Each call returns one
+/// measurement, such as a wall time or a ratio of two, and its output.
+/// Every replay starts from the same inputs, so a replay whose output
+/// differs from the first one's adds a failure naming `what` to
+/// `failures`. A gate on the median of the measurements is not moved by
+/// one replay that a busy host slowed down.
+pub fn replay_median<T: PartialEq>(
+    count: usize,
+    what: &str,
+    failures: &mut Vec<String>,
+    mut replay: impl FnMut() -> (f64, T),
+) -> Replays<T> {
+    let (measured, first) = replay();
+    let mut sorted = vec![measured];
+    for i in 1..count {
+        let (measured, output) = replay();
+        sorted.push(measured);
+        if output != first {
+            failures.push(format!(
+                "{what} replay {i} diverged from the first replay of the same seed"
+            ));
+        }
+    }
+    sorted.sort_by(f64::total_cmp);
+    Replays { first, sorted }
 }
 
 /// The outcome of one [`run_serial_and_parallel`] invocation.
@@ -309,6 +354,32 @@ mod tests {
     #[should_panic(expected = "--shard expects a value, found flag")]
     fn a_flag_is_not_swallowed_as_a_value() {
         flag_value(&args(&["--shard", "--workers", "8"]), "--shard");
+    }
+
+    #[test]
+    fn the_median_ignores_one_slow_replay() {
+        let mut walls = [1.0, 1.2, 9.0, 0.9, 1.1].into_iter();
+        let mut failures = Vec::new();
+        let replays = replay_median(5, "test", &mut failures, || (walls.next().unwrap(), 7));
+        assert_eq!(replays.sorted, [0.9, 1.0, 1.1, 1.2, 9.0]);
+        assert_eq!(replays.median(), 1.1);
+        assert_eq!(replays.first, 7);
+        assert!(failures.is_empty());
+    }
+
+    #[test]
+    fn a_replay_that_differs_from_the_first_is_reported() {
+        let mut outputs = [3, 3, 4, 3, 5].into_iter();
+        let mut failures = Vec::new();
+        let replays = replay_median(5, "sweep", &mut failures, || (1.0, outputs.next().unwrap()));
+        assert_eq!(replays.first, 3);
+        assert_eq!(
+            failures,
+            [
+                "sweep replay 2 diverged from the first replay of the same seed",
+                "sweep replay 4 diverged from the first replay of the same seed",
+            ]
+        );
     }
 
     #[test]

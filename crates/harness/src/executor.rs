@@ -7,7 +7,7 @@
 //! order**. Because each cell derives its random stream statelessly from
 //! the root seed, the merged figures are bit-identical for every worker
 //! count and any completion order — a 1-worker run is byte-for-byte the
-//! serial [`crate::figures::run_all`] path.
+//! serial [`crate::figures::run`] path, one experiment at a time.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -24,11 +24,6 @@ pub fn run(experiment: ExperimentId, cfg: &RunConfig) -> FigureData {
     grid::merge(experiment, &outputs)
 }
 
-/// Runs every experiment of the evaluation section.
-pub fn run_all(cfg: &RunConfig) -> Vec<FigureData> {
-    ExperimentId::all().iter().map(|e| run(*e, cfg)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

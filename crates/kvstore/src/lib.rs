@@ -4,10 +4,11 @@
 //!
 //! The paper benchmarks Memcached with YCSB "workload a" (50/50 reads and
 //! updates) on every isolation platform. The store here is the workload's
-//! server side: a sharded hash map with per-shard LRU eviction and a small
-//! text protocol, so the YCSB driver in the `workloads` crate exercises a
-//! real data structure (hashing, eviction, contention across shards)
-//! rather than a stub.
+//! server side: a sharded hash map with per-shard LRU eviction. The YCSB
+//! driver in the `workloads` crate calls [`Store::get`] and [`Store::set`]
+//! directly, so it exercises a real data structure (hashing, eviction,
+//! contention across shards) rather than a stub; the cluster sweeps run
+//! one [`Shard`] per simulated node.
 //!
 //! ```
 //! use kvstore::{Store, StoreConfig};
@@ -15,8 +16,7 @@
 //! let store = Store::new(StoreConfig::default());
 //! store.set(b"user:1", b"alice".to_vec());
 //! assert_eq!(store.get(b"user:1").as_deref(), Some(&b"alice"[..]));
-//! assert!(store.delete(b"user:1"));
-//! assert!(store.get(b"user:1").is_none());
+//! assert!(store.get(b"user:2").is_none());
 //! ```
 
 // No unsafe anywhere in the simulation layers: the bit-identical replay
@@ -26,10 +26,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod protocol;
 pub mod shard;
 pub mod store;
 
-pub use protocol::{Command, ParseError, Response};
 pub use shard::{Shard, ShardStats};
 pub use store::{Store, StoreConfig, StoreStats};

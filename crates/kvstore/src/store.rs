@@ -32,8 +32,6 @@ pub struct StoreStats {
     pub hits: u64,
     /// Number of `set` operations served.
     pub sets: u64,
-    /// Number of `delete` operations served.
-    pub deletes: u64,
     /// Number of entries evicted across all shards.
     pub evictions: u64,
     /// Live entries across all shards.
@@ -53,7 +51,6 @@ pub struct Store {
     gets: AtomicU64,
     hits: AtomicU64,
     sets: AtomicU64,
-    deletes: AtomicU64,
 }
 
 impl Store {
@@ -73,7 +70,6 @@ impl Store {
             gets: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             sets: AtomicU64::new(0),
-            deletes: AtomicU64::new(0),
         }
     }
 
@@ -104,12 +100,6 @@ impl Store {
         self.shard_for(key).lock().set(key, value, tick)
     }
 
-    /// Deletes a key; returns whether it existed.
-    pub fn delete(&self, key: &[u8]) -> bool {
-        self.deletes.fetch_add(1, Ordering::Relaxed);
-        self.shard_for(key).lock().delete(key)
-    }
-
     /// Snapshot of the aggregate statistics.
     pub fn stats(&self) -> StoreStats {
         let mut entries = 0u64;
@@ -125,7 +115,6 @@ impl Store {
             gets: self.gets.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             sets: self.sets.load(Ordering::Relaxed),
-            deletes: self.deletes.load(Ordering::Relaxed),
             evictions,
             entries,
             bytes,

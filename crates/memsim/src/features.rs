@@ -16,8 +16,6 @@ use crate::paging::PagingMode;
 pub struct DirectMapFeatures {
     /// QEMU NVDIMM / DAX-style direct mapping of guest memory.
     pub nvdimm_direct_map: bool,
-    /// Kernel Samepage Merging between guests.
-    pub ksm: bool,
     /// Whether the guest supports huge pages (Kata does not, per the
     /// paper).
     pub huge_pages_supported: bool,
@@ -28,17 +26,15 @@ impl DirectMapFeatures {
     pub fn none() -> Self {
         DirectMapFeatures {
             nvdimm_direct_map: false,
-            ksm: false,
             huge_pages_supported: true,
         }
     }
 
-    /// The Kata containers configuration: NVDIMM direct map plus KSM, but
-    /// no huge-page support.
+    /// The Kata containers configuration: NVDIMM direct map, but no
+    /// huge-page support.
     pub fn kata() -> Self {
         DirectMapFeatures {
             nvdimm_direct_map: true,
-            ksm: true,
             huge_pages_supported: false,
         }
     }
@@ -51,23 +47,6 @@ impl DirectMapFeatures {
         } else {
             base
         }
-    }
-
-    /// Cache-hit-ratio bonus from KSM page sharing (hot shared pages are
-    /// more likely to be resident), expressed as a small additive factor.
-    pub fn ksm_hit_bonus(&self) -> f64 {
-        if self.ksm {
-            0.03
-        } else {
-            0.0
-        }
-    }
-
-    /// Whether enabling these features weakens inter-tenant isolation
-    /// (used in the security discussion; KSM enables cross-VM side
-    /// channels, direct mapping widens the shared surface).
-    pub fn weakens_isolation(&self) -> bool {
-        self.ksm || self.nvdimm_direct_map
     }
 }
 
@@ -91,17 +70,9 @@ mod tests {
     #[test]
     fn plain_guest_keeps_nested_paging() {
         let none = DirectMapFeatures::none();
-        assert!(none
-            .effective_paging(PagingMode::nested_hardware())
-            .is_virtualized());
-        assert!(!none.weakens_isolation());
-    }
-
-    #[test]
-    fn kata_features_weaken_isolation_but_boost_hits() {
-        let kata = DirectMapFeatures::kata();
-        assert!(kata.weakens_isolation());
-        assert!(kata.ksm_hit_bonus() > 0.0);
-        assert!(!kata.huge_pages_supported);
+        assert!(matches!(
+            none.effective_paging(PagingMode::nested_hardware()),
+            PagingMode::Nested { .. }
+        ));
     }
 }

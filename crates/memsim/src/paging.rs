@@ -69,11 +69,6 @@ impl PagingMode {
             }
         }
     }
-
-    /// Whether the mode involves a hypervisor-controlled second stage.
-    pub fn is_virtualized(&self) -> bool {
-        matches!(self, PagingMode::Nested { .. })
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +99,5 @@ mod tests {
             PagingMode::DirectMap.walk_latency(&tlb, PageSize::Huge2M),
             PagingMode::Native.walk_latency(&tlb, PageSize::Huge2M)
         );
-        assert!(!PagingMode::DirectMap.is_virtualized());
-        assert!(PagingMode::nested_hardware().is_virtualized());
     }
 }

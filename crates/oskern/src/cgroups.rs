@@ -103,19 +103,9 @@ impl CgroupConfig {
         }
     }
 
-    /// The cgroup version in use.
-    pub fn version(&self) -> CgroupVersion {
-        self.version
-    }
-
     /// Attached controllers.
     pub fn controllers(&self) -> &[CgroupController] {
         &self.controllers
-    }
-
-    /// Whether any controllers are attached.
-    pub fn is_confined(&self) -> bool {
-        !self.controllers.is_empty()
     }
 
     /// Latency of creating the cgroup and attaching the task to every
@@ -179,14 +169,13 @@ mod tests {
     #[test]
     fn none_is_unconfined_and_free() {
         let cfg = CgroupConfig::none();
-        assert!(!cfg.is_confined());
+        assert!(cfg.controllers().is_empty());
         assert_eq!(cfg.setup_cost(), Nanos::ZERO);
     }
 
     #[test]
     fn container_default_attaches_core_controllers() {
         let cfg = CgroupConfig::container_default(CgroupVersion::V1);
-        assert!(cfg.is_confined());
         assert!(cfg.controllers().contains(&CgroupController::Memory));
         assert!(cfg.controllers().contains(&CgroupController::Cpu));
     }

@@ -103,7 +103,6 @@ impl KernelTrace {
 pub struct FtraceSession {
     registry: KernelFunctionRegistry,
     trace: KernelTrace,
-    enabled: bool,
 }
 
 impl FtraceSession {
@@ -112,22 +111,7 @@ impl FtraceSession {
         FtraceSession {
             registry: KernelFunctionRegistry::standard(),
             trace: KernelTrace::new(),
-            enabled: true,
         }
-    }
-
-    /// Starts a session that ignores all reported hits (tracing disabled).
-    pub fn disabled() -> Self {
-        FtraceSession {
-            registry: KernelFunctionRegistry::standard(),
-            trace: KernelTrace::new(),
-            enabled: false,
-        }
-    }
-
-    /// Whether hits are currently recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Records `count` invocations of `function`.
@@ -141,9 +125,7 @@ impl FtraceSession {
             self.registry.contains(function),
             "unknown kernel function reported to ftrace: {function}"
         );
-        if self.enabled {
-            self.trace.hit(function, count);
-        }
+        self.trace.hit(function, count);
     }
 
     /// Records one invocation of each function in the slice.
@@ -161,11 +143,6 @@ impl FtraceSession {
     /// Read-only view of the trace collected so far.
     pub fn trace(&self) -> &KernelTrace {
         &self.trace
-    }
-
-    /// The registry the session validates against.
-    pub fn registry(&self) -> &KernelFunctionRegistry {
-        &self.registry
     }
 }
 
@@ -210,14 +187,6 @@ mod tests {
         let trace = s.finish();
         assert_eq!(trace.count("kvm_vcpu_ioctl"), 100);
         assert_eq!(trace.distinct_functions(), 3);
-    }
-
-    #[test]
-    fn disabled_session_records_nothing() {
-        let mut s = FtraceSession::disabled();
-        assert!(!s.is_enabled());
-        s.invoke("schedule", 10);
-        assert_eq!(s.trace().distinct_functions(), 0);
     }
 
     #[test]

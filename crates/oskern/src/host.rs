@@ -58,26 +58,6 @@ impl HostConfig {
             nic_latency: Nanos::from_micros(18),
         }
     }
-
-    /// Total hardware threads across the machine.
-    pub fn total_threads(&self) -> usize {
-        self.sockets * self.cores_per_socket * self.threads_per_core
-    }
-
-    /// Total physical cores across the machine.
-    pub fn total_cores(&self) -> usize {
-        self.sockets * self.cores_per_socket
-    }
-
-    /// Time for one CPU cycle.
-    pub fn cycle_time(&self) -> Nanos {
-        Nanos::from_secs_f64(1.0 / (self.base_clock_ghz * 1e9))
-    }
-
-    /// Converts a cycle count into time on this host.
-    pub fn cycles_to_time(&self, cycles: u64) -> Nanos {
-        Nanos::from_secs_f64(cycles as f64 / (self.base_clock_ghz * 1e9))
-    }
 }
 
 impl Default for HostConfig {
@@ -93,18 +73,12 @@ mod tests {
     #[test]
     fn testbed_matches_paper_description() {
         let h = HostConfig::epyc2_testbed();
-        assert_eq!(h.total_cores(), 64);
-        assert_eq!(h.total_threads(), 128);
+        assert_eq!(
+            (h.sockets, h.cores_per_socket, h.threads_per_core),
+            (2, 32, 2)
+        );
         assert_eq!(h.memory_bytes, 256 * (1 << 30));
         assert!(h.nic_bandwidth.gbit_per_sec() >= 37.0);
-    }
-
-    #[test]
-    fn cycle_conversion_is_consistent() {
-        let h = HostConfig::epyc2_testbed();
-        let t = h.cycles_to_time(2_900_000_000);
-        assert!((t.as_secs_f64() - 1.0).abs() < 1e-6);
-        assert!(h.cycle_time().as_nanos() <= 1);
     }
 
     #[test]

@@ -105,31 +105,6 @@ impl NamespaceSet {
         }
     }
 
-    /// LXC unprivileged containers additionally create a user namespace.
-    pub fn lxc_unprivileged() -> Self {
-        let mut set = Self::container_default();
-        set.kinds.push(NamespaceKind::User);
-        set
-    }
-
-    /// The reduced set the gVisor Sentry confines itself with (mount, pid,
-    /// net, user).
-    pub fn sentry() -> Self {
-        NamespaceSet {
-            kinds: vec![
-                NamespaceKind::Mount,
-                NamespaceKind::Pid,
-                NamespaceKind::Net,
-                NamespaceKind::User,
-            ],
-        }
-    }
-
-    /// Builds a custom set from the given kinds.
-    pub fn from_kinds(kinds: Vec<NamespaceKind>) -> Self {
-        NamespaceSet { kinds }
-    }
-
     /// Number of namespaces in the set.
     pub fn len(&self) -> usize {
         self.kinds.len()
@@ -178,21 +153,18 @@ mod tests {
     }
 
     #[test]
-    fn lxc_unprivileged_adds_user_namespace() {
-        let set = NamespaceSet::lxc_unprivileged();
-        assert!(set.contains(NamespaceKind::User));
-        assert_eq!(set.len(), 7);
-    }
-
-    #[test]
     fn setup_cost_dominated_by_network_namespace() {
-        let net_only = NamespaceSet::from_kinds(vec![NamespaceKind::Net]);
-        let rest = NamespaceSet::from_kinds(vec![
-            NamespaceKind::Mount,
-            NamespaceKind::Pid,
-            NamespaceKind::Ipc,
-            NamespaceKind::Uts,
-        ]);
+        let net_only = NamespaceSet {
+            kinds: vec![NamespaceKind::Net],
+        };
+        let rest = NamespaceSet {
+            kinds: vec![
+                NamespaceKind::Mount,
+                NamespaceKind::Pid,
+                NamespaceKind::Ipc,
+                NamespaceKind::Uts,
+            ],
+        };
         assert!(net_only.setup_cost() > rest.setup_cost());
     }
 

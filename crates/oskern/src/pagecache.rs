@@ -74,17 +74,6 @@ impl PageCache {
         (resident / working_set as f64).clamp(0.0, 1.0)
     }
 
-    /// Expected hit ratio when the access pattern is sequential with
-    /// kernel readahead: once the file exceeds the cache, readahead still
-    /// services most accesses from memory, so the ratio degrades more
-    /// gracefully than the random case.
-    pub fn sequential_hit_ratio(&self, working_set: u64) -> f64 {
-        let random = self.hit_ratio(working_set);
-        // Readahead hides part of the misses; empirically ~60 % of what
-        // random access would miss is still served from cache.
-        random + (1.0 - random) * 0.6 * (self.resident_bytes.min(1) as f64)
-    }
-
     /// Simulates bringing newly read data into the cache, evicting under
     /// pressure (clock-ish: resident bytes never exceed capacity).
     pub fn admit(&mut self, bytes: u64) {
@@ -132,12 +121,5 @@ mod tests {
     fn zero_working_set_is_always_a_hit() {
         let cache = PageCache::new(1 << 20);
         assert_eq!(cache.hit_ratio(0), 1.0);
-    }
-
-    #[test]
-    fn sequential_hits_exceed_random_hits_when_warm() {
-        let mut cache = PageCache::new(1 << 28);
-        cache.warm(1 << 28, 1 << 30);
-        assert!(cache.sequential_hit_ratio(1 << 30) >= cache.hit_ratio(1 << 30));
     }
 }

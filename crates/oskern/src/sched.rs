@@ -33,15 +33,6 @@ impl UslParams {
         n / (1.0 + self.alpha * (n - 1.0) + self.beta * n * (n - 1.0))
     }
 
-    /// The concurrency level at which capacity peaks.
-    pub fn peak_concurrency(&self) -> f64 {
-        if self.beta <= 0.0 {
-            f64::INFINITY
-        } else {
-            ((1.0 - self.alpha) / self.beta).sqrt()
-        }
-    }
-
     /// Combines workload-intrinsic and scheduler-induced parameters by
     /// adding the contention and coherency terms.
     pub fn combine(&self, other: &UslParams) -> UslParams {
@@ -284,8 +275,6 @@ mod tests {
             alpha: 0.03,
             beta: 4.0e-4,
         };
-        let peak = p.peak_concurrency();
-        assert!(peak > 40.0 && peak < 60.0, "peak {peak}");
         assert!(p.capacity(50) > p.capacity(10));
         assert!(p.capacity(50) > p.capacity(160));
     }
@@ -296,7 +285,6 @@ mod tests {
             alpha: 0.05,
             beta: 0.0,
         };
-        assert!(p.peak_concurrency().is_infinite());
         assert!(p.capacity(200) >= p.capacity(100));
     }
 

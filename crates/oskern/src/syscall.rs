@@ -340,19 +340,6 @@ impl SyscallTable {
         }
     }
 
-    /// Creates a table with a custom entry/exit cost (e.g. a platform with
-    /// seccomp filters attached pays extra per entry).
-    pub fn with_entry_exit(entry_exit: Nanos) -> Self {
-        SyscallTable {
-            base_entry_exit: entry_exit,
-        }
-    }
-
-    /// The fixed entry/exit cost of this table.
-    pub fn entry_exit(&self) -> Nanos {
-        self.base_entry_exit
-    }
-
     /// Cost of one invocation of the given class via this table.
     pub fn cost(&self, class: SyscallClass) -> SyscallCost {
         use SyscallClass::*;
@@ -427,16 +414,6 @@ mod tests {
             table.cost(SyscallClass::ProcessControl).total()
                 > table.cost(SyscallClass::Time).total(),
             "process creation must dwarf clock reads"
-        );
-    }
-
-    #[test]
-    fn custom_entry_exit_propagates() {
-        let table = SyscallTable::with_entry_exit(Nanos::from_nanos(500));
-        assert_eq!(table.entry_exit(), Nanos::from_nanos(500));
-        assert_eq!(
-            table.cost(SyscallClass::Time).entry_exit,
-            Nanos::from_nanos(500)
         );
     }
 

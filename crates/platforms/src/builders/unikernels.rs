@@ -141,10 +141,10 @@ mod tests {
     }
 
     #[test]
-    fn osv_is_excluded_from_fio_and_lacks_multiprocess() {
+    fn osv_is_excluded_from_fio_and_calls_syscalls_as_functions() {
         let p = osv(MachineModel::QemuFull);
         assert!(p.storage().is_excluded());
-        assert!(!p.syscalls().supports_multiprocess());
+        assert!(matches!(p.syscalls(), SyscallPath::OsvFunctionCall { .. }));
     }
 
     #[test]

@@ -47,7 +47,6 @@ impl ComputeWork {
 #[derive(Debug)]
 pub struct CpuSubsystem {
     scheduler: Box<dyn ThreadScheduler + Send + Sync>,
-    scheduler_model: SchedulerModel,
     /// Guest-visible cores.
     pub cores: usize,
     /// Straight-line instruction throughput relative to native (1.0 for
@@ -63,7 +62,6 @@ impl CpuSubsystem {
     pub fn new(scheduler_model: SchedulerModel, cores: usize) -> Self {
         CpuSubsystem {
             scheduler: scheduler_model.build(),
-            scheduler_model,
             cores,
             instruction_efficiency: 1.0,
             jitter: 0.015,
@@ -74,11 +72,6 @@ impl CpuSubsystem {
     pub fn with_jitter(mut self, jitter: f64) -> Self {
         self.jitter = jitter.max(0.0);
         self
-    }
-
-    /// The scheduler model in use.
-    pub fn scheduler_model(&self) -> SchedulerModel {
-        self.scheduler_model
     }
 
     /// The scheduler's contention parameters (used by the OLTP model).

@@ -125,6 +125,5 @@ mod tests {
         let a = s.build_stack();
         let b = s.build_stack();
         assert_eq!(a.layers(), b.layers());
-        assert!(!a.has_guest_cache());
     }
 }

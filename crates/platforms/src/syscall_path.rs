@@ -170,12 +170,6 @@ impl SyscallPath {
             }
         }
     }
-
-    /// Whether the platform supports multi-process guests (`fork`/`exec`).
-    /// OSv does not, which excludes multi-process workloads.
-    pub fn supports_multiprocess(&self) -> bool {
-        !matches!(self, SyscallPath::OsvFunctionCall { .. })
-    }
 }
 
 /// Classes whose guest-side activity causes the VMM process to issue real
@@ -269,12 +263,5 @@ mod tests {
         assert!(trace.touched("ptrace_stop"));
         assert!(trace.touched("seccomp_run_filters"));
         assert!(trace.touched("p9_client_rpc"));
-    }
-
-    #[test]
-    fn only_osv_lacks_multiprocess_support() {
-        assert!(direct().supports_multiprocess());
-        assert!(gvisor_ptrace().supports_multiprocess());
-        assert!(!SyscallPath::OsvFunctionCall { exit_fraction: 0.1 }.supports_multiprocess());
     }
 }

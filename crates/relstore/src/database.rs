@@ -35,11 +35,6 @@ impl Database {
         self.tables.read().get(name).cloned()
     }
 
-    /// Names of all tables.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.read().keys().cloned().collect()
-    }
-
     /// Begins a transaction.
     pub fn begin(&self) -> Transaction {
         Transaction::new()
@@ -81,8 +76,8 @@ mod tests {
         db.create_table("a");
         db.create_table("b");
         assert!(db.table("a").is_some());
+        assert!(db.table("b").is_some());
         assert!(db.table("missing").is_none());
-        assert_eq!(db.table_names(), vec!["a".to_string(), "b".to_string()]);
     }
 
     #[test]
@@ -91,8 +86,8 @@ mod tests {
         let tables = db.populate_sysbench(3, 200);
         assert_eq!(tables.len(), 3);
         for t in &tables {
-            assert_eq!(t.row_count(), 200);
-            assert_eq!(t.max_id(), Some(200));
+            assert_eq!(t.stats().rows, 200);
+            assert!(t.get(200).is_some());
         }
         assert!(db.table("sbtest2").is_some());
     }
@@ -104,7 +99,7 @@ mod tests {
         let a = db.table("shared").unwrap();
         let b = db.table("shared").unwrap();
         a.insert(Row::new(1, 1, "x".into())).unwrap();
-        assert_eq!(b.row_count(), 1);
+        assert_eq!(b.stats().rows, 1);
     }
 
     #[test]

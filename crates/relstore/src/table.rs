@@ -100,11 +100,6 @@ impl Table {
         &self.inner.name
     }
 
-    /// Number of rows.
-    pub fn row_count(&self) -> usize {
-        self.inner.rows.read().len()
-    }
-
     /// The row-level lock manager of this table.
     pub fn locks(&self) -> &LockManager {
         &self.inner.locks
@@ -185,22 +180,6 @@ impl Table {
             .cloned()
             .unwrap_or_default()
     }
-
-    /// Returns the rows whose primary keys fall in `[low, high]`
-    /// (sysbench's range SELECT).
-    pub fn range(&self, low: u64, high: u64) -> Vec<Row> {
-        self.inner
-            .rows
-            .read()
-            .range(low..=high)
-            .map(|(_, r)| r.clone())
-            .collect()
-    }
-
-    /// The largest primary key currently in the table.
-    pub fn max_id(&self) -> Option<u64> {
-        self.inner.rows.read().keys().next_back().copied()
-    }
 }
 
 #[cfg(test)]
@@ -218,12 +197,12 @@ mod tests {
     #[test]
     fn insert_get_delete_maintain_counts() {
         let t = populated();
-        assert_eq!(t.row_count(), 100);
+        assert_eq!(t.stats().rows, 100);
         assert_eq!(t.get(42).unwrap().pad, "pad-42");
         assert!(t.insert(Row::new(42, 0, String::new())).is_err());
         t.delete(42).unwrap();
         assert!(t.get(42).is_none());
-        assert_eq!(t.row_count(), 99);
+        assert_eq!(t.stats().rows, 99);
         assert!(matches!(t.delete(42), Err(StoreError::RowNotFound(42))));
     }
 
@@ -237,23 +216,6 @@ mod tests {
         assert_eq!(t.find_by_k(77), vec![10]);
         t.delete(10).unwrap();
         assert!(t.find_by_k(77).is_empty());
-    }
-
-    #[test]
-    fn range_query_is_inclusive_and_ordered() {
-        let t = populated();
-        let rows = t.range(5, 8);
-        let ids: Vec<u64> = rows.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![5, 6, 7, 8]);
-    }
-
-    #[test]
-    fn max_id_tracks_inserts() {
-        let t = populated();
-        assert_eq!(t.max_id(), Some(100));
-        t.insert(Row::new(500, 1, String::new())).unwrap();
-        assert_eq!(t.max_id(), Some(500));
-        assert_eq!(Table::new("empty").max_id(), None);
     }
 
     #[test]

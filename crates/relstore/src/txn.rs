@@ -18,7 +18,6 @@ use crate::table::{Row, Table};
 #[derive(Debug, Default)]
 pub struct Transaction {
     locked: Vec<(Table, u64)>,
-    statements: u32,
     committed: bool,
 }
 
@@ -28,11 +27,6 @@ impl Transaction {
         Transaction::default()
     }
 
-    /// Number of statements executed so far.
-    pub fn statements(&self) -> u32 {
-        self.statements
-    }
-
     /// Point SELECT by primary key (no lock needed: reads use the table's
     /// shared latch, matching InnoDB's consistent reads).
     ///
@@ -40,14 +34,7 @@ impl Transaction {
     ///
     /// Returns [`StoreError::RowNotFound`] if the row does not exist.
     pub fn select(&mut self, table: &Table, id: u64) -> Result<Row, StoreError> {
-        self.statements += 1;
         table.get(id).ok_or(StoreError::RowNotFound(id))
-    }
-
-    /// Range SELECT over `[low, high]`.
-    pub fn select_range(&mut self, table: &Table, low: u64, high: u64) -> Vec<Row> {
-        self.statements += 1;
-        table.range(low, high)
     }
 
     /// Point UPDATE of the indexed column.
@@ -57,7 +44,6 @@ impl Transaction {
     /// Returns [`StoreError::LockContended`] if another transaction holds
     /// the row lock, or [`StoreError::RowNotFound`] if the row vanished.
     pub fn update(&mut self, table: &Table, id: u64, new_k: u64) -> Result<(), StoreError> {
-        self.statements += 1;
         self.lock(table, id)?;
         table.update_k(id, new_k)
     }
@@ -69,7 +55,6 @@ impl Transaction {
     /// Returns [`StoreError::LockContended`] on lock contention, or
     /// [`StoreError::RowNotFound`] if the row does not exist.
     pub fn delete(&mut self, table: &Table, id: u64) -> Result<Row, StoreError> {
-        self.statements += 1;
         self.lock(table, id)?;
         table.delete(id)
     }
@@ -81,7 +66,6 @@ impl Transaction {
     /// Returns [`StoreError::LockContended`] on lock contention, or
     /// [`StoreError::DuplicateKey`] if the key exists.
     pub fn insert(&mut self, table: &Table, row: Row) -> Result<(), StoreError> {
-        self.statements += 1;
         self.lock(table, row.id)?;
         table.insert(row)
     }
@@ -151,7 +135,6 @@ mod tests {
         txn.update(&t, 11, 99).unwrap();
         txn.delete(&t, 12).unwrap();
         txn.insert(&t, Row::new(1000, 5, "new".into())).unwrap();
-        assert_eq!(txn.statements(), 4);
         txn.commit();
         assert_eq!(t.locks().held_count(), 0);
         assert_eq!(t.get(11).unwrap().k, 99);
@@ -204,15 +187,5 @@ mod tests {
         txn.delete(&t, 20).unwrap();
         txn.rollback();
         assert_eq!(t.locks().held_count(), 0);
-    }
-
-    #[test]
-    fn range_select_counts_as_one_statement() {
-        let t = table();
-        let mut txn = Transaction::new();
-        let rows = txn.select_range(&t, 1, 10);
-        assert_eq!(rows.len(), 10);
-        assert_eq!(txn.statements(), 1);
-        txn.commit();
     }
 }

@@ -1,9 +1,8 @@
 //! Parametric distributions used by the cost models.
 //!
-//! Most device and platform cost models are expressed as a [`Distribution`]
-//! over nanoseconds or bytes-per-second. Keeping the distribution as data
-//! (instead of closures) makes calibration tables serializable and easy to
-//! inspect.
+//! A cost model expresses a per-request cost as a [`Distribution`] over
+//! seconds. Keeping the distribution as data (instead of closures) makes
+//! calibration tables serializable and easy to inspect.
 
 use serde::{Deserialize, Serialize};
 
@@ -16,11 +15,11 @@ use crate::rng::SimRng;
 /// ```
 /// use simcore::{Distribution, SimRng};
 ///
-/// let d = Distribution::normal(100.0, 10.0);
+/// let d = Distribution::log_normal(0.0, 0.5);
 /// let mut rng = SimRng::seed_from(1);
 /// let x = d.sample(&mut rng);
 /// assert!(x > 0.0);
-/// assert_eq!(Distribution::constant(5.0).mean(), 5.0);
+/// assert_eq!(Distribution::constant(5.0).sample(&mut rng), 5.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Distribution {
@@ -29,38 +28,12 @@ pub enum Distribution {
         /// The value returned by every sample.
         value: f64,
     },
-    /// Uniform over `[low, high)`.
-    Uniform {
-        /// Inclusive lower bound.
-        low: f64,
-        /// Exclusive upper bound.
-        high: f64,
-    },
-    /// Gaussian with the given mean and standard deviation, truncated at 0.
-    Normal {
-        /// Mean of the distribution.
-        mean: f64,
-        /// Standard deviation of the distribution.
-        std_dev: f64,
-    },
     /// Log-normal parameterized by the underlying normal's `mu`/`sigma`.
     LogNormal {
         /// Mean of the underlying normal.
         mu: f64,
         /// Standard deviation of the underlying normal.
         sigma: f64,
-    },
-    /// Exponential with rate `lambda`.
-    Exponential {
-        /// Rate parameter (events per unit).
-        lambda: f64,
-    },
-    /// Pareto with scale `x_m` and shape `alpha`.
-    Pareto {
-        /// Scale (minimum value).
-        x_m: f64,
-        /// Shape parameter.
-        alpha: f64,
     },
 }
 
@@ -70,85 +43,16 @@ impl Distribution {
         Distribution::Constant { value }
     }
 
-    /// A uniform distribution over `[low, high)`.
-    pub fn uniform(low: f64, high: f64) -> Self {
-        Distribution::Uniform { low, high }
-    }
-
-    /// A truncated normal distribution.
-    pub fn normal(mean: f64, std_dev: f64) -> Self {
-        Distribution::Normal { mean, std_dev }
-    }
-
     /// A log-normal distribution.
     pub fn log_normal(mu: f64, sigma: f64) -> Self {
         Distribution::LogNormal { mu, sigma }
-    }
-
-    /// An exponential distribution.
-    pub fn exponential(lambda: f64) -> Self {
-        Distribution::Exponential { lambda }
-    }
-
-    /// A Pareto distribution.
-    pub fn pareto(x_m: f64, alpha: f64) -> Self {
-        Distribution::Pareto { x_m, alpha }
     }
 
     /// Draws a sample using the provided generator.
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
         match *self {
             Distribution::Constant { value } => value,
-            Distribution::Uniform { low, high } => rng.uniform(low, high),
-            Distribution::Normal { mean, std_dev } => rng.normal_pos(mean, std_dev),
             Distribution::LogNormal { mu, sigma } => rng.log_normal(mu, sigma),
-            Distribution::Exponential { lambda } => rng.exponential(lambda),
-            Distribution::Pareto { x_m, alpha } => rng.pareto(x_m, alpha),
-        }
-    }
-
-    /// Analytical mean of the distribution (ignoring truncation at zero).
-    pub fn mean(&self) -> f64 {
-        match *self {
-            Distribution::Constant { value } => value,
-            Distribution::Uniform { low, high } => (low + high) / 2.0,
-            Distribution::Normal { mean, .. } => mean,
-            Distribution::LogNormal { mu, sigma } => (mu + sigma * sigma / 2.0).exp(),
-            Distribution::Exponential { lambda } => {
-                if lambda > 0.0 {
-                    1.0 / lambda
-                } else {
-                    0.0
-                }
-            }
-            Distribution::Pareto { x_m, alpha } => {
-                if alpha > 1.0 {
-                    alpha * x_m / (alpha - 1.0)
-                } else {
-                    f64::INFINITY
-                }
-            }
-        }
-    }
-
-    /// Returns a copy of the distribution with its central tendency scaled
-    /// by `factor`; used by platforms that multiply a base cost model.
-    pub fn scaled(&self, factor: f64) -> Distribution {
-        match *self {
-            Distribution::Constant { value } => Distribution::constant(value * factor),
-            Distribution::Uniform { low, high } => {
-                Distribution::uniform(low * factor, high * factor)
-            }
-            Distribution::Normal { mean, std_dev } => {
-                Distribution::normal(mean * factor, std_dev * factor)
-            }
-            Distribution::LogNormal { mu, sigma } => {
-                Distribution::log_normal(mu + factor.max(f64::MIN_POSITIVE).ln(), sigma)
-            }
-            Distribution::Exponential { lambda } => {
-                Distribution::exponential(lambda / factor.max(f64::MIN_POSITIVE))
-            }
-            Distribution::Pareto { x_m, alpha } => Distribution::pareto(x_m * factor, alpha),
         }
     }
 }
@@ -167,50 +71,10 @@ mod tests {
     }
 
     #[test]
-    fn sample_means_track_analytical_means() {
-        let mut rng = SimRng::seed_from(2);
-        let cases = [
-            Distribution::uniform(0.0, 10.0),
-            Distribution::normal(20.0, 2.0),
-            Distribution::exponential(0.5),
-        ];
-        for d in cases {
-            let n = 20_000;
-            let empirical: f64 = (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64;
-            let analytical = d.mean();
-            assert!(
-                (empirical - analytical).abs() < analytical.max(1.0) * 0.05,
-                "{d:?}: empirical {empirical} vs analytical {analytical}"
-            );
-        }
-    }
-
-    #[test]
-    fn scaled_constant_and_uniform() {
-        assert_eq!(Distribution::constant(2.0).scaled(3.0).mean(), 6.0);
-        let u = Distribution::uniform(1.0, 3.0).scaled(2.0);
-        assert_eq!(u.mean(), 4.0);
-    }
-
-    #[test]
-    fn normal_samples_never_negative() {
-        let mut rng = SimRng::seed_from(3);
-        let d = Distribution::normal(1.0, 5.0);
-        for _ in 0..1000 {
-            assert!(d.sample(&mut rng) >= 0.0);
-        }
-    }
-
-    #[test]
-    fn pareto_mean_infinite_for_small_alpha() {
-        assert!(Distribution::pareto(1.0, 0.5).mean().is_infinite());
-    }
-
-    #[test]
     fn serde_roundtrip() {
-        let d = Distribution::normal(10.0, 1.0);
+        let d = Distribution::log_normal(1.0, 0.5);
         let json = serde_json_like(&d);
-        assert!(json.contains("Normal"));
+        assert!(json.contains("LogNormal"));
     }
 
     fn serde_json_like(d: &Distribution) -> String {

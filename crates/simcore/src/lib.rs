@@ -13,13 +13,14 @@
 //!   a stream read by index ([`Replay`]) that draws a trial's common
 //!   random numbers once for all of its sweep points.
 //! * [`dist`] — parametric latency/cost distributions ([`Distribution`]).
-//! * [`stats`] — running statistics, percentiles, histograms and empirical
-//!   CDFs used by the benchmark harness to summarize repeated runs.
+//! * [`stats`] — running statistics and empirical CDFs with percentile
+//!   queries, used by the benchmark harness to summarize repeated runs.
 //! * [`events`] — the discrete-event queue ([`EventQueue`]), a binary
 //!   min-heap on `(timestamp, seq)` beside one FIFO run for time-ordered
 //!   arrivals, that every queueing simulation drains as typed events.
-//! * [`resource`] — shared-resource models (token-bucket bandwidth,
-//!   M/M/1-style queueing latency) used by the device simulations.
+//! * [`resource`] — shared-resource models used by the device and
+//!   slot-pool simulations: a bandwidth that turns bytes into transfer
+//!   time, and a batched completion timer.
 //! * [`obs`] — deterministic observability: seed-sampled per-request
 //!   trace spans, windowed virtual-time metrics and event-core counters,
 //!   exported as Chrome-trace and timeline JSON artifacts.
@@ -60,9 +61,9 @@ pub use dist::Distribution;
 pub use error::SimError;
 pub use events::{CoreCounters, EventQueue};
 pub use obs::{ObsConfig, Recorder, Span, SpanKind};
-pub use resource::{Bandwidth, TokenBucket};
+pub use resource::Bandwidth;
 pub use rng::{Replay, SimRng, Zipf};
-pub use stats::{Cdf, Histogram, RunningStats, Summary};
+pub use stats::{Cdf, RunningStats};
 pub use time::Nanos;
 
 /// Result alias used across the simulation core.

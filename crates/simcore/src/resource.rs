@@ -2,9 +2,9 @@
 //!
 //! Two small building blocks appear over and over in the platform models:
 //!
-//! * [`TokenBucket`] / [`Bandwidth`] — a byte-per-second capacity that turns
-//!   a transfer size into a transfer duration, optionally with a per-request
-//!   fixed overhead (used for NICs, NVMe devices and virtio queues).
+//! * [`Bandwidth`] — a byte-per-second capacity that turns a transfer size
+//!   into a transfer duration (used for NICs, NVMe devices and virtio
+//!   queues).
 //! * [`CompletionTimer`] — a batched completion timer for service-slot
 //!   pools: completions share coalesced scheduler wake-ups and each wake
 //!   drains everything due at once instead of costing one scheduled
@@ -15,7 +15,6 @@ use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::SimError;
 use crate::events::{CoreCounters, EventQueue};
 use crate::time::Nanos;
 
@@ -82,75 +81,6 @@ impl Bandwidth {
     /// Scales the bandwidth by `factor` (e.g. virtualization efficiency).
     pub fn scale(self, factor: f64) -> Bandwidth {
         Bandwidth::from_bytes_per_sec(self.bytes_per_sec * factor.max(0.0))
-    }
-
-    /// Returns the smaller of two bandwidths (the bottleneck).
-    pub fn bottleneck(self, other: Bandwidth) -> Bandwidth {
-        if self.bytes_per_sec <= other.bytes_per_sec {
-            self
-        } else {
-            other
-        }
-    }
-}
-
-/// A token-bucket rate limiter operating in virtual time.
-///
-/// The bucket refills continuously at `rate` and holds at most `burst`
-/// bytes. [`TokenBucket::request`] returns how long a request of a given
-/// size must wait before it conforms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TokenBucket {
-    rate: Bandwidth,
-    burst_bytes: f64,
-    tokens: f64,
-    last_update: Nanos,
-}
-
-impl TokenBucket {
-    /// Creates a bucket with the given refill rate and burst capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if `burst_bytes` is zero.
-    pub fn new(rate: Bandwidth, burst_bytes: u64) -> Result<Self, SimError> {
-        if burst_bytes == 0 {
-            return Err(SimError::InvalidConfig(
-                "token bucket burst must be non-zero".into(),
-            ));
-        }
-        Ok(TokenBucket {
-            rate,
-            burst_bytes: burst_bytes as f64,
-            tokens: burst_bytes as f64,
-            last_update: Nanos::ZERO,
-        })
-    }
-
-    /// Requests `bytes` at virtual time `now`; returns the delay before the
-    /// request conforms to the configured rate.
-    pub fn request(&mut self, now: Nanos, bytes: u64) -> Nanos {
-        self.refill(now);
-        let needed = bytes as f64;
-        if self.tokens >= needed {
-            self.tokens -= needed;
-            return Nanos::ZERO;
-        }
-        let deficit = needed - self.tokens;
-        self.tokens = 0.0;
-        if self.rate.bytes_per_sec() <= 0.0 {
-            return Nanos::from_nanos(u64::MAX);
-        }
-        Nanos::from_secs_f64(deficit / self.rate.bytes_per_sec())
-    }
-
-    fn refill(&mut self, now: Nanos) {
-        if now <= self.last_update {
-            return;
-        }
-        let elapsed = (now - self.last_update).as_secs_f64();
-        self.tokens = (self.tokens + elapsed * self.rate.bytes_per_sec()).min(self.burst_bytes);
-        self.last_update = now;
     }
 }
 
@@ -325,32 +255,6 @@ mod tests {
     fn zero_bandwidth_does_not_panic() {
         let b = Bandwidth::from_bytes_per_sec(0.0);
         assert_eq!(b.transfer_time(10).as_nanos(), u64::MAX);
-    }
-
-    #[test]
-    fn bottleneck_picks_smaller() {
-        let a = Bandwidth::from_gbit_per_sec(10.0);
-        let b = Bandwidth::from_gbit_per_sec(40.0);
-        assert_eq!(a.bottleneck(b), a);
-        assert_eq!(b.bottleneck(a), a);
-    }
-
-    #[test]
-    fn token_bucket_burst_then_throttle() {
-        let rate = Bandwidth::from_bytes_per_sec(1000.0);
-        let mut tb = TokenBucket::new(rate, 1000).unwrap();
-        // The first 1000 bytes conform immediately (burst).
-        assert_eq!(tb.request(Nanos::ZERO, 1000), Nanos::ZERO);
-        // The next 500 bytes must wait 0.5 s at 1000 B/s.
-        let wait = tb.request(Nanos::ZERO, 500);
-        assert_eq!(wait, Nanos::from_millis(500));
-        // After one second of refill the bucket has capacity again.
-        assert_eq!(tb.request(Nanos::from_secs(2), 800), Nanos::ZERO);
-    }
-
-    #[test]
-    fn token_bucket_rejects_zero_burst() {
-        assert!(TokenBucket::new(Bandwidth::from_bytes_per_sec(1.0), 0).is_err());
     }
 
     #[test]

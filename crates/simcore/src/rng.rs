@@ -82,7 +82,7 @@ pub fn derive(root_seed: u64, experiment: &str, platform: &str, trial: u64) -> S
 }
 
 /// A seeded random number generator with the sampling helpers the cost
-/// models need (normal, log-normal, exponential, Pareto, Zipf).
+/// models need (normal, log-normal, exponential, Zipf).
 ///
 /// The generator is a self-contained xoshiro256++ (seeded by splitmix64
 /// expansion of the 64-bit seed) so the workspace carries no external RNG
@@ -148,19 +148,6 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Uniform sample in `[low, high)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low > high`.
-    pub fn uniform(&mut self, low: f64, high: f64) -> f64 {
-        assert!(low <= high, "uniform bounds must be ordered");
-        if low == high {
-            return low;
-        }
-        low + self.uniform01() * (high - low)
-    }
-
     /// Uniform integer sample in `[0, n)`. Returns 0 when `n == 0`.
     pub fn index(&mut self, n: usize) -> usize {
         if n == 0 {
@@ -205,15 +192,6 @@ impl SimRng {
         }
         let u = self.uniform01().max(f64::MIN_POSITIVE);
         -u.ln() / lambda
-    }
-
-    /// Pareto sample with scale `x_m` and shape `alpha`.
-    pub fn pareto(&mut self, x_m: f64, alpha: f64) -> f64 {
-        if alpha <= 0.0 {
-            return x_m;
-        }
-        let u = self.uniform01().max(f64::MIN_POSITIVE);
-        x_m / u.powf(1.0 / alpha)
     }
 
     /// Zipfian rank sample over `n` items with skew `theta` (0 = uniform).
@@ -393,11 +371,9 @@ mod tests {
         let mut b = SimRng::seed_from(2021);
         for _ in 0..64 {
             assert_eq!(a.uniform01(), b.uniform01());
-            assert_eq!(a.uniform(1.0, 9.0), b.uniform(1.0, 9.0));
             assert_eq!(a.index(17), b.index(17));
             assert_eq!(a.normal(5.0, 2.0), b.normal(5.0, 2.0));
             assert_eq!(a.exponential(0.5), b.exponential(0.5));
-            assert_eq!(a.pareto(1.0, 2.0), b.pareto(1.0, 2.0));
             assert_eq!(a.zipf(100, 0.99), b.zipf(100, 0.99));
         }
     }
@@ -594,23 +570,5 @@ mod tests {
         let mut rng = SimRng::seed_from(5);
         assert!(!rng.chance(0.0));
         assert!(rng.chance(1.0));
-    }
-
-    #[test]
-    fn uniform_bounds_respected() {
-        let mut rng = SimRng::seed_from(6);
-        for _ in 0..1000 {
-            let x = rng.uniform(2.0, 3.0);
-            assert!((2.0..3.0).contains(&x));
-        }
-        assert_eq!(rng.uniform(5.0, 5.0), 5.0);
-    }
-
-    #[test]
-    fn pareto_never_below_scale() {
-        let mut rng = SimRng::seed_from(7);
-        for _ in 0..1000 {
-            assert!(rng.pareto(3.0, 2.0) >= 3.0);
-        }
     }
 }

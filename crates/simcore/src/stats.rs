@@ -4,8 +4,7 @@
 //! standard deviation", plus CDFs for the start-up experiments and a 90th
 //! percentile for the netperf latency figure. This module implements the
 //! corresponding estimators: [`RunningStats`] (Welford online mean /
-//! variance), [`Summary`], percentile queries over an empirical [`Cdf`],
-//! and fixed-width [`Histogram`]s.
+//! variance) and percentile queries over an empirical [`Cdf`].
 
 use serde::{Deserialize, Serialize};
 
@@ -68,34 +67,6 @@ impl RunningStats {
         self.max = Some(self.max.map_or(x, |m| m.max(x)));
     }
 
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -124,18 +95,6 @@ impl RunningStats {
         self.variance().sqrt()
     }
 
-    /// Coefficient of variation (std-dev divided by the mean's magnitude).
-    ///
-    /// Dividing by `|mean|` keeps the ratio a non-negative dispersion
-    /// measure for negative-mean samples too.
-    pub fn cv(&self) -> f64 {
-        if self.mean().abs() < f64::EPSILON {
-            0.0
-        } else {
-            self.std_dev() / self.mean().abs()
-        }
-    }
-
     /// Smallest observation (`None` when empty).
     pub fn min(&self) -> Option<f64> {
         self.min
@@ -144,17 +103,6 @@ impl RunningStats {
     /// Largest observation (`None` when empty).
     pub fn max(&self) -> Option<f64> {
         self.max
-    }
-
-    /// Produces an owned summary snapshot.
-    pub fn summary(&self) -> Summary {
-        Summary {
-            count: self.count,
-            mean: self.mean(),
-            std_dev: self.std_dev(),
-            min: self.min().unwrap_or(0.0),
-            max: self.max().unwrap_or(0.0),
-        }
     }
 }
 
@@ -172,21 +120,6 @@ impl FromIterator<f64> for RunningStats {
         s.extend(iter);
         s
     }
-}
-
-/// A point-in-time snapshot of a [`RunningStats`] accumulator.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: u64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
 }
 
 /// Empirical cumulative distribution function over a sample set.
@@ -256,116 +189,9 @@ impl Cdf {
         below as f64 / self.sorted.len() as f64
     }
 
-    /// Returns `(value, cumulative_fraction)` pairs suitable for plotting.
-    pub fn points(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len() as f64;
-        self.sorted
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (*v, (i + 1) as f64 / n))
-            .collect()
-    }
-
-    /// The underlying sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Mean of the samples.
     pub fn mean(&self) -> f64 {
         self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
-    }
-}
-
-/// Fixed-width histogram over a closed range.
-///
-/// # Example
-///
-/// ```
-/// use simcore::stats::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 10.0, 5).unwrap();
-/// h.record(1.0);
-/// h.record(9.5);
-/// assert_eq!(h.total(), 2);
-/// assert_eq!(h.counts()[0], 1);
-/// assert_eq!(h.counts()[4], 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    low: f64,
-    high: f64,
-    counts: Vec<u64>,
-    total: u64,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width buckets over `[low, high)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when `bins == 0` or `low >= high`.
-    pub fn new(low: f64, high: f64, bins: usize) -> Result<Self, SimError> {
-        if bins == 0 {
-            return Err(SimError::InvalidConfig(
-                "histogram needs at least one bin".into(),
-            ));
-        }
-        if low >= high {
-            return Err(SimError::InvalidConfig(format!(
-                "histogram bounds must satisfy low < high, got {low} >= {high}"
-            )));
-        }
-        Ok(Histogram {
-            low,
-            high,
-            counts: vec![0; bins],
-            total: 0,
-            underflow: 0,
-            overflow: 0,
-        })
-    }
-
-    /// Records an observation; out-of-range values go to under/overflow.
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.low {
-            self.underflow += 1;
-            return;
-        }
-        if x >= self.high {
-            self.overflow += 1;
-            if let Some(c) = self.counts.last_mut() {
-                *c += 1;
-            }
-            return;
-        }
-        let width = (self.high - self.low) / self.counts.len() as f64;
-        let idx = ((x - self.low) / width) as usize;
-        let idx = idx.min(self.counts.len() - 1);
-        self.counts[idx] += 1;
-    }
-
-    /// Total number of observations (including out-of-range).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// In-range bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Number of observations below the histogram range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Number of observations at or above the histogram range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
     }
 }
 
@@ -389,10 +215,10 @@ mod tests {
     fn empty_stats_are_safe() {
         let s = RunningStats::new();
         assert_eq!(s.mean(), 0.0);
+        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.std_dev(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]
@@ -410,49 +236,6 @@ mod tests {
         assert_eq!(d, n);
         assert_eq!(d.min(), Some(-2.0));
         assert_eq!(d.max(), Some(7.0));
-    }
-
-    #[test]
-    fn empty_summary_is_finite() {
-        let summary = RunningStats::new().summary();
-        assert!(summary.min.is_finite());
-        assert!(summary.max.is_finite());
-        assert!(summary.mean.is_finite());
-        assert!(summary.std_dev.is_finite());
-    }
-
-    #[test]
-    fn cv_is_non_negative_for_negative_means() {
-        // Regression: cv() used to divide by the signed mean, reporting a
-        // negative coefficient of variation for negative-mean samples.
-        let s: RunningStats = [-10.0, -12.0, -14.0].into_iter().collect();
-        assert!(s.mean() < 0.0);
-        assert!(s.cv() > 0.0, "cv {} must be positive", s.cv());
-        let mirrored: RunningStats = [10.0, 12.0, 14.0].into_iter().collect();
-        assert!((s.cv() - mirrored.cv()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 50.0).collect();
-        let all: RunningStats = data.iter().copied().collect();
-        let mut a: RunningStats = data[..40].iter().copied().collect();
-        let b: RunningStats = data[40..].iter().copied().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: RunningStats = [1.0, 2.0, 3.0].into_iter().collect();
-        let before = a.clone();
-        a.merge(&RunningStats::new());
-        assert_eq!(a, before);
-        let mut empty = RunningStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]
@@ -493,68 +276,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_empty_into_populated_is_identity() {
-        let mut a: RunningStats = [1.0, 2.0, 3.0].into_iter().collect();
-        let before = a.clone();
-        a.merge(&RunningStats::new());
-        assert_eq!(a, before);
-    }
-
-    #[test]
-    fn merge_into_empty_adopts_other() {
-        let b: RunningStats = [4.0, 6.0].into_iter().collect();
-        let mut a = RunningStats::new();
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), 5.0);
-        assert_eq!(a.min(), Some(4.0));
-        assert_eq!(a.max(), Some(6.0));
-    }
-
-    #[test]
-    fn merge_many_shards_matches_sequential() {
-        let data: Vec<f64> = (0..240).map(|i| f64::from(i) * 0.37 - 20.0).collect();
-        let all: RunningStats = data.iter().copied().collect();
-        let mut merged = RunningStats::new();
-        for shard in data.chunks(7) {
-            let s: RunningStats = shard.iter().copied().collect();
-            merged.merge(&s);
-        }
-        assert_eq!(merged.count(), all.count());
-        assert!((merged.mean() - all.mean()).abs() < 1e-9);
-        assert!((merged.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(merged.min(), all.min());
-        assert_eq!(merged.max(), all.max());
-    }
-
-    #[test]
-    fn cdf_fraction_below_and_points() {
+    fn cdf_fraction_below() {
         let cdf = Cdf::from_samples(vec![10.0, 20.0, 30.0, 40.0]).unwrap();
         assert_eq!(cdf.fraction_below(10.0), 0.0);
         assert_eq!(cdf.fraction_below(25.0), 0.5);
         assert_eq!(cdf.fraction_below(1000.0), 1.0);
-        let pts = cdf.points();
-        assert_eq!(pts.len(), 4);
-        assert_eq!(pts[3], (40.0, 1.0));
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(0.0, 100.0, 10).unwrap();
-        for x in [5.0, 15.0, 15.5, 99.9, 150.0, -3.0] {
-            h.record(x);
-        }
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[1], 2);
-        assert_eq!(h.counts()[9], 2); // 99.9 plus clamped overflow 150.0
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.underflow(), 1);
-    }
-
-    #[test]
-    fn histogram_rejects_bad_config() {
-        assert!(Histogram::new(0.0, 0.0, 4).is_err());
-        assert!(Histogram::new(0.0, 1.0, 0).is_err());
     }
 }

@@ -89,13 +89,6 @@ impl BootTimeline {
             + self.termination
     }
 
-    /// Mean boot time as measured by the alternative "grep stdout" method
-    /// the paper cross-checks against: identical except that process
-    /// termination is not included.
-    pub fn mean_stdout_method(&self) -> Nanos {
-        self.mean_total() - self.termination
-    }
-
     /// Samples one end-to-end measurement.
     pub fn sample_total(&self, rng: &mut SimRng) -> Nanos {
         let mean = self.mean_total().as_secs_f64();
@@ -134,16 +127,6 @@ mod tests {
         let t = timeline();
         let expected = 75.0 + 22.0 + 20.0 + 110.0 + 1.0 + 4.0;
         assert!((t.mean_total().as_millis_f64() - expected).abs() < 0.5);
-    }
-
-    #[test]
-    fn stdout_method_differs_only_by_termination() {
-        let t = timeline();
-        let diff = t.mean_total() - t.mean_stdout_method();
-        assert_eq!(diff, t.termination);
-        // The paper reports the two methods within 1–2 % of each other.
-        let rel = diff.as_secs_f64() / t.mean_total().as_secs_f64();
-        assert!(rel < 0.03, "termination fraction {rel}");
     }
 
     #[test]

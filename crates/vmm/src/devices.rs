@@ -4,7 +4,7 @@
 //! models: QEMU emulates 40+ devices, Cloud Hypervisor supports 16,
 //! Firecracker only 7 (virtio-net, virtio-blk, a legacy i8042
 //! serial/PS-2 controller, and a pseudo clock). The device count matters
-//! for attack surface and for guest kernel probe time at boot.
+//! for attack surface and for the VMM's setup time at boot.
 
 use serde::{Deserialize, Serialize};
 use simcore::Nanos;
@@ -115,11 +115,6 @@ impl DeviceModel {
         self.devices.len()
     }
 
-    /// Number of devices in a given class.
-    pub fn count_of(&self, class: DeviceClass) -> usize {
-        self.devices.iter().filter(|d| d.class == class).count()
-    }
-
     /// The devices themselves.
     pub fn devices(&self) -> &[EmulatedDevice] {
         &self.devices
@@ -129,17 +124,6 @@ impl DeviceModel {
     /// model (per device, before the guest even starts).
     pub fn instantiation_cost(&self) -> Nanos {
         Nanos::from_micros(600) * self.device_count() as u64
-    }
-
-    /// Guest kernel probe time attributable to the devices exposed
-    /// (PCI enumeration and legacy probing are the slow parts).
-    pub fn guest_probe_cost(&self) -> Nanos {
-        let pci = self.count_of(DeviceClass::Pci) as u64;
-        let legacy = self.count_of(DeviceClass::Legacy) as u64;
-        let virtio = self.count_of(DeviceClass::Virtio) as u64;
-        Nanos::from_millis(2) * pci
-            + Nanos::from_millis(1) * legacy
-            + Nanos::from_micros(400) * virtio
     }
 }
 
@@ -158,17 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn firecracker_has_no_pci_devices() {
-        assert_eq!(DeviceModel::firecracker().count_of(DeviceClass::Pci), 0);
-        assert!(DeviceModel::qemu_full().count_of(DeviceClass::Pci) > 10);
-    }
-
-    #[test]
-    fn bigger_device_models_cost_more_to_instantiate_and_probe() {
+    fn bigger_device_models_cost_more_to_instantiate() {
         let qemu = DeviceModel::qemu_full();
         let fc = DeviceModel::firecracker();
         assert!(qemu.instantiation_cost() > fc.instantiation_cost());
-        assert!(qemu.guest_probe_cost() > fc.guest_probe_cost());
     }
 
     #[test]

@@ -124,12 +124,6 @@ impl MachineModel {
         }
     }
 
-    /// Whether the paper could attach a separate benchmark drive
-    /// (Firecracker does not support it; excluded from Fig. 9/10).
-    pub fn supports_extra_drives(self) -> bool {
-        !matches!(self, MachineModel::Firecracker)
-    }
-
     /// The KVM usage profile of this VMM.
     pub fn kvm_interface(self, vcpus: u32) -> KvmInterface {
         let regions = match self {
@@ -270,7 +264,10 @@ mod tests {
 
     #[test]
     fn rust_vmms_pay_vm_memory_overhead() {
-        assert!(MachineModel::Firecracker.paging_mode().is_virtualized());
+        assert!(matches!(
+            MachineModel::Firecracker.paging_mode(),
+            memsim::paging::PagingMode::Nested { .. }
+        ));
         let tlb = memsim::tlb::TlbConfig::epyc2();
         let page = memsim::tlb::PageSize::Small4K;
         let qemu = MachineModel::QemuFull
@@ -284,13 +281,6 @@ mod tests {
             .walk_latency(&tlb, page);
         assert!(fc > chv, "firecracker {fc} vs cloud-hypervisor {chv}");
         assert!(chv > qemu, "cloud-hypervisor {chv} vs qemu {qemu}");
-    }
-
-    #[test]
-    fn firecracker_cannot_attach_extra_drives() {
-        assert!(!MachineModel::Firecracker.supports_extra_drives());
-        assert!(MachineModel::QemuFull.supports_extra_drives());
-        assert!(MachineModel::CloudHypervisor.supports_extra_drives());
     }
 
     #[test]

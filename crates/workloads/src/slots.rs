@@ -380,11 +380,6 @@ impl<T> SlotPool<T> {
         })
     }
 
-    /// Number of slots in the pool.
-    pub fn servers(&self) -> usize {
-        self.servers
-    }
-
     /// Number of slots currently serving a request.
     pub fn busy(&self) -> usize {
         self.busy

@@ -1,39 +1,14 @@
 //! The Sysbench CPU benchmark (prime verification, Section 3.1).
 //!
 //! The paper uses this single-threaded microbenchmark to show that basic
-//! CPU instruction throughput is identical on every platform. A real prime
-//! sieve is included so the work unit is genuine; the platform's only
-//! influence is its (negligible) instruction efficiency and scheduler
-//! noise.
+//! CPU instruction throughput is identical on every platform. The work
+//! unit is [`ComputeWork::sysbench_prime`]; the platform's only influence
+//! is its (negligible) instruction efficiency and scheduler noise.
 
 use platforms::subsystems::cpu::ComputeWork;
 use platforms::Platform;
 use simcore::stats::RunningStats;
 use simcore::{Nanos, SimRng};
-
-/// Verifies primality by trial division up to `sqrt(n)` — the same check
-/// sysbench's CPU test performs per candidate number.
-pub fn is_prime(n: u64) -> bool {
-    if n < 2 {
-        return false;
-    }
-    if n % 2 == 0 {
-        return n == 2;
-    }
-    let mut d = 3u64;
-    while d * d <= n {
-        if n % d == 0 {
-            return false;
-        }
-        d += 2;
-    }
-    true
-}
-
-/// Counts primes below `limit` (the benchmark's work unit).
-pub fn count_primes_below(limit: u64) -> usize {
-    (2..limit).filter(|n| is_prime(*n)).count()
-}
 
 /// The sysbench CPU benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -76,15 +51,6 @@ impl SysbenchCpuBenchmark {
 mod tests {
     use super::*;
     use platforms::PlatformId;
-
-    #[test]
-    fn prime_checker_is_correct() {
-        assert!(is_prime(2));
-        assert!(is_prime(97));
-        assert!(!is_prime(1));
-        assert!(!is_prime(91)); // 7 * 13
-        assert_eq!(count_primes_below(100), 25);
-    }
 
     #[test]
     fn all_platforms_perform_nearly_equivalently() {

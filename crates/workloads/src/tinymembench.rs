@@ -43,12 +43,6 @@ impl TinymembenchBenchmark {
         }
     }
 
-    /// Switches the benchmark to huge pages (the Section 3.2 ablation).
-    pub fn with_huge_pages(mut self) -> Self {
-        self.page_size = PageSize::Huge2M;
-        self
-    }
-
     /// Runs the random-access latency sweep over the paper's buffer sizes
     /// (2^16 through 2^26 bytes).
     ///
@@ -123,7 +117,10 @@ mod tests {
     fn huge_pages_shrink_large_buffer_latency_except_on_kata() {
         let mut rng = SimRng::seed_from(4);
         let small = TinymembenchBenchmark::new(5);
-        let huge = TinymembenchBenchmark::new(5).with_huge_pages();
+        let huge = TinymembenchBenchmark {
+            page_size: PageSize::Huge2M,
+            ..small
+        };
         let native = PlatformId::Native.build();
         let s = small.run_latency(&native, &mut rng.split("s"));
         let h = huge.run_latency(&native, &mut rng.split("h"));

@@ -117,57 +117,6 @@ proptest! {
     }
 
     #[test]
-    fn running_stats_merge_matches_sequential(xs in prop::collection::vec(-1e6f64..1e6, 1..100),
-                                              ys in prop::collection::vec(-1e6f64..1e6, 1..100)) {
-        let mut merged: RunningStats = xs.iter().copied().collect();
-        let other: RunningStats = ys.iter().copied().collect();
-        merged.merge(&other);
-        let all: RunningStats = xs.iter().chain(ys.iter()).copied().collect();
-        prop_assert_eq!(merged.count(), all.count());
-        prop_assert!((merged.mean() - all.mean()).abs() < 1e-6);
-        prop_assert!((merged.variance() - all.variance()).abs() < 1e-3);
-    }
-
-    #[test]
-    fn running_stats_merge_is_order_insensitive_and_matches_record(
-        xs in prop::collection::vec(-1e6f64..1e6, 0..120),
-        chunk in 1usize..16,
-        rotate in 0usize..16,
-    ) {
-        // The parallel executor merges per-shard accumulators in whatever
-        // grouping the run plan produced; the result must not depend on
-        // the order the shards are folded in, and must match a single
-        // sequential pass over all observations.
-        let shards: Vec<RunningStats> = xs
-            .chunks(chunk)
-            .map(|c| c.iter().copied().collect())
-            .collect();
-        let mut forward = RunningStats::new();
-        for s in &shards {
-            forward.merge(s);
-        }
-        let mut rotated = RunningStats::new();
-        if !shards.is_empty() {
-            let pivot = rotate % shards.len();
-            for s in shards[pivot..].iter().chain(&shards[..pivot]) {
-                rotated.merge(s);
-            }
-        }
-        let sequential: RunningStats = xs.iter().copied().collect();
-        for merged in [&forward, &rotated] {
-            prop_assert_eq!(merged.count(), sequential.count());
-            prop_assert!((merged.mean() - sequential.mean()).abs() < 1e-6);
-            prop_assert!((merged.variance() - sequential.variance()).abs() < 1e-2);
-            prop_assert_eq!(merged.min(), sequential.min());
-            prop_assert_eq!(merged.max(), sequential.max());
-        }
-        // Empty input stays the pristine empty accumulator (finite summary).
-        if xs.is_empty() {
-            prop_assert_eq!(forward, RunningStats::new());
-        }
-    }
-
-    #[test]
     fn slot_pool_conserves_work_under_arbitrary_weights(
         servers in 1usize..6,
         specs in prop::collection::vec((1u64..16, 0usize..24, 1u64..2_000), 1..5),
